@@ -133,15 +133,16 @@ def _half_div_form(prod, k, sym=False):
 def _nonlinear(u: np.ndarray, b: np.ndarray, grid: Grid, params: PhysicalParams, mode: str):
     """Nonlinear right-hand sides (no diffusion), fused into two batched FFTs.
 
-    Works on the real-FFT half spectrum: advection is written in divergence
-    form d_j(f_j g_i), exactly equivalent to f . grad g for divergence-free f.
-    The velocity part is Leray-projected; every quadratic term is dealiased.
+    Takes and returns real-FFT half-spectrum arrays: advection is written in
+    divergence form d_j(f_j g_i), exactly equivalent to f . grad g for
+    divergence-free f.  The velocity part is Leray-projected; every quadratic
+    term is dealiased.
     """
     g = grid
-    n, npts, half = g.n, g.npoints, g.dims // 2 + 1
+    n, npts = g.n, g.npoints
     k = g.k_half
-    uh = u[..., :half] * npts
-    bh = b[..., :half] * npts
+    uh = u * npts
+    bh = b * npts
     with_hall = mode != "mhd" and params.eta != 0.0
 
     if mode == "hall_only":
@@ -151,7 +152,7 @@ def _nonlinear(u: np.ndarray, b: np.ndarray, grid: Grid, params: PhysicalParams,
         hall = np.cross(pcb, pb, axisa=0, axisb=0, axisc=0)
         hall_h = rfftn_batch(hall, n) * (g.dealias_mask_half / npts)
         nb = -params.eta * _half_curl(hall_h, k)
-        return np.zeros_like(u), half_to_full(nb, g)
+        return np.zeros_like(u), nb
 
     # skip velocity products when u is identically zero (e.g. pure induction runs)
     u_zero = not u.any()
@@ -205,8 +206,7 @@ def _nonlinear(u: np.ndarray, b: np.ndarray, grid: Grid, params: PhysicalParams,
     nb = bgu - ugb if not u_zero else np.zeros_like(w)
     if with_hall:
         nb = nb - params.eta * _half_curl(hats[pos : pos + 3], k)
-    out = half_to_full(np.concatenate([nu, nb]), g)
-    return out[:3], out[3:]
+    return nu, nb
 
 
 def compute_rhs(state: State, params: PhysicalParams, mode: str = "full"):
@@ -218,7 +218,12 @@ def compute_rhs(state: State, params: PhysicalParams, mode: str = "full"):
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     _check_divergence(state)
     g = state.grid
-    nu_rhs, nb_rhs = _nonlinear(state.u.coeffs, state.b.coeffs, g, params, mode)
+    half = g.dims // 2 + 1
+    nl = _nonlinear(
+        state.u.coeffs[..., :half], state.b.coeffs[..., :half], g, params, mode
+    )
+    nl = half_to_full(np.concatenate(nl), g)
+    nu_rhs, nb_rhs = nl[:3], nl[3:]
     dudt = nu_rhs - params.nu * g.ksq * state.u.coeffs
     dbdt = nb_rhs - params.mu * g.ksq * state.b.coeffs
     if mode == "hall_only":
@@ -226,20 +231,32 @@ def compute_rhs(state: State, params: PhysicalParams, mode: str = "full"):
     return SpectralField(g, dudt), SpectralField(g, dbdt)
 
 
+def _ifrk4_factors(g: Grid, dt: float, p: PhysicalParams):
+    """Half-spectrum diffusion factors exp(-nu|k|^2 dt/2), exp(-mu|k|^2 dt/2)
+    and their squares; only the latest (dt, nu, mu) is kept per grid."""
+    key = (dt, p.nu, p.mu)
+    cached = g._cache.get("ifrk4")
+    if cached is None or cached[0] != key:
+        eu_h = np.exp(-p.nu * g.ksq_half * (dt / 2.0))
+        eb_h = np.exp(-p.mu * g.ksq_half * (dt / 2.0))
+        cached = (key, (eu_h, eb_h, eu_h**2, eb_h**2))
+        g._cache["ifrk4"] = cached
+    return cached[1]
+
+
 def step(state: State, config: SolverConfig) -> State:
-    """One integrating-factor RK4 step; diffusion propagated exactly."""
+    """One integrating-factor RK4 step; diffusion propagated exactly.
+
+    All four stages and the combine run on the half spectrum; the result is
+    expanded to the full Hermitian layout once.
+    """
     g = state.grid
     p = config.params
     dt = config.dt
+    eu_h, eb_h, eu, eb = _ifrk4_factors(g, dt, p)
 
-    def factors():
-        eu_h = np.exp(-p.nu * g.ksq * (dt / 2.0))
-        eb_h = np.exp(-p.mu * g.ksq * (dt / 2.0))
-        return eu_h, eb_h, eu_h**2, eb_h**2
-
-    eu_h, eb_h, eu, eb = g._cached(("ifrk4", dt, p.nu, p.mu), factors)
-
-    u0, b0 = state.u.coeffs, state.b.coeffs
+    half = g.dims // 2 + 1
+    u0, b0 = state.u.coeffs[..., :half], state.b.coeffs[..., :half]
     nl = lambda u, b: _nonlinear(u, b, g, p, config.mode)
 
     k1u, k1b = nl(u0, b0)
@@ -252,7 +269,8 @@ def step(state: State, config: SolverConfig) -> State:
     t1 = state.t + dt
     if not (np.all(np.isfinite(u1)) and np.all(np.isfinite(b1))):
         raise BlowUpError(f"numerical blow-up at t={t1}")
-    return State(SpectralField(g, u1), SpectralField(g, b1), t1)
+    out = half_to_full(np.concatenate([u1, b1]), g)
+    return State(SpectralField(g, out[:3]), SpectralField(g, out[3:]), t1)
 
 
 def cfl_advisory_dt(state: State, params: PhysicalParams, c: float = 0.5) -> float:
