@@ -106,10 +106,6 @@ def _check_divergence(state: State, tol: float = 1.0e-8) -> None:
             )
 
 
-# index of the (j, i) entry in a packed symmetric 3x3 product block
-_SYM = ((0, 1, 2), (1, 3, 4), (2, 4, 5))
-
-
 def _half_curl(f: np.ndarray, k: np.ndarray) -> np.ndarray:
     out = np.empty_like(f)
     out[0] = 1j * (k[1] * f[2] - k[2] * f[1])
@@ -118,95 +114,41 @@ def _half_curl(f: np.ndarray, k: np.ndarray) -> np.ndarray:
     return out
 
 
-def _half_div_form(prod, k, sym=False):
-    """Assemble d_j(f_j g_i) from packed products; prod[j*3+i] = f_j g_i."""
-    out = np.empty((3,) + prod.shape[1:], dtype=prod.dtype)
-    for i in range(3):
-        if sym:
-            acc = k[0] * prod[_SYM[0][i]] + k[1] * prod[_SYM[1][i]] + k[2] * prod[_SYM[2][i]]
-        else:
-            acc = k[0] * prod[i] + k[1] * prod[3 + i] + k[2] * prod[6 + i]
-        out[i] = 1j * acc
-    return out
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.stack(
+        [
+            a[1] * b[2] - a[2] * b[1],
+            a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0],
+        ]
+    )
 
 
 def _nonlinear(u: np.ndarray, b: np.ndarray, grid: Grid, params: PhysicalParams, mode: str):
-    """Nonlinear right-hand sides (no diffusion), fused into two batched FFTs.
+    """Nonlinear right-hand sides (no diffusion) on the real-FFT half spectrum.
 
-    Takes and returns real-FFT half-spectrum arrays: advection is written in
-    divergence form d_j(f_j g_i), exactly equivalent to f . grad g for
-    divergence-free f.  The velocity part is Leray-projected; every quadratic
-    term is dealiased.
+    Momentum in rotational form P(u x w + j x b) with w = curl u, j = curl b;
+    induction and Hall together as curl((u - eta j) x b).  Both equal the
+    divergence-form terms for divergence-free states inside the 2/3 cube.
+    Full and mhd transform 12 fields in and 6 out; hall_only 6 in and 3 out.
     """
     g = grid
-    n, npts = g.n, g.npoints
-    k = g.k_half
-    uh = u * npts
-    bh = b * npts
-    with_hall = mode != "mhd" and params.eta != 0.0
-
+    n, npts, k = g.n, g.npoints, g.k_half
+    eta = 0.0 if mode == "mhd" else params.eta
+    j = _half_curl(b, k)
     if mode == "hall_only":
-        stack = np.concatenate([bh, _half_curl(bh, k)])
-        phys = irfftn_batch(stack, n, g.shape)
-        pb, pcb = phys[:3], phys[3:]
-        hall = np.cross(pcb, pb, axisa=0, axisb=0, axisc=0)
-        hall_h = rfftn_batch(hall, n) * (g.dealias_mask_half / npts)
-        nb = -params.eta * _half_curl(hall_h, k)
-        return np.zeros_like(u), nb
+        pb, pj = np.split(irfftn_batch(np.concatenate([b, j]) * npts, n, g.shape), 2)
+        jxb = rfftn_batch(_cross(pj, pb), n) * (g.dealias_mask_half / npts)
+        return np.zeros_like(u), -eta * _half_curl(jxb, k)
 
-    # skip velocity products when u is identically zero (e.g. pure induction runs)
-    u_zero = not u.any()
-    inv = [bh]
-    if with_hall:
-        inv.append(_half_curl(bh, k))
-    if not u_zero:
-        inv.insert(0, uh)
-    phys = irfftn_batch(np.concatenate(inv), n, g.shape)
-    if u_zero:
-        pu = None
-        pb = phys[:3]
-        pcb = phys[3:6] if with_hall else None
-    else:
-        pu, pb = phys[:3], phys[3:6]
-        pcb = phys[6:9] if with_hall else None
-
-    prods = []
-    if not u_zero:
-        prods += [pu[j] * pu[i] for j in range(3) for i in range(j, 3)]
-    prods += [pb[j] * pb[i] for j in range(3) for i in range(j, 3)]
-    if not u_zero:
-        prods += [pu[j] * pb[i] for j in range(3) for i in range(3)]
-    if with_hall:
-        prods.append(pcb[1] * pb[2] - pcb[2] * pb[1])
-        prods.append(pcb[2] * pb[0] - pcb[0] * pb[2])
-        prods.append(pcb[0] * pb[1] - pcb[1] * pb[0])
-
-    hats = rfftn_batch(np.stack(prods), n) * (g.dealias_mask_half / npts)
-    pos = 0
-    if u_zero:
-        ugu = ugb = bgu = 0.0
-    else:
-        ugu = _half_div_form(hats[pos : pos + 6], k, sym=True)
-        pos += 6
-    bgb = _half_div_form(hats[pos : pos + 6], k, sym=True)
-    pos += 6
-    if not u_zero:
-        ub = hats[pos : pos + 9]
-        pos += 9
-        ugb = _half_div_form(ub, k)  # d_j(u_j b_i)
-        # b . grad u = d_j(b_j u_i); u_i b_j sits at packed slot i*3+j
-        swapped = np.swapaxes(ub.reshape((3, 3) + ub.shape[1:]), 0, 1)
-        bgu = _half_div_form(np.ascontiguousarray(swapped).reshape(ub.shape), k)
-
-    # Leray projection of the velocity nonlinearity.
-    w = bgb - ugu
-    kdotw = k[0] * w[0] + k[1] * w[1] + k[2] * w[2]
-    nu = w - k * (kdotw * g.inv_ksq_half)
-
-    nb = bgu - ugb if not u_zero else np.zeros_like(w)
-    if with_hall:
-        nb = nb - params.eta * _half_curl(hats[pos : pos + 3], k)
-    return nu, nb
+    stack = np.concatenate([u, _half_curl(u, k), b, j]) * npts
+    pu, pw, pb, pj = np.split(irfftn_batch(stack, n, g.shape), 4)
+    prods = np.concatenate([_cross(pu, pw) + _cross(pj, pb), _cross(pu - eta * pj, pb)])
+    hats = rfftn_batch(prods, n) * (g.dealias_mask_half / npts)
+    # Leray projection as k x (w x k) / |k|^2: gradients along a lattice axis
+    # cancel exactly, and so does the k = 0 mode, which vanishes analytically
+    nu = _cross(k, _cross(hats[:3], k)) * g.inv_ksq_half
+    return nu, _half_curl(hats[3:], k)
 
 
 def compute_rhs(state: State, params: PhysicalParams, mode: str = "full"):
@@ -411,6 +353,8 @@ def make_initial(
     else:
         raise ValueError(f"unknown initial kind {kind!r}")
 
+    # the curl-form nonlinearity matches the divergence form only inside the 2/3 cube
+    u, b = (SpectralField(grid, np.where(grid.dealias_mask, f.coeffs, 0.0)) for f in (u, b))
     if target_norms is not None:
         tu, tb = target_norms
         u = _rescale(u, sob.s, tu, kind, seed)

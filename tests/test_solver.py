@@ -17,6 +17,7 @@ from hallmhd import (
 )
 from hallmhd.littlewood_paley import dyadic_sobolev_norm, resolved_band
 from hallmhd.random_fields import random_band_field
+from hallmhd import solver
 from hallmhd.solver import (
     BlowUpError,
     StateDriftError,
@@ -126,6 +127,60 @@ def test_rhs_oracle_2d():
     du_o, db_o = _oracle_rhs(u, b, params, "full")
     assert np.abs(du.coeffs - du_o).max() < 1e-10 * max(np.abs(du_o).max(), 1e-30)
     assert np.abs(db.coeffs - db_o).max() < 1e-10 * max(np.abs(db_o).max(), 1e-30)
+
+
+def test_make_initial_dealiases_wide_band():
+    # a band past the 2/3 cube is cut back to it, where the curl-form
+    # nonlinearity and the oracle's advective form agree to roundoff
+    g = Grid(3, 32)
+    st = make_initial("random_band", g, 31, (1.0, 1.0), SOB, band=14)
+    for f in (st.u, st.b):
+        assert not f.coeffs[:, ~g.dealias_mask].any()
+    params = PhysicalParams(0.05, 0.07, 0.1)
+    du, db = compute_rhs(st, params, "full")
+    du_o, db_o = _oracle_rhs(st.u, st.b, params, "full")
+    assert np.abs(du.coeffs - du_o).max() / np.abs(du_o).max() < 1e-10
+    assert np.abs(db.coeffs - db_o).max() / np.abs(db_o).max() < 1e-10
+
+
+def _count_calls(monkeypatch, name, tally):
+    inner = getattr(solver, name)
+
+    def counted(arr, *args):
+        tally[name] = tally.get(name, 0) + arr.shape[0]
+        return inner(arr, *args)
+
+    monkeypatch.setattr(solver, name, counted)
+
+
+@pytest.mark.parametrize("mode, inverse, forward", [("full", 12, 6), ("mhd", 12, 6), ("hall_only", 6, 3)])
+def test_fft_fields_per_rhs(monkeypatch, mode, inverse, forward):
+    g = Grid(3, 16)
+    st = make_initial("random_band", g, 64, (0.0 if mode == "hall_only" else 1.0, 1.0), SOB)
+    tally = {}
+    for name in ("irfftn_batch", "rfftn_batch"):
+        _count_calls(monkeypatch, name, tally)
+    compute_rhs(st, PhysicalParams(0.05, 0.05, 0.1), mode)
+    assert tally == {"irfftn_batch": inverse, "rfftn_batch": forward}
+
+
+def test_step_expands_to_full_spectrum_once(monkeypatch):
+    g = Grid(3, 16)
+    st = make_initial("random_band", g, 65, (1.0, 1.0), SOB)
+    calls = []
+    inner = solver.half_to_full
+    monkeypatch.setattr(solver, "half_to_full", lambda *a: calls.append(1) or inner(*a))
+    step(st, SolverConfig(PhysicalParams(0.05, 0.05, 0.1), SOB, 1e-3, 1.0))
+    assert len(calls) == 1
+
+
+def test_ifrk4_factor_cache_keeps_latest():
+    g = Grid(3, 16)
+    st = make_initial("random_band", g, 66, (1.0, 1.0), SOB)
+    params = PhysicalParams(0.05, 0.05, 0.1)
+    first = step(st, SolverConfig(params, SOB, 1e-3, 1.0))
+    step(first, SolverConfig(params, SOB, 2e-3, 1.0))
+    assert [key for key in g._cache if "ifrk4" in key] == ["ifrk4"]
 
 
 def test_rhs_preserves_divergence_freedom():
