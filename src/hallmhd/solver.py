@@ -45,15 +45,17 @@ class BlowUpError(RuntimeError):
 
 @dataclass(frozen=True)
 class PhysicalParams:
-    """Viscosity nu, resistivity mu, Hall coefficient eta; all nonnegative."""
+    """Viscosity nu, resistivity mu, Hall coefficient eta; all finite and nonnegative."""
 
     nu: float
     mu: float
     eta: float = 0.0
 
     def __post_init__(self):
-        if self.nu < 0 or self.mu < 0 or self.eta < 0:
-            raise ValueError("nu, mu, eta must be nonnegative")
+        for name in ("nu", "mu", "eta"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0):
+                raise ValueError(f"params.{name}: must be finite and nonnegative, got {value!r}")
 
 
 @dataclass
@@ -84,8 +86,14 @@ class SolverConfig:
     blowup_factor: float = 1.0e6
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        for name in ("dt", "tmax"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"solver.{name}: must be finite and positive, got {value!r}")
+        if self.snapshot_every < 1:
+            raise ValueError(
+                f"solver.snapshot_every: must be at least 1, got {self.snapshot_every!r}"
+            )
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.scheme != "ifrk4":

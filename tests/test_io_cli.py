@@ -224,6 +224,23 @@ def test_cli_error_exit_code(tmp_path, capsys):
     assert "error:" in captured.err
 
 
+@pytest.mark.parametrize(
+    "line, field",
+    [
+        ("solver.snapshot_every = 0", "solver.snapshot_every"),
+        ("params.nu = nan", "params.nu"),
+        ("solver.tmax = -1", "solver.tmax"),
+    ],
+)
+def test_cli_rejects_invalid_value(tmp_path, capsys, line, field):
+    conf = tmp_path / "bad.conf"
+    conf.write_text(f"grid.dims = 16\n{line}\n")
+    rc = main(["simulate", "--config", str(conf), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert field in err and len(err.strip().splitlines()) == 1
+
+
 def test_workers_env(monkeypatch):
     monkeypatch.setenv("HMHD_THREADS", "2")
     assert _workers() == 2

@@ -388,3 +388,11 @@ def test_solver_config_validation():
         SolverConfig(params, SOB, 1e-3, 1.0, scheme="euler")
     with pytest.raises(ValueError):
         PhysicalParams(-0.1, 0.0, 0.0)
+    with pytest.raises(ValueError, match="params.eta"):
+        PhysicalParams(0.1, 0.1, np.inf)
+    with pytest.raises(ValueError, match="solver.dt"):
+        SolverConfig(params, SOB, np.nan, 1.0)
+    with pytest.raises(ValueError, match="solver.tmax"):
+        SolverConfig(params, SOB, 1e-3, 0.0)
+    with pytest.raises(ValueError, match="solver.snapshot_every"):
+        SolverConfig(params, SOB, 1e-3, 1.0, snapshot_every=0)
