@@ -1,9 +1,20 @@
 """Time integration of the incompressible viscous resistive Hall-MHD system.
 
-The pressure is eliminated by Leray projection of the velocity nonlinearity.
+With w = curl u and j = curl b, the nonlinearity is evaluated in curl form:
+the momentum term in rotational form P(u x w + j x b), where the Leray
+projection P also removes the pressure and the |u|^2/2, |b|^2/2 gradients,
+and the induction and Hall terms together as curl((u - eta j) x b).  That is
+six pointwise products per right-hand side: 12 fields transformed to physical
+space and 6 back (18 FFT fields; 6 + 3 = 9 in hall_only).  The curl form
+equals the divergence form only for divergence-free states supported inside
+the 2/3 dealias cube, so make_initial cuts its data to that cube and the
+dealiased scheme keeps it there.
+
 Time stepping is integrating-factor RK4: diffusion is propagated exactly by
 exp(-nu |k|^2 dt) / exp(-mu |k|^2 dt) and the (dealiased) quadratic terms are
-treated explicitly.  Modes:
+treated explicitly.  A step runs its four stages and the combine on the
+real-FFT half spectrum and expands to the full Hermitian layout once at the
+end; State, compute_rhs and run keep the full layout.  Modes:
 
   full      - the complete system,
   mhd       - Hall coefficient forced to zero,

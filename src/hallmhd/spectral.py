@@ -91,10 +91,6 @@ class Grid:
         return self.dims // 2 - 1
 
     @property
-    def length(self) -> float:
-        return 2.0 * np.pi
-
-    @property
     def cell_volume(self) -> float:
         return (2.0 * np.pi / self.dims) ** self.n
 
