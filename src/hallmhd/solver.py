@@ -125,14 +125,6 @@ def _check_divergence(state: State, tol: float = 1.0e-8) -> None:
             )
 
 
-def _half_curl(f: np.ndarray, k: np.ndarray) -> np.ndarray:
-    out = np.empty_like(f)
-    out[0] = 1j * (k[1] * f[2] - k[2] * f[1])
-    out[1] = 1j * (k[2] * f[0] - k[0] * f[2])
-    out[2] = 1j * (k[0] * f[1] - k[1] * f[0])
-    return out
-
-
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.stack(
         [
@@ -154,20 +146,20 @@ def _nonlinear(u: np.ndarray, b: np.ndarray, grid: Grid, params: PhysicalParams,
     g = grid
     n, npts, k = g.n, g.npoints, g.k_half
     eta = 0.0 if mode == "mhd" else params.eta
-    j = _half_curl(b, k)
+    j = 1j * _cross(k, b)
     if mode == "hall_only":
         pb, pj = np.split(irfftn_batch(np.concatenate([b, j]) * npts, n, g.shape), 2)
         jxb = rfftn_batch(_cross(pj, pb), n) * (g.dealias_mask_half / npts)
-        return np.zeros_like(u), -eta * _half_curl(jxb, k)
+        return np.zeros_like(u), -eta * (1j * _cross(k, jxb))
 
-    stack = np.concatenate([u, _half_curl(u, k), b, j]) * npts
+    stack = np.concatenate([u, 1j * _cross(k, u), b, j]) * npts
     pu, pw, pb, pj = np.split(irfftn_batch(stack, n, g.shape), 4)
     prods = np.concatenate([_cross(pu, pw) + _cross(pj, pb), _cross(pu - eta * pj, pb)])
     hats = rfftn_batch(prods, n) * (g.dealias_mask_half / npts)
     # Leray projection as k x (w x k) / |k|^2: gradients along a lattice axis
     # cancel exactly, and so does the k = 0 mode, which vanishes analytically
     nu = _cross(k, _cross(hats[:3], k)) * g.inv_ksq_half
-    return nu, _half_curl(hats[3:], k)
+    return nu, 1j * _cross(k, hats[3:])
 
 
 def compute_rhs(state: State, params: PhysicalParams, mode: str = "full"):
