@@ -101,19 +101,12 @@ def _cmd_analyze(args) -> int:
     cfg = load_config(os.path.join(args.run, "config.txt"))
     out = args.out or args.run
     os.makedirs(out, exist_ok=True)
-    write_diagnostics(args.run, cfg.physical_params(), cfg.sobolev(), out_dir=out)
-
-    from .snapshots import list_snapshots, read_snapshot
-
-    states = [read_snapshot(p) for p in list_snapshots(args.run)]
-    from .littlewood_paley import dyadic_sobolev_norm
-
-    sob = cfg.sobolev()
-    psi0 = (
-        dyadic_sobolev_norm(states[0].u, sob.s) ** 2
-        + dyadic_sobolev_norm(states[0].b, sob.r) ** 2
+    energies, _, ru, rb = write_diagnostics(
+        args.run, cfg.physical_params(), cfg.sobolev(), out_dir=out
     )
-    horizon = states[-1].t
+    # psi0 = ||u0||_{H^s}^2 + ||b0||_{H^r}^2, the dyadic sums of the first record
+    psi0 = float(energies[0].e_u.sum() + energies[0].e_b.sum())
+    horizon = energies[-1].t
     if psi0 > 0:
         est = existence_time(
             psi0, cfg["calibration.C"], cfg["calibration.gamma_low"],
@@ -122,10 +115,7 @@ def _cmd_analyze(args) -> int:
         print(f"predicted existence time T={est.T:.17g}, observed horizon {horizon:.17g}")
     else:
         print(f"zero initial data; observed horizon {horizon:.17g}")
-    if len(states) >= 3:
-        from .diagnostics import energy_balance_residual
-
-        _, ru, rb = energy_balance_residual(states, cfg.physical_params(), sob)
+    if len(energies) >= 3:
         print(f"max energy-balance residual: u {np.max(ru):.3e}, b {np.max(rb):.3e}")
     return 0
 

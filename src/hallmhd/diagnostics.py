@@ -3,11 +3,19 @@
 The two shell energy identities are implemented as exact equalities
 
     1/2 d/dt sum_q e_u[q] + nu sum_q d_u[q] + I1 + I2 = 0,
-    1/2 d/dt sum_q e_b[q] + mu sum_q d_b[q] + I3 + I4 + I5 = 0,
+    1/2 d/dt sum_q e_b[q] + mu sum_q d_b[q] + I3 + I4 + I5 = 0.
 
-with the five flux integrals formed from the same dealiased products as the
-solver and evaluated spectrally (Parseval).  I5 is computed in curl form and
-carries the Hall coefficient, with the sign that closes the identity.
+Every dyadic quantity is a weighted spectral sum: by Parseval,
+lambda_q^{2s} <Delta_q F, Delta_q f> = lambda_q^{2s} (2 pi)^n sum_k
+phi_q(|k|)^2 Re(F_k . conj f_k), so shell energies and dissipations contract
+|f_k|^2 and |k|^2 |f_k|^2 against the shell multipliers and no shell is ever
+materialized.  The fluxes take one inverse transform of 24 half-spectrum
+fields (u, b, grad u, grad b; j = curl b is formed pointwise from grad b), the
+five dealiased products u.grad u, b.grad b, u.grad b, b.grad u and j x b, and
+one forward transform of those 15 fields.  These are the divergence-form
+products of the energy identities, not the curl forms the solver steps with.
+I5 pairs j x b with i k x b_k, since curl commutes with Delta_q, and carries
+the Hall coefficient with the sign that closes the identity.
 """
 
 from __future__ import annotations
@@ -16,24 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .littlewood_paley import (
-    SobolevParams,
-    decompose,
-    dyadic_sobolev_norm,
-    gradient_shell_norm,
-    lambda_q,
-    max_shell,
-)
+from .littlewood_paley import SobolevParams, shell_sums, sobolev_weights
 from .solver import PhysicalParams, SolverConfig, State, run
-from .spectral import (
-    Grid,
-    SpectralField,
-    advect,
-    cross,
-    curl,
-    inner_product,
-    lp_norm,
-)
+from .spectral import Grid, SpectralField, irfftn_batch, lp_norm, rfftn_batch
 
 
 @dataclass
@@ -59,77 +52,112 @@ class FluxRecord:
     I5: float
 
 
+def _power(coeffs: np.ndarray) -> np.ndarray:
+    """|f_k|^2 summed over components."""
+    return (coeffs.real**2 + coeffs.imag**2).sum(axis=0)
+
+
+def _real_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re(a_k . conj(b_k)) summed over components."""
+    return (a.real * b.real + a.imag * b.imag).sum(axis=0)
+
+
+def _transport(a: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """(a . grad) f pointwise, with grad[j, m] = d_j f_m."""
+    return a[0] * grad[0] + a[1] * grad[1] + a[2] * grad[2]
+
+
 def shell_energies(state: State, sob: SobolevParams) -> ShellEnergyRecord:
-    Q = max_shell(state.grid)
-    qs = range(-1, Q + 1)
-    su, sb = decompose(state.u), decompose(state.b)
-    e_u = np.array([lambda_q(q) ** (2 * sob.s) * lp_norm(su.shell(q), 2) ** 2 for q in qs])
-    e_b = np.array([lambda_q(q) ** (2 * sob.r) * lp_norm(sb.shell(q), 2) ** 2 for q in qs])
-    d_u = np.array(
-        [lambda_q(q) ** (2 * sob.s) * gradient_shell_norm(state.u, q) ** 2 for q in qs]
-    )
-    d_b = np.array(
-        [lambda_q(q) ** (2 * sob.r) * gradient_shell_norm(state.b, q) ** 2 for q in qs]
-    )
-    return ShellEnergyRecord(state.t, e_u, e_b, d_u, d_b)
+    g = state.grid
+    pu, pb = _power(state.u.coeffs), _power(state.b.coeffs)
+    sums = (2.0 * np.pi) ** g.n * shell_sums(g, np.stack([pu, pb, g.ksq * pu, g.ksq * pb]))
+    ws, wr = sobolev_weights(g, sob.s), sobolev_weights(g, sob.r)
+    return ShellEnergyRecord(state.t, ws * sums[0], wr * sums[1], ws * sums[2], wr * sums[3])
 
 
 def flux_terms(state: State, params: PhysicalParams, sob: SobolevParams) -> FluxRecord:
-    u, b = state.u, state.b
-    ugu = advect(u, u)
-    bgb = advect(b, b)
-    ugb = advect(u, b)
-    bgu = advect(b, u)
-    hall = cross(curl(b), b)
+    g = state.grid
+    n, npts, half = g.n, g.npoints, g.dims // 2 + 1
+    k = g.k_half
+    u, b = state.u.coeffs[..., :half], state.b.coeffs[..., :half]
+    grads = [(1j * k[:, None] * f).reshape((9,) + g.half_shape) for f in (u, b)]
+    phys = irfftn_batch(np.concatenate([u, b, *grads]) * npts, n, g.shape)
+    pu, pb = phys[:3], phys[3:6]
+    du = phys[6:15].reshape((3, 3) + g.shape)
+    db = phys[15:].reshape((3, 3) + g.shape)
+    pj = np.stack([db[1, 2] - db[2, 1], db[2, 0] - db[0, 2], db[0, 1] - db[1, 0]])
+    prods = np.concatenate(
+        [
+            _transport(pu, du),
+            _transport(pb, db),
+            _transport(pu, db),
+            _transport(pb, du),
+            np.cross(pj, pb, axis=0),
+        ]
+    )
+    hats = rfftn_batch(prods, n) * (g.dealias_mask_half / npts)
+    curl_b = 1j * np.cross(k, b, axis=0)
+    power = np.stack(
+        [
+            _real_dot(hats[0:3], u),
+            _real_dot(hats[3:6], u),
+            _real_dot(hats[6:9], b),
+            _real_dot(hats[9:12], b),
+            _real_dot(hats[12:15], curl_b),
+        ]
+    )
+    # Hermitian weight: every interior k_last plane stands for k and -k
+    power[..., 1 : g.dims // 2] *= 2.0
+    sums = (2.0 * np.pi) ** n * shell_sums(g, power)
+    ws, wr = sobolev_weights(g, sob.s), sobolev_weights(g, sob.r)
+    return FluxRecord(
+        state.t,
+        float(ws @ sums[0]),
+        -float(ws @ sums[1]),
+        float(wr @ sums[2]),
+        -float(wr @ sums[3]),
+        params.eta * float(wr @ sums[4]),
+    )
 
-    su, sb = decompose(u), decompose(b)
-    I1 = I2 = I3 = I4 = I5 = 0.0
-    for q in range(-1, max_shell(state.grid) + 1):
-        ws = lambda_q(q) ** (2 * sob.s)
-        wr = lambda_q(q) ** (2 * sob.r)
-        uq, bq = su.shell(q), sb.shell(q)
-        I1 += ws * inner_product(_shell(ugu, q), uq)
-        I2 -= ws * inner_product(_shell(bgb, q), uq)
-        I3 += wr * inner_product(_shell(ugb, q), bq)
-        I4 -= wr * inner_product(_shell(bgu, q), bq)
-        I5 += params.eta * wr * inner_product(_shell(hall, q), curl(bq))
-    return FluxRecord(state.t, I1, I2, I3, I4, I5)
 
-
-def _shell(f: SpectralField, q: int) -> SpectralField:
-    from .littlewood_paley import project_shell
-
-    return project_shell(f, q)
-
-
-def energy_balance_residual(
-    states: list[State], params: PhysicalParams, sob: SobolevParams
+def balance_residuals(
+    energies: list[ShellEnergyRecord], fluxes: list[FluxRecord], params: PhysicalParams
 ):
-    """Normalized residuals of the two shell energy identities along a trace.
+    """Normalized residuals of the two shell energy identities along a trace
+    of precomputed records, one shell-energy and one flux record per sample.
 
     Time derivatives use centered differences (one-sided at the endpoints);
     residuals are normalized by the dissipation magnitude.
     """
-    if len(states) < 3:
+    if len(energies) < 3:
         raise ValueError("need at least 3 samples for a centered time-difference")
-    ts = np.array([st.t for st in states])
-    recs = [shell_energies(st, sob) for st in states]
-    fluxes = [flux_terms(st, params, sob) for st in states]
-    Eu = np.array([r.e_u.sum() for r in recs])
-    Eb = np.array([r.e_b.sum() for r in recs])
-    Du = np.array([r.d_u.sum() for r in recs])
-    Db = np.array([r.d_b.sum() for r in recs])
+    ts = np.array([r.t for r in energies])
+    Eu = np.array([r.e_u.sum() for r in energies])
+    Eb = np.array([r.e_b.sum() for r in energies])
+    Du = np.array([r.d_u.sum() for r in energies])
+    Db = np.array([r.d_b.sum() for r in energies])
 
     dEu = np.gradient(Eu, ts, edge_order=2)
     dEb = np.gradient(Eb, ts, edge_order=2)
-    res_u = np.empty(len(states))
-    res_b = np.empty(len(states))
+    res_u = np.empty(len(energies))
+    res_b = np.empty(len(energies))
     for i, f in enumerate(fluxes):
         diss_u = params.nu * Du[i]
         diss_b = params.mu * Db[i]
         res_u[i] = abs(0.5 * dEu[i] + diss_u + f.I1 + f.I2) / max(diss_u, 1e-300)
         res_b[i] = abs(0.5 * dEb[i] + diss_b + f.I3 + f.I4 + f.I5) / max(diss_b, 1e-300)
     return ts, res_u, res_b
+
+
+def energy_balance_residual(
+    states: list[State], params: PhysicalParams, sob: SobolevParams
+):
+    """balance_residuals over the records of the given states."""
+    return balance_residuals(
+        [shell_energies(st, sob) for st in states],
+        [flux_terms(st, params, sob) for st in states],
+        params,
+    )
 
 
 def total_energy_residual(states: list[State], params: PhysicalParams) -> np.ndarray:

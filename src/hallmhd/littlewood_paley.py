@@ -139,9 +139,6 @@ class ShellSet:
             raise ValueError(f"shell index {q} outside [-1, {self.qmax}]")
         return self.shells[q + 1]
 
-    def lam(self, q: int) -> float:
-        return lambda_q(q)
-
     def near_shell(self, q: int) -> SpectralField:
         """Enlarged piece: sum of shells p with |p - q| <= 1."""
         out = self.shell(q).copy()
@@ -156,11 +153,37 @@ def decompose(f: SpectralField) -> ShellSet:
     return ShellSet(f, [project_shell(f, q) for q in range(-1, Q + 1)])
 
 
+def shell_sums(grid: Grid, power: np.ndarray) -> np.ndarray:
+    """sum_k phi_q(|k|)^2 power[..., k] for q = -1 .. Q, on the last axis.
+
+    power is a spectrum on the full layout (trailing axes grid.shape) or the
+    real-FFT half layout (grid.half_shape); leading axes are kept.  With
+    power = |f_k|^2 the entries are the shell energies ||Delta_q f||_2^2 up to
+    the volume factor (2 pi)^n, with no per-shell copy of f.
+    """
+    n = grid.n
+    spatial = power.shape[-n:]
+    if spatial not in (grid.shape, grid.half_shape):
+        raise ValueError(f"spectrum shape {power.shape} fits neither layout of {grid}")
+    lead = power.shape[:-n]
+    Q = max_shell(grid)
+    out = np.empty(lead + (Q + 2,))
+    for q in range(-1, Q + 1):
+        mult = _shell_multiplier(grid, q)[..., : spatial[-1]]
+        out[..., q + 1] = (power * (mult * mult)).reshape(lead + (-1,)).sum(axis=-1)
+    return out
+
+
+def sobolev_weights(grid: Grid, s: float) -> np.ndarray:
+    """lambda_q^{2s} for q = -1 .. Q, matching the columns of shell_sums."""
+    return np.array([lambda_q(q) ** (2 * s) for q in range(-1, max_shell(grid) + 1)])
+
+
 def dyadic_sobolev_norm(f: SpectralField, s: float) -> float:
     """(sum_q lambda_q^{2s} ||f_q||_2^2)^{1/2} over the grid's shell family."""
-    total = 0.0
-    for q in range(-1, max_shell(f.grid) + 1):
-        total += lambda_q(q) ** (2 * s) * lp_norm(project_shell(f, q), 2) ** 2
+    g = f.grid
+    power = (f.coeffs.real**2 + f.coeffs.imag**2).sum(axis=0)
+    total = (2.0 * np.pi) ** g.n * float(sobolev_weights(g, s) @ shell_sums(g, power))
     return float(np.sqrt(total))
 
 

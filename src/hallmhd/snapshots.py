@@ -12,13 +12,14 @@ digits; files are written atomically (temp file + rename).
 
 from __future__ import annotations
 
+import functools
 import os
 import struct
 import tempfile
 
 import numpy as np
 
-from .diagnostics import energy_balance_residual, flux_terms, shell_energies
+from .diagnostics import balance_residuals, flux_terms, shell_energies
 from .littlewood_paley import SobolevParams
 from .solver import PhysicalParams, State
 from .spectral import Grid, SpectralField, to_physical, to_spectral
@@ -28,6 +29,10 @@ VERSION = 1
 
 SHELL_CSV = "shell_energies.csv"
 FLUX_CSV = "flux.csv"
+
+# one Grid, with its wavevector and shell-multiplier caches, per (n, dims):
+# every snapshot of a run shares it instead of rebuilding them per file
+_grid = functools.lru_cache(maxsize=4)(Grid)
 
 
 def _atomic_write(path, data: bytes) -> None:
@@ -80,7 +85,7 @@ def read_snapshot(path) -> State:
     off += 8
     if len(set(dims)) != 1:
         raise ValueError(f"{path}: unequal axis resolutions {dims}")
-    grid = Grid(n, dims[0])
+    grid = _grid(n, dims[0])
     count = m * grid.npoints
     payload = np.frombuffer(data, dtype="<f8", offset=off)
     if payload.size != 2 * count:
@@ -112,20 +117,27 @@ def _fmt(x: float) -> str:
 
 def write_diagnostics(
     run_dir, params: PhysicalParams, sob: SobolevParams, out_dir=None
-) -> None:
-    """Recompute the shell-energy and flux CSVs from the stored snapshots.
+):
+    """Compute the shell-energy and flux CSVs from the stored snapshots.
 
-    Deterministic: running this twice over the same snapshots produces
-    bit-identical files, which is also how simulate-time CSVs are generated.
+    Streams the snapshots: each is read, reduced to its shell-energy and flux
+    records, and dropped before the next is read.  Returns
+    (energies, fluxes, residual_u, residual_b); the residuals are nan when
+    fewer than 3 snapshots exist.  Deterministic: running this twice over the
+    same snapshots produces bit-identical files, which is also how
+    simulate-time CSVs are generated.
     """
     out_dir = out_dir or run_dir
-    states = [read_snapshot(p) for p in list_snapshots(run_dir)]
-    if not states:
+    energies, fluxes = [], []
+    for path in list_snapshots(run_dir):
+        state = read_snapshot(path)
+        energies.append(shell_energies(state, sob))
+        fluxes.append(flux_terms(state, params, sob))
+    if not energies:
         raise ValueError(f"no snapshots found in {run_dir}")
 
     shell_lines = ["t,q,e_u,e_b,d_u,d_b"]
-    recs = [shell_energies(st, sob) for st in states]
-    for rec in recs:
+    for rec in energies:
         for i, q in enumerate(range(-1, len(rec.e_u) - 1)):
             shell_lines.append(
                 ",".join(
@@ -137,11 +149,10 @@ def write_diagnostics(
         os.path.join(out_dir, SHELL_CSV), ("\n".join(shell_lines) + "\n").encode()
     )
 
-    fluxes = [flux_terms(st, params, sob) for st in states]
-    if len(states) >= 3:
-        _, res_u, res_b = energy_balance_residual(states, params, sob)
+    if len(energies) >= 3:
+        _, res_u, res_b = balance_residuals(energies, fluxes, params)
     else:
-        res_u = res_b = [float("nan")] * len(states)
+        res_u = res_b = np.full(len(energies), np.nan)
     flux_lines = ["t,I1,I2,I3,I4,I5,residual_u,residual_b"]
     for f, ru, rb in zip(fluxes, res_u, res_b):
         flux_lines.append(
@@ -150,3 +161,4 @@ def write_diagnostics(
     _atomic_write(
         os.path.join(out_dir, FLUX_CSV), ("\n".join(flux_lines) + "\n").encode()
     )
+    return energies, fluxes, res_u, res_b

@@ -282,6 +282,8 @@ def run(initial: State, config: SolverConfig, sinks=()) -> tuple[State, RunLog]:
 
     for i in range(1, n_steps + 1):
         state = step(state, config)
+        # stamp t from the step count: adding dt once per step drifts by an ulp a step
+        state.t = initial.t + i * config.dt
         if i % 100 == 0:
             # The b-equation needs no projection analytically; project anyway
             # and log the removed magnitude to distinguish scheme drift.

@@ -25,12 +25,14 @@ from hallmhd.diagnostics import (
     total_energy_residual,
 )
 from hallmhd.littlewood_paley import (
+    gradient_shell_norm,
     lambda_q,
     max_shell,
     project_shell,
     resolved_band,
 )
 from hallmhd.random_fields import random_band_field
+from hallmhd.snapshots import read_snapshot, write_snapshot
 from hallmhd.spectral import (
     SpectralField,
     advect,
@@ -80,6 +82,53 @@ def test_flux_terms_match_direct_quadrature(grid, state):
     hall = cross(curl(b), b)
     oracle = dict.fromkeys("I1 I2 I3 I4 I5".split(), 0.0)
     for q in range(-1, max_shell(grid) + 1):
+        ws = lambda_q(q) ** (2 * SOB.s)
+        wr = lambda_q(q) ** (2 * SOB.r)
+        uq, bq = project_shell(u, q), project_shell(b, q)
+        oracle["I1"] += ws * _quadrature(project_shell(ugu, q), uq)
+        oracle["I2"] -= ws * _quadrature(project_shell(bgb, q), uq)
+        oracle["I3"] += wr * _quadrature(project_shell(ugb, q), bq)
+        oracle["I4"] -= wr * _quadrature(project_shell(bgu, q), bq)
+        oracle["I5"] += PARAMS.eta * wr * _quadrature(project_shell(hall, q), curl(bq))
+    for name in oracle:
+        got = getattr(rec, name)
+        assert abs(got - oracle[name]) < 1e-9 * max(abs(oracle[name]), 1.0)
+
+
+@pytest.fixture(params=["2d", "snapshot"])
+def kernel_state(request, tmp_path):
+    """A state on a 2D grid, and the 3D state read back from a snapshot."""
+    if request.param == "2d":
+        return make_initial("random_band", Grid(2, 32), 77, (1.0, 1.0), SOB)
+    path = tmp_path / "state.hmhd"
+    write_snapshot(path, request.getfixturevalue("state"))
+    return read_snapshot(path)
+
+
+def test_shell_energies_match_shell_projections(kernel_state):
+    st = kernel_state
+    rec = shell_energies(st, SOB)
+    for i, q in enumerate(range(-1, max_shell(st.grid) + 1)):
+        ws = lambda_q(q) ** (2 * SOB.s)
+        wr = lambda_q(q) ** (2 * SOB.r)
+        manual = {
+            "e_u": ws * lp_norm(project_shell(st.u, q), 2) ** 2,
+            "e_b": wr * lp_norm(project_shell(st.b, q), 2) ** 2,
+            "d_u": ws * gradient_shell_norm(st.u, q) ** 2,
+            "d_b": wr * gradient_shell_norm(st.b, q) ** 2,
+        }
+        for name, value in manual.items():
+            assert getattr(rec, name)[i] == pytest.approx(value, rel=1e-12, abs=1e-300)
+
+
+def test_flux_terms_match_quadrature_on_more_states(kernel_state):
+    u, b = kernel_state.u, kernel_state.b
+    rec = flux_terms(kernel_state, PARAMS, SOB)
+    ugu, bgb = advect(u, u), advect(b, b)
+    ugb, bgu = advect(u, b), advect(b, u)
+    hall = cross(curl(b), b)
+    oracle = dict.fromkeys("I1 I2 I3 I4 I5".split(), 0.0)
+    for q in range(-1, max_shell(u.grid) + 1):
         ws = lambda_q(q) ** (2 * SOB.s)
         wr = lambda_q(q) ** (2 * SOB.r)
         uq, bq = project_shell(u, q), project_shell(b, q)

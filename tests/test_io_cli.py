@@ -2,11 +2,13 @@
 
 import os
 import struct
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from hallmhd import Grid, PhysicalParams, SobolevParams, SolverConfig, make_initial, run
+from hallmhd import snapshots
 from hallmhd.cli import main
 from hallmhd.config import RunConfig, load_config, parse_config
 from hallmhd.snapshots import (
@@ -43,6 +45,12 @@ def test_snapshot_roundtrip_bit_exact(tmp_path, small_state):
     assert p1.read_bytes() == p2.read_bytes()
     # values survive the physical-space roundtrip to near roundoff
     assert np.abs(to_physical(back.u) - to_physical(st.u)).max() < 1e-13
+
+
+def test_read_snapshot_interns_grid(tmp_path, small_state):
+    write_snapshot(tmp_path / "a.hmhd", small_state)
+    write_snapshot(tmp_path / "b.hmhd", small_state)
+    assert read_snapshot(tmp_path / "a.hmhd").grid is read_snapshot(tmp_path / "b.hmhd").grid
 
 
 def test_snapshot_layout(tmp_path, small_state):
@@ -136,7 +144,20 @@ def test_config_error_messages():
         parse_config("solver.mode = warp")
 
 
-def test_simulate_then_analyze_bit_identical(tmp_path, capsys):
+def test_simulate_then_analyze_bit_identical(tmp_path, capsys, monkeypatch):
+    counted = ("read_snapshot", "shell_energies", "flux_terms")
+    calls = Counter()
+
+    def count(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in counted:
+        monkeypatch.setattr(snapshots, name, count(name, getattr(snapshots, name)))
+
     conf = tmp_path / "run.conf"
     conf.write_text(
         "grid.dims = 16\nsolver.tmax = 0.004\nsolver.snapshot_every = 2\n"
@@ -146,13 +167,18 @@ def test_simulate_then_analyze_bit_identical(tmp_path, capsys):
     shell1 = (out / SHELL_CSV).read_bytes()
     flux1 = (out / FLUX_CSV).read_bytes()
     assert len(list_snapshots(out)) == 3  # steps 0, 2, 4
+    # each snapshot is read and reduced once per command
+    assert calls == dict.fromkeys(counted, 3)
+    calls.clear()
 
     redo = tmp_path / "redo"
     assert main(["analyze", "--run", str(out), "--out", str(redo)]) == 0
     assert (redo / SHELL_CSV).read_bytes() == shell1
     assert (redo / FLUX_CSV).read_bytes() == flux1
+    assert calls == dict.fromkeys(counted, 3)
     captured = capsys.readouterr()
     assert "existence time" in captured.out or "horizon" in captured.out
+    assert "max energy-balance residual" in captured.out
 
 
 def test_csv_schema(tmp_path):

@@ -313,6 +313,17 @@ def test_sink_cadence_and_log():
     assert not log.halted
 
 
+def test_run_stamps_time_from_step_count():
+    g = Grid(2, 16)
+    st = make_initial("random_band", g, 60, (1.0, 1.0), SOB)
+    cfg = SolverConfig(PhysicalParams(0.05, 0.05, 0.1), SOB, 1e-3, 0.05, snapshot_every=10)
+    seen = []
+    final, log = run(st, cfg, sinks=[lambda i, s: seen.append(s.t)])
+    # summing dt fifty times gives 0.05000000000000004
+    assert final.t == 50 * 1e-3
+    assert seen == log.times == [i * 1e-3 for i in range(0, 51, 10)]
+
+
 def test_blowup_guard_halts():
     g = Grid(3, 16)
     st = make_initial("random_band", g, 59, (1.0, 1.0), SOB)
