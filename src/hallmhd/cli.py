@@ -11,7 +11,7 @@ import numpy as np
 from .config import RunConfig, load_config
 from .diagnostics import existence_time, scaling_check
 from .snapshots import snapshot_name, write_diagnostics, write_snapshot
-from .solver import State, run
+from .solver import BlowUpError, State, run
 from .spectral import SpectralField
 from .uniqueness import gronwall_check
 from .verification import run_verification
@@ -158,7 +158,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, BlowUpError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

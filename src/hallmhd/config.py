@@ -13,6 +13,7 @@ field-level message; Sobolev admissibility is enforced at load time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .littlewood_paley import SobolevParams
@@ -96,6 +97,13 @@ class RunConfig:
         self.grid()
         self.sobolev()
         self.solver_config()
+        tmax, dt = self.values["solver.tmax"], self.values["solver.dt"]
+        steps = tmax / dt
+        if not math.isclose(steps, round(steps), rel_tol=1e-9):
+            raise ValueError(
+                f"solver.tmax: must be a whole number of solver.dt steps, "
+                f"got tmax={tmax!r} with dt={dt!r} ({steps:.6g} steps)"
+            )
         if self.values["init.kind"] not in ("beltrami", "taylor_green_like", "random_band"):
             raise ValueError(f"init.kind: unknown kind {self.values['init.kind']!r}")
         if self.values["solver.mode"] not in MODES:

@@ -2,26 +2,44 @@
 
 The split of Delta_q(u . grad v) keeps the low-high, high-low and resonant
 interactions as separate fields whose sum reproduces the direct evaluation to
-roundoff on band-limited data.  The p-window |q - p| <= 2 (p >= q - 2 for the
-resonant part) is kept exactly as written, one (p, q) pair at a time; merging
-the window would break the exact low-frequency cancellations downstream.
+roundoff on band-limited data.  Every (p, q) term of the window |q - p| <= 2
+(p >= q - 2 for the resonant part) is still projected onto shell q and summed
+on its own, in ascending p; only the product of the p-th pieces is shared by
+all shells q whose window holds p.  Merging the window into one product per q
+would break the exact low-frequency cancellations downstream.  The sums run on
+the real-FFT half spectrum: phi_q is real and radial, so they are bit-identical
+to the same sums taken on the full spectrum.
+
+The commutator bound ratios of fixed fields share their q-independent pieces
+(sup norms, L2 norms, curls and full products) through CommutatorSweep.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .littlewood_paley import decompose, low_pass, max_shell, project_shell
+from .littlewood_paley import (
+    _shell_multiplier,
+    chi,
+    lambda_q,
+    low_pass,
+    max_shell,
+    project_shell,
+)
 from .spectral import (
     SpectralField,
     advect,
+    advect_half,
     cross,
     curl,
+    half_to_full,
     inner_product,
     lp_norm,
-    partial_derivative,
+    lp_norm_half,
 )
 
 
@@ -38,24 +56,75 @@ class BonySplit:
         return self.low_high + self.high_low + self.resonant
 
 
+def _bony_sums(u: SpectralField, v: SpectralField, qs) -> dict:
+    """Half-spectrum (low_high, high_low, resonant) sums for every q in qs.
+
+    One pass over p forms the three products of the p-th pieces, each once,
+    and adds phi_q times each to the sums of the shells q in qs whose window
+    holds p.
+    """
+    g = u.grid
+    if v.grid != g:
+        raise ValueError("grid mismatch between fields")
+    Q = max_shell(g)
+    h = g.dims // 2 + 1
+    uh, vh = u.coeffs[..., :h], v.coeffs[..., :h]
+
+    def shell(f, p):
+        return f * _shell_multiplier(g, p)[..., :h]
+
+    sums = {q: [np.zeros((v.m,) + g.half_shape, dtype=complex) for _ in range(3)] for q in qs}
+    for p in range(max(-1, min(qs) - 2), Q + 1):
+        window = [q for q in qs if abs(q - p) <= 2]
+        u_p, v_p = shell(uh, p), shell(vh, p)
+        if p >= 1:
+            # low_pass(f, p - 2), the chi(|k| / lambda_{p-1}) cut
+            cut = chi(g.kmag[..., :h] / lambda_q(p - 1))
+            u_low, v_low = uh * cut, vh * cut
+        else:
+            u_low, v_low = np.zeros_like(uh), np.zeros_like(vh)
+        u_near = u_p
+        for r in (p - 1, p + 1):
+            if -1 <= r <= Q:
+                u_near = u_near + shell(uh, r)
+        terms = (
+            (window, u_low, v_p),
+            (window, u_p, v_low),
+            ([q for q in qs if q <= p + 2], u_near, v_p),
+        )
+        for cls, (targets, a, b) in enumerate(terms):
+            if not targets:
+                continue
+            prod = advect_half(a, b, g)
+            for q in targets:
+                sums[q][cls] += shell(prod, q)
+    return sums
+
+
+def _full_split(g, q: int, sums) -> BonySplit:
+    return BonySplit(q, *(SpectralField(g, half_to_full(s, g)) for s in sums))
+
+
+def _splits(g, sums: dict) -> Iterator[BonySplit]:
+    for q in list(sums):
+        yield _full_split(g, q, sums.pop(q))
+
+
+def bony_splits(u: SpectralField, v: SpectralField) -> Iterator[BonySplit]:
+    """BonySplit for q = -1 .. Q in order, from one pass over p.
+
+    Every p-product is formed before this returns; the returned generator
+    builds the full-layout fields of one shell at a time.  Each split is equal,
+    bit for bit, to bony_split(u, v, q).
+    """
+    return _splits(u.grid, _bony_sums(u, v, range(-1, max_shell(u.grid) + 1)))
+
+
 def bony_split(u: SpectralField, v: SpectralField, q: int) -> BonySplit:
     Q = max_shell(u.grid)
     if q < -1 or q > Q:
         raise ValueError(f"shell index {q} outside [-1, {Q}]")
-    su, sv = decompose(u), decompose(v)
-
-    lh = SpectralField.zero(u.grid, v.m)
-    hl = SpectralField.zero(u.grid, v.m)
-    for p in range(max(-1, q - 2), min(Q, q + 2) + 1):
-        u_low = low_pass(u, p - 2)
-        lh = lh + project_shell(advect(u_low, sv.shell(p)), q)
-        hl = hl + project_shell(advect(su.shell(p), low_pass(v, p - 2)), q)
-
-    res = SpectralField.zero(u.grid, v.m)
-    for p in range(max(-1, q - 2), Q + 1):
-        res = res + project_shell(advect(su.near_shell(p), sv.shell(p)), q)
-
-    return BonySplit(q, lh, hl, res)
+    return _full_split(u.grid, q, _bony_sums(u, v, [q])[q])
 
 
 def commutator_transport(u_low: SpectralField, v_p: SpectralField, q: int) -> SpectralField:
@@ -65,55 +134,128 @@ def commutator_transport(u_low: SpectralField, v_p: SpectralField, q: int) -> Sp
 
 def commutator_cross_curl(F: SpectralField, G: SpectralField, q: int) -> SpectralField:
     """[Delta_q, F x curl] G = Delta_q(F x curl G) - F x curl(Delta_q G)."""
-    return project_shell(cross(F, curl(G)), q) - cross(F, curl(project_shell(G, q)))
+    return CommutatorSweep(F, G).cross_curl_commutator(q)
 
 
 def commutator_curl_cross(F: SpectralField, G: SpectralField, q: int) -> SpectralField:
     """[Delta_q, curl F x] G = Delta_q(curl F x G) - curl F x Delta_q G."""
-    cF = curl(F)
-    return project_shell(cross(cF, G), q) - cross(cF, project_shell(G, q))
+    return CommutatorSweep(F, G).curl_cross_commutator(q)
 
 
 def _sup_gradient(F: SpectralField, order: int = 1) -> float:
-    """Grid-sampled sup norm of the (iterated) gradient tensor of F."""
-    fields = [F]
+    """Grid-sampled sup norm of the (iterated) gradient tensor of F.
+
+    The 3^order * m derivative components are formed on the half spectrum and
+    go through one inverse real FFT batch.
+    """
+    g = F.grid
+    ik = 1j * g.k_half[:, None]
+    comps = F.coeffs[..., : g.dims // 2 + 1]
     for _ in range(order):
-        fields = [partial_derivative(f, ax) for f in fields for ax in range(3)]
-    stacked = SpectralField(F.grid, np.concatenate([f.coeffs for f in fields]))
-    return lp_norm(stacked, np.inf)
+        comps = (ik * comps).reshape((-1,) + g.half_shape)
+    return lp_norm_half(comps, g, np.inf)
+
+
+def _nonzero(denom: float) -> float:
+    if denom == 0.0:
+        raise ValueError("undefined ratio: zero denominator")
+    return denom
 
 
 def transport_bound_ratio(u: SpectralField, v: SpectralField, p: int, q: int) -> float:
     """Measured constant in the transport commutator bound at one (p, q) pair."""
     u_low = low_pass(u, p - 2)
     v_p = project_shell(v, p)
-    denom = _sup_gradient(u_low) * lp_norm(v_p, 2)
-    if denom == 0.0:
-        raise ValueError("undefined ratio: zero denominator")
+    denom = _nonzero(_sup_gradient(u_low) * lp_norm(v_p, 2))
     return lp_norm(commutator_transport(u_low, v_p, q), 2) / denom
+
+
+class CommutatorSweep:
+    """The curl-type commutators of fixed F, G and their bound ratios, at any shell q.
+
+    The pieces that do not depend on q (the sup norms of grad F and grad^2 F,
+    the L2 norms of G and H, curl F, curl H, F x curl G and curl F x G) are
+    formed on first use and kept, so a sweep over shells forms each once.  H is
+    needed by the trilinear ratio only.  The single-shell functions of this
+    module use a fresh sweep, so their values are == to the sweep's.
+    """
+
+    def __init__(self, F: SpectralField, G: SpectralField, H: SpectralField | None = None):
+        self.F, self.G, self.H = F, G, H
+        # the last curl-cross commutator, shared by curl_cross and trilinear
+        self._last = (None, None)
+
+    @cached_property
+    def _G_norm(self) -> float:
+        return lp_norm(self.G, 2)
+
+    @cached_property
+    def _gradient_denom(self) -> float:
+        return _nonzero(_sup_gradient(self.F) * self._G_norm)
+
+    @cached_property
+    def _hessian_denom(self) -> float:
+        return _nonzero(_sup_gradient(self.F, order=2) * self._G_norm * lp_norm(self.H, 2))
+
+    @cached_property
+    def _curl_F(self) -> SpectralField:
+        return curl(self.F)
+
+    @cached_property
+    def _curl_H(self) -> SpectralField:
+        return curl(self.H)
+
+    @cached_property
+    def _F_cross_curl_G(self) -> SpectralField:
+        return cross(self.F, curl(self.G))
+
+    @cached_property
+    def _curl_F_cross_G(self) -> SpectralField:
+        return cross(self._curl_F, self.G)
+
+    def cross_curl_commutator(self, q: int) -> SpectralField:
+        """[Delta_q, F x curl] G = Delta_q(F x curl G) - F x curl(Delta_q G)."""
+        return project_shell(self._F_cross_curl_G, q) - cross(
+            self.F, curl(project_shell(self.G, q))
+        )
+
+    def curl_cross_commutator(self, q: int) -> SpectralField:
+        """[Delta_q, curl F x] G = Delta_q(curl F x G) - curl F x Delta_q G."""
+        if self._last[0] != q:
+            comm = project_shell(self._curl_F_cross_G, q) - cross(
+                self._curl_F, project_shell(self.G, q)
+            )
+            self._last = (q, comm)
+        return self._last[1]
+
+    def cross_curl(self, q: int) -> float:
+        """Measured constant in ||[Delta_q, F x curl]G||_2 <= C ||grad F||_inf ||G||_2."""
+        denom = self._gradient_denom
+        return lp_norm(self.cross_curl_commutator(q), 2) / denom
+
+    def curl_cross(self, q: int) -> float:
+        """Measured constant in ||[Delta_q, curl F x]G||_2 <= C ||grad F||_inf ||G||_2."""
+        denom = self._gradient_denom
+        return lp_norm(self.curl_cross_commutator(q), 2) / denom
+
+    def trilinear(self, q: int) -> float:
+        """Measured constant in |int [Delta_q, curl F x]G . curl H| <= C ||grad^2 F||_inf ||G||_2 ||H||_2."""
+        denom = self._hessian_denom
+        return abs(inner_product(self.curl_cross_commutator(q), self._curl_H)) / denom
 
 
 def cross_curl_bound_ratio(F: SpectralField, G: SpectralField, q: int) -> float:
     """Measured constant in ||[Delta_q, F x curl]G||_2 <= C ||grad F||_inf ||G||_2."""
-    denom = _sup_gradient(F) * lp_norm(G, 2)
-    if denom == 0.0:
-        raise ValueError("undefined ratio: zero denominator")
-    return lp_norm(commutator_cross_curl(F, G, q), 2) / denom
+    return CommutatorSweep(F, G).cross_curl(q)
 
 
 def curl_cross_bound_ratio(F: SpectralField, G: SpectralField, q: int) -> float:
     """Measured constant in ||[Delta_q, curl F x]G||_2 <= C ||grad F||_inf ||G||_2."""
-    denom = _sup_gradient(F) * lp_norm(G, 2)
-    if denom == 0.0:
-        raise ValueError("undefined ratio: zero denominator")
-    return lp_norm(commutator_curl_cross(F, G, q), 2) / denom
+    return CommutatorSweep(F, G).curl_cross(q)
 
 
 def trilinear_bound_ratio(
     F: SpectralField, G: SpectralField, H: SpectralField, q: int
 ) -> float:
     """Measured constant in |int [Delta_q, curl F x]G . curl H| <= C ||grad^2 F||_inf ||G||_2 ||H||_2."""
-    denom = _sup_gradient(F, order=2) * lp_norm(G, 2) * lp_norm(H, 2)
-    if denom == 0.0:
-        raise ValueError("undefined ratio: zero denominator")
-    return abs(inner_product(commutator_curl_cross(F, G, q), curl(H))) / denom
+    return CommutatorSweep(F, G, H).trilinear(q)

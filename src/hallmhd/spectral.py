@@ -342,10 +342,9 @@ def _half(f: SpectralField) -> np.ndarray:
     return f.coeffs[..., : f.grid.dims // 2 + 1]
 
 
-def _product_to_field(prod: np.ndarray, grid: Grid) -> SpectralField:
-    """Forward-transform real products, dealias, rebuild the full spectrum."""
-    hats = rfftn_batch(prod, grid.n) * (grid.dealias_mask_half / grid.npoints)
-    return SpectralField(grid, half_to_full(hats, grid))
+def _dealiased_half(prod: np.ndarray, grid: Grid) -> np.ndarray:
+    """Forward-transform real products and dealias, on the half spectrum."""
+    return rfftn_batch(prod, grid.n) * (grid.dealias_mask_half / grid.npoints)
 
 
 def cross(u: SpectralField, v: SpectralField) -> SpectralField:
@@ -356,24 +355,33 @@ def cross(u: SpectralField, v: SpectralField) -> SpectralField:
     g = u.grid
     phys = irfftn_batch(np.concatenate([_half(u), _half(v)]) * g.npoints, g.n, g.shape)
     prod = np.cross(phys[:3], phys[3:], axisa=0, axisb=0, axisc=0)
-    return _product_to_field(prod, g)
+    return SpectralField(g, half_to_full(_dealiased_half(prod, g), g))
+
+
+def advect_half(u_half: np.ndarray, v_half: np.ndarray, grid: Grid) -> np.ndarray:
+    """(u . grad) v on the real-FFT half spectrum, formed in physical space and dealiased.
+
+    u_half and v_half are half-spectrum coefficients of shapes (3, *half_shape)
+    and (m, *half_shape); the result has the shape of v_half.
+    """
+    if u_half.shape[0] != 3:
+        raise ValueError("advect expects a 3-component advecting field")
+    m = v_half.shape[0]
+    kh = grid.k_half
+    gradv = np.stack([1j * kh[j] * v_half for j in range(3)])  # (3, m, ...)
+    stacked = np.concatenate([u_half, gradv.reshape((3 * m,) + grid.half_shape)])
+    phys = irfftn_batch(stacked * grid.npoints, grid.n, grid.shape)
+    pu = phys[:3]
+    pgrad = phys[3:].reshape((3, m) + grid.shape)
+    prod = np.einsum("j...,jm...->m...", pu, pgrad)
+    return _dealiased_half(prod, grid)
 
 
 def advect(u: SpectralField, v: SpectralField) -> SpectralField:
     """Transport term (u . grad) v, formed in physical space and dealiased."""
     _check_compat(u, v, same_m=False)
-    if u.m != 3:
-        raise ValueError("advect expects a 3-component advecting field")
     g = u.grid
-    kh = g.k_half
-    vh = _half(v)
-    gradv = np.stack([1j * kh[j] * vh for j in range(3)])  # (3, m, ...)
-    stacked = np.concatenate([_half(u), gradv.reshape((3 * v.m,) + g.half_shape)])
-    phys = irfftn_batch(stacked * g.npoints, g.n, g.shape)
-    pu = phys[:3]
-    pgrad = phys[3:].reshape((3, v.m) + g.shape)
-    prod = np.einsum("j...,jm...->m...", pu, pgrad)
-    return _product_to_field(prod, g)
+    return SpectralField(g, half_to_full(advect_half(_half(u), _half(v), g), g))
 
 
 def inner_product(f: SpectralField, g: SpectralField) -> float:
@@ -392,9 +400,19 @@ def lp_norm(f: SpectralField, p) -> float:
     if p == 2:
         vol = (2.0 * np.pi) ** f.grid.n
         return float(np.sqrt(vol * np.sum(np.abs(f.coeffs) ** 2)))
-    mag = np.sqrt((to_physical(f) ** 2).sum(axis=0))
-    if p == 1:
-        return float(mag.sum() * f.grid.cell_volume)
-    if p in (np.inf, float("inf"), "inf"):
-        return float(mag.max())
-    raise ValueError(f"unsupported norm order {p!r}; use 1, 2 or inf")
+    return lp_norm_half(_half(f), f.grid, p)
+
+
+def lp_norm_half(half: np.ndarray, grid: Grid, p) -> float:
+    """L^1 or L^inf norm, by grid quadrature, of a real field given on the half spectrum.
+
+    half holds real-FFT coefficients of shape (m, *grid.half_shape); all m
+    components go through one inverse batch, and the norm is that of their
+    pointwise Euclidean magnitude.
+    """
+    sup = p in (np.inf, float("inf"), "inf")
+    if not (sup or p == 1):
+        raise ValueError(f"unsupported norm order {p!r}; use 1, 2 or inf")
+    phys = irfftn_batch(half * grid.npoints, grid.n, grid.shape)
+    mag = np.sqrt((phys**2).sum(axis=0))
+    return float(mag.max()) if sup else float(mag.sum() * grid.cell_volume)

@@ -23,14 +23,12 @@ from .littlewood_paley import (
     resolved_band,
 )
 from .paraproduct import (
-    bony_split,
+    CommutatorSweep,
+    bony_splits,
     commutator_cross_curl,
     commutator_curl_cross,
     commutator_transport,
-    cross_curl_bound_ratio,
-    curl_cross_bound_ratio,
     transport_bound_ratio,
-    trilinear_bound_ratio,
 )
 from .random_fields import random_band_field
 from .spectral import (
@@ -73,9 +71,8 @@ def check_bony_identity(grid: Grid, n_pairs: int, seed0: int) -> CheckResult:
         v = random_band_field(grid, seed0 + 2 * i + 1, band)
         direct_all = advect(u, v)
         scale = lp_norm(direct_all, 2)
-        for q in range(-1, max_shell(grid) + 1):
-            direct = project_shell(direct_all, q)
-            split = bony_split(u, v, q)
+        for split in bony_splits(u, v):
+            direct = project_shell(direct_all, split.q)
             res = lp_norm(split.total() - direct, 2)
             denom = lp_norm(direct, 2)
             if denom > 1e-8 * scale:
@@ -123,14 +120,15 @@ def check_commutator_ratio_sweeps(grid: Grid, n_seeds: int, seed0: int) -> list[
         u = random_band_field(grid, seed0 + 4 * i, band)
         v = random_band_field(grid, seed0 + 4 * i + 1, band)
         h = random_band_field(grid, seed0 + 4 * i + 2, band)
+        sweep = CommutatorSweep(u, v, h)
         for q in range(0, Q + 1):
             try:
                 transport[q].append(transport_bound_ratio(u, v, q, q))
             except ValueError:
                 pass
-            crosscurl[q].append(cross_curl_bound_ratio(u, v, q))
-            curlcross[q].append(curl_cross_bound_ratio(u, v, q))
-            trilinear[q].append(trilinear_bound_ratio(u, v, h, q))
+            crosscurl[q].append(sweep.cross_curl(q))
+            curlcross[q].append(sweep.curl_cross(q))
+            trilinear[q].append(sweep.trilinear(q))
 
     for name, data in (
         ("transport_commutator_ratio", transport),

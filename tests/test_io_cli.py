@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from hallmhd import Grid, PhysicalParams, SobolevParams, SolverConfig, make_initial, run
-from hallmhd import snapshots
+from hallmhd import cli, snapshots
 from hallmhd.cli import main
 from hallmhd.config import RunConfig, load_config, parse_config
 from hallmhd.snapshots import (
@@ -21,6 +21,7 @@ from hallmhd.snapshots import (
     write_diagnostics,
     write_snapshot,
 )
+from hallmhd.solver import BlowUpError
 from hallmhd.spectral import _workers, lp_norm, to_physical
 
 SOB = SobolevParams(1.0, 1.75, 0.25)
@@ -256,6 +257,7 @@ def test_cli_error_exit_code(tmp_path, capsys):
         ("solver.snapshot_every = 0", "solver.snapshot_every"),
         ("params.nu = nan", "params.nu"),
         ("solver.tmax = -1", "solver.tmax"),
+        ("solver.tmax = 0.0025", "solver.tmax"),
     ],
 )
 def test_cli_rejects_invalid_value(tmp_path, capsys, line, field):
@@ -265,6 +267,19 @@ def test_cli_rejects_invalid_value(tmp_path, capsys, line, field):
     err = capsys.readouterr().err
     assert rc == 2
     assert field in err and len(err.strip().splitlines()) == 1
+
+
+def test_cli_reports_blowup_without_traceback(tmp_path, capsys, monkeypatch):
+    def blow_up(*args, **kwargs):
+        raise BlowUpError("numerical blow-up at t=0.003")
+
+    monkeypatch.setattr(cli, "run", blow_up)
+    conf = tmp_path / "run.conf"
+    conf.write_text("grid.dims = 16\n")
+    rc = main(["simulate", "--config", str(conf), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.strip() == "error: numerical blow-up at t=0.003"
 
 
 def test_workers_env(monkeypatch):

@@ -3,9 +3,18 @@
 import numpy as np
 import pytest
 
-from hallmhd.littlewood_paley import low_pass, max_shell, project_shell, resolved_band
+from hallmhd import paraproduct
+from hallmhd.littlewood_paley import (
+    decompose,
+    low_pass,
+    max_shell,
+    project_shell,
+    resolved_band,
+)
 from hallmhd.paraproduct import (
+    CommutatorSweep,
     bony_split,
+    bony_splits,
     commutator_cross_curl,
     commutator_curl_cross,
     commutator_transport,
@@ -16,6 +25,7 @@ from hallmhd.paraproduct import (
 )
 from hallmhd.random_fields import random_band_field
 from hallmhd.spectral import Grid, SpectralField, advect, cross, curl, lp_norm
+from hallmhd.verification import check_bony_identity
 
 
 @pytest.fixture(scope="module")
@@ -43,6 +53,60 @@ def test_bony_split_reproduces_direct(grid, uv):
         else:
             # near-empty shell (q = -1 sees almost no product content)
             assert res < 1e-12 * scale
+
+
+def _bony_split_oracle(u, v, q):
+    """Per-(p, q) evaluation: every window product is formed for this q alone."""
+    Q = max_shell(u.grid)
+    su, sv = decompose(u), decompose(v)
+    lh = SpectralField.zero(u.grid, v.m)
+    hl = SpectralField.zero(u.grid, v.m)
+    for p in range(max(-1, q - 2), min(Q, q + 2) + 1):
+        lh = lh + project_shell(advect(low_pass(u, p - 2), sv.shell(p)), q)
+        hl = hl + project_shell(advect(su.shell(p), low_pass(v, p - 2)), q)
+    res = SpectralField.zero(u.grid, v.m)
+    for p in range(max(-1, q - 2), Q + 1):
+        res = res + project_shell(advect(su.near_shell(p), sv.shell(p)), q)
+    return lh, hl, res
+
+
+@pytest.mark.parametrize("n, dims", [(3, 16), (3, 32), (2, 64)])
+def test_bony_splits_bit_identical_to_per_pair_oracle(n, dims):
+    g = Grid(n, dims)
+    band = resolved_band(g)
+    u, v = random_band_field(g, 301, band), random_band_field(g, 302, band)
+    splits = list(bony_splits(u, v))
+    assert [s.q for s in splits] == list(range(-1, max_shell(g) + 1))
+    for split in splits:
+        expected = _bony_split_oracle(u, v, split.q)
+        for got in (split, bony_split(u, v, split.q)):
+            for field, want in zip((got.low_high, got.high_low, got.resonant), expected):
+                assert np.array_equal(field.coeffs, want.coeffs)
+
+
+def test_bony_identity_forms_each_product_once(monkeypatch):
+    g = Grid(3, 32)
+    calls = []
+    product = paraproduct.advect_half
+
+    def counted(*args):
+        calls.append(1)
+        return product(*args)
+
+    monkeypatch.setattr(paraproduct, "advect_half", counted)
+    assert check_bony_identity(g, 2, 11).passed
+    # three products per p = -1 .. Q and pair, shared by every shell q
+    assert len(calls) == 2 * 3 * (max_shell(g) + 2) == 24
+
+
+def test_commutator_sweep_equals_single_shell_ratios(grid, uv):
+    u, v = uv
+    h = random_band_field(grid, 104, resolved_band(grid))
+    sweep = CommutatorSweep(u, v, h)
+    for q in range(0, max_shell(grid) + 1):
+        assert sweep.cross_curl(q) == cross_curl_bound_ratio(u, v, q)
+        assert sweep.curl_cross(q) == curl_cross_bound_ratio(u, v, q)
+        assert sweep.trilinear(q) == trilinear_bound_ratio(u, v, h, q)
 
 
 def test_bony_split_classes_nontrivial(grid, uv):
