@@ -13,11 +13,10 @@ field-level message; Sobolev admissibility is enforced at load time.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from .littlewood_paley import SobolevParams
-from .solver import MODES, PhysicalParams, SolverConfig, State, make_initial
+from .solver import MODES, PhysicalParams, SolverConfig, State, make_initial, whole_steps
 from .spectral import Grid
 
 _DEFAULTS = {
@@ -98,11 +97,10 @@ class RunConfig:
         self.sobolev()
         self.solver_config()
         tmax, dt = self.values["solver.tmax"], self.values["solver.dt"]
-        steps = tmax / dt
-        if not math.isclose(steps, round(steps), rel_tol=1e-9):
+        if not whole_steps(tmax, dt):
             raise ValueError(
                 f"solver.tmax: must be a whole number of solver.dt steps, "
-                f"got tmax={tmax!r} with dt={dt!r} ({steps:.6g} steps)"
+                f"got tmax={tmax!r} with dt={dt!r} ({tmax / dt:.6g} steps)"
             )
         if self.values["init.kind"] not in ("beltrami", "taylor_green_like", "random_band"):
             raise ValueError(f"init.kind: unknown kind {self.values['init.kind']!r}")

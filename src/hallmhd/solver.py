@@ -14,7 +14,12 @@ Time stepping is integrating-factor RK4: diffusion is propagated exactly by
 exp(-nu |k|^2 dt) / exp(-mu |k|^2 dt) and the (dealiased) quadratic terms are
 treated explicitly.  A step runs its four stages and the combine on the
 real-FFT half spectrum and expands to the full Hermitian layout once at the
-end; State, compute_rhs and run keep the full layout.  Modes:
+end; State, compute_rhs and run keep the full layout.  The stages write into
+the buffers of one _Workspace, which run allocates per call and drops on
+return (a lone step or compute_rhs builds its own), through out= and in-place
+ufuncs in the order of the plain expressions; the 1/npoints of the transform
+pair is folded into the FFTs with norm="forward", exact because npoints is a
+power of two.  Modes:
 
   full      - the complete system,
   mhd       - Hall coefficient forced to zero,
@@ -23,6 +28,7 @@ end; State, compute_rhs and run keep the full layout.  Modes:
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -125,41 +131,90 @@ def _check_divergence(state: State, tol: float = 1.0e-8) -> None:
             )
 
 
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.stack(
-        [
-            a[1] * b[2] - a[2] * b[1],
-            a[2] * b[0] - a[0] * b[2],
-            a[0] * b[1] - a[1] * b[0],
-        ]
-    )
+def _cross_into(out: np.ndarray, a: np.ndarray, b: np.ndarray, tmp: np.ndarray) -> None:
+    """out = a x b, one component at a time; tmp is a one-component scratch
+    field, and out must share no memory with a, b or tmp."""
+    for i, j, l in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        np.multiply(a[j], b[l], out=out[i])
+        np.multiply(a[l], b[j], out=tmp)
+        np.subtract(out[i], tmp, out=out[i])
 
 
-def _nonlinear(u: np.ndarray, b: np.ndarray, grid: Grid, params: PhysicalParams, mode: str):
-    """Nonlinear right-hand sides (no diffusion) on the real-FFT half spectrum.
+class _Workspace:
+    """Buffers for the half-spectrum RHS and the IF-RK4 stages on one grid.
+
+    spec holds the 12 spectral fields (u, w, b, j) sent to physical space and
+    prods the 6 physical products; stage is a step's stage input and slopes
+    three slope slots (the fourth slope reuses the third).  Pages are touched
+    only when written, so compute_rhs pays nothing for the stepping buffers.
+    """
+
+    def __init__(self, grid: Grid):
+        half = grid.half_shape
+        self.spec = np.empty((12, *half), dtype=complex)
+        self.prods = np.empty((6, *grid.shape))
+        self.stage = np.empty((6, *half), dtype=complex)
+        self.slopes = np.empty((3, 6, *half), dtype=complex)
+        self.finite = np.empty((6, *half), dtype=bool)
+
+
+def _nonlinear(
+    u: np.ndarray,
+    b: np.ndarray,
+    grid: Grid,
+    params: PhysicalParams,
+    mode: str,
+    work: _Workspace,
+    out: np.ndarray,
+) -> None:
+    """Nonlinear right-hand sides (no diffusion) on the real-FFT half spectrum,
+    written to out = (du, db) with shape (6, *half_shape).
 
     Momentum in rotational form P(u x w + j x b) with w = curl u, j = curl b;
     induction and Hall together as curl((u - eta j) x b).  Both equal the
     divergence-form terms for divergence-free states inside the 2/3 cube.
     Full and mhd transform 12 fields in and 6 out; hall_only 6 in and 3 out.
+    The transforms use norm="forward", which is exact: npoints is a power of two.
     """
     g = grid
-    n, npts, k = g.n, g.npoints, g.k_half
+    n, k = g.n, g.k_half
     eta = 0.0 if mode == "mhd" else params.eta
-    j = 1j * _cross(k, b)
+    spec, prods = work.spec, work.prods
+    # out[0] is scratch until the results are written
+    np.copyto(spec[6:9], b)
+    _cross_into(spec[9:], k, b, out[0])
+    spec[9:] *= 1j
     if mode == "hall_only":
-        pb, pj = np.split(irfftn_batch(np.concatenate([b, j]) * npts, n, g.shape), 2)
-        jxb = rfftn_batch(_cross(pj, pb), n) * (g.dealias_mask_half / npts)
-        return np.zeros_like(u), -eta * (1j * _cross(k, jxb))
+        pb, pj = np.split(irfftn_batch(spec[6:], n, g.shape, "forward"), 2)
+        _cross_into(prods[:3], pj, pb, prods[3])
+        jxb = rfftn_batch(prods[:3], n, "forward")
+        jxb *= g.dealias_mask_half
+        out[:3] = 0.0
+        _cross_into(out[3:], k, jxb, spec[0])
+        out[3:] *= 1j
+        out[3:] *= -eta
+        return
 
-    stack = np.concatenate([u, 1j * _cross(k, u), b, j]) * npts
-    pu, pw, pb, pj = np.split(irfftn_batch(stack, n, g.shape), 4)
-    prods = np.concatenate([_cross(pu, pw) + _cross(pj, pb), _cross(pu - eta * pj, pb)])
-    hats = rfftn_batch(prods, n) * (g.dealias_mask_half / npts)
+    np.copyto(spec[:3], u)
+    _cross_into(spec[3:6], k, u, out[0])
+    spec[3:6] *= 1j
+    pu, pw, pb, pj = np.split(irfftn_batch(spec, n, g.shape, "forward"), 4)
+    # prods[3] and pw are scratch until the products that live there are formed
+    _cross_into(prods[:3], pu, pw, prods[3])
+    _cross_into(pw, pj, pb, prods[3])
+    prods[:3] += pw
+    pj *= eta
+    np.subtract(pu, pj, out=pj)
+    _cross_into(prods[3:], pj, pb, pw[0])
+    hats = rfftn_batch(prods, n, "forward")
+    hats *= g.dealias_mask_half
     # Leray projection as k x (w x k) / |k|^2: gradients along a lattice axis
     # cancel exactly, and so does the k = 0 mode, which vanishes analytically
-    nu = _cross(k, _cross(hats[:3], k)) * g.inv_ksq_half
-    return nu, 1j * _cross(k, hats[3:])
+    _cross_into(spec[:3], hats[:3], k, spec[3])
+    _cross_into(out[:3], k, spec[:3], spec[3])
+    out[:3] *= g.inv_ksq_half
+    _cross_into(out[3:], k, hats[3:], spec[3])
+    out[3:] *= 1j
 
 
 def compute_rhs(state: State, params: PhysicalParams, mode: str = "full"):
@@ -172,10 +227,17 @@ def compute_rhs(state: State, params: PhysicalParams, mode: str = "full"):
     _check_divergence(state)
     g = state.grid
     half = g.dims // 2 + 1
-    nl = _nonlinear(
-        state.u.coeffs[..., :half], state.b.coeffs[..., :half], g, params, mode
+    nl = np.empty((6, *g.half_shape), dtype=complex)
+    _nonlinear(
+        state.u.coeffs[..., :half],
+        state.b.coeffs[..., :half],
+        g,
+        params,
+        mode,
+        _Workspace(g),
+        nl,
     )
-    nl = half_to_full(np.concatenate(nl), g)
+    nl = half_to_full(nl, g)
     nu_rhs, nb_rhs = nl[:3], nl[3:]
     dudt = nu_rhs - params.nu * g.ksq * state.u.coeffs
     dbdt = nb_rhs - params.mu * g.ksq * state.b.coeffs
@@ -185,44 +247,78 @@ def compute_rhs(state: State, params: PhysicalParams, mode: str = "full"):
 
 
 def _ifrk4_factors(g: Grid, dt: float, p: PhysicalParams):
-    """Half-spectrum diffusion factors exp(-nu|k|^2 dt/2), exp(-mu|k|^2 dt/2)
-    and their squares; only the latest (dt, nu, mu) is kept per grid."""
+    """Half-spectrum diffusion factors for u and for b: e_h = exp(-c|k|^2 dt/2),
+    e = e_h^2, dt e_h and 2 e_h (c = nu, mu); only the latest (dt, nu, mu) is
+    kept per grid."""
     key = (dt, p.nu, p.mu)
     cached = g._cache.get("ifrk4")
     if cached is None or cached[0] != key:
-        eu_h = np.exp(-p.nu * g.ksq_half * (dt / 2.0))
-        eb_h = np.exp(-p.mu * g.ksq_half * (dt / 2.0))
-        cached = (key, (eu_h, eb_h, eu_h**2, eb_h**2))
+        factors = []
+        for c in (p.nu, p.mu):
+            e_h = np.exp(-c * g.ksq_half * (dt / 2.0))
+            factors.append((e_h, e_h**2, dt * e_h, 2.0 * e_h))
+        cached = (key, tuple(factors))
         g._cache["ifrk4"] = cached
     return cached[1]
 
 
-def step(state: State, config: SolverConfig) -> State:
+def step(state: State, config: SolverConfig, work: _Workspace | None = None) -> State:
     """One integrating-factor RK4 step; diffusion propagated exactly.
 
-    All four stages and the combine run on the half spectrum; the result is
-    expanded to the full Hermitian layout once.
+    All four stages and the combine run on the half spectrum, in place in the
+    buffers of work (a fresh workspace if none is given); the result is
+    expanded to the full Hermitian layout once and shares no memory with work.
     """
     g = state.grid
     p = config.params
     dt = config.dt
-    eu_h, eb_h, eu, eb = _ifrk4_factors(g, dt, p)
-
+    if work is None:
+        work = _Workspace(g)
     half = g.dims // 2 + 1
-    u0, b0 = state.u.coeffs[..., :half], state.b.coeffs[..., :half]
-    nl = lambda u, b: _nonlinear(u, b, g, p, config.mode)
+    x0 = (state.u.coeffs[..., :half], state.b.coeffs[..., :half])
+    parts = [
+        (slice(3 * i, 3 * i + 3), x, *factors)
+        for i, (x, factors) in enumerate(zip(x0, _ifrk4_factors(g, dt, p)))
+    ]
+    y, (s1, s2, s3) = work.stage, work.slopes
 
-    k1u, k1b = nl(u0, b0)
-    k2u, k2b = nl(eu_h * (u0 + 0.5 * dt * k1u), eb_h * (b0 + 0.5 * dt * k1b))
-    k3u, k3b = nl(eu_h * u0 + 0.5 * dt * k2u, eb_h * b0 + 0.5 * dt * k2b)
-    k4u, k4b = nl(eu * u0 + dt * eu_h * k3u, eb * b0 + dt * eb_h * k3b)
+    def rhs(u, b, out):
+        _nonlinear(u, b, g, p, config.mode, work, out)
 
-    u1 = eu * u0 + (dt / 6.0) * (eu * k1u + 2.0 * eu_h * (k2u + k3u) + k4u)
-    b1 = eb * b0 + (dt / 6.0) * (eb * k1b + 2.0 * eb_h * (k2b + k3b) + k4b)
+    # y <- e_h (x0 + dt/2 k1)
+    rhs(*x0, s1)
+    for sl, x, e_h, e, dt_e_h, two_e_h in parts:
+        np.multiply(s1[sl], 0.5 * dt, out=y[sl])
+        np.add(x, y[sl], out=y[sl])
+        y[sl] *= e_h
+    # y <- e_h x0 + dt/2 k2
+    rhs(y[:3], y[3:], s2)
+    for sl, x, e_h, e, dt_e_h, two_e_h in parts:
+        np.multiply(s2[sl], 0.5 * dt, out=s3[sl])
+        np.multiply(e_h, x, out=y[sl])
+        y[sl] += s3[sl]
+    # y <- e x0 + dt e_h k3, after s2 <- k2 + k3
+    rhs(y[:3], y[3:], s3)
+    s2 += s3
+    for sl, x, e_h, e, dt_e_h, two_e_h in parts:
+        s3[sl] *= dt_e_h
+        np.multiply(e, x, out=y[sl])
+        y[sl] += s3[sl]
+    # y <- e x0 + dt/6 (e k1 + 2 e_h (k2 + k3) + k4)
+    rhs(y[:3], y[3:], s3)
+    for sl, x, e_h, e, dt_e_h, two_e_h in parts:
+        s1[sl] *= e
+        s2[sl] *= two_e_h
+        s1[sl] += s2[sl]
+        s1[sl] += s3[sl]
+        s1[sl] *= dt / 6.0
+        np.multiply(e, x, out=y[sl])
+        y[sl] += s1[sl]
+
     t1 = state.t + dt
-    if not (np.all(np.isfinite(u1)) and np.all(np.isfinite(b1))):
+    if not np.isfinite(y, out=work.finite).all():
         raise BlowUpError(f"numerical blow-up at t={t1}")
-    out = half_to_full(np.concatenate([u1, b1]), g)
+    out = half_to_full(y, g)
     return State(SpectralField(g, out[:3]), SpectralField(g, out[3:]), t1)
 
 
@@ -252,12 +348,24 @@ class RunLog:
     halt_reason: str = ""
 
 
+def whole_steps(tmax: float, dt: float) -> bool:
+    """Whether tmax is a whole number of dt steps, to a relative 1e-9."""
+    steps = tmax / dt
+    return math.isclose(steps, round(steps), rel_tol=1e-9)
+
+
+GUARD_EVERY = 100  # steps between blow-up checks and safety projections of b
+
+
 def run(initial: State, config: SolverConfig, sinks=()) -> tuple[State, RunLog]:
     """Advance the state to tmax, emitting snapshots through the sinks.
 
     Each sink is called as sink(step_index, state) at step 0, every
-    snapshot_every steps, and at the final step.  Halts early when the
-    blow-up guard psi(t) > blowup_factor * psi(0) trips.
+    snapshot_every steps, and at the final step.  The blow-up guard
+    psi(t) > blowup_factor * psi(0) is checked at every snapshot and every
+    GUARD_EVERY steps; when it trips the run halts after logging psi and
+    calling the sinks.  A tmax that is not a whole number of dt steps is
+    rounded to one, with a RuntimeWarning.
     """
     _check_divergence(initial)
     sob = config.sobolev
@@ -271,6 +379,12 @@ def run(initial: State, config: SolverConfig, sinks=()) -> tuple[State, RunLog]:
 
     psi0 = psi_of(initial)
     n_steps = int(round(config.tmax / config.dt))
+    if not whole_steps(config.tmax, config.dt):
+        warnings.warn(
+            f"tmax={config.tmax!r} is not a whole number of dt={config.dt!r} steps; "
+            f"the run ends at t={initial.t + n_steps * config.dt!r}",
+            RuntimeWarning,
+        )
     if cfl_advisory_dt(initial, config.params) < config.dt:
         warnings.warn(f"dt={config.dt} exceeds the advisory CFL bound", RuntimeWarning)
 
@@ -280,11 +394,12 @@ def run(initial: State, config: SolverConfig, sinks=()) -> tuple[State, RunLog]:
     log.times.append(state.t)
     log.psi.append(psi0)
 
+    work = _Workspace(initial.grid)
     for i in range(1, n_steps + 1):
-        state = step(state, config)
+        state = step(state, config, work)
         # stamp t from the step count: adding dt once per step drifts by an ulp a step
         state.t = initial.t + i * config.dt
-        if i % 100 == 0:
+        if i % GUARD_EVERY == 0:
             # The b-equation needs no projection analytically; project anyway
             # and log the removed magnitude to distinguish scheme drift.
             projected = leray_project(state.b)
@@ -293,18 +408,19 @@ def run(initial: State, config: SolverConfig, sinks=()) -> tuple[State, RunLog]:
             )
             state = State(state.u, projected, state.t)
         at_snapshot = (i % config.snapshot_every == 0) or (i == n_steps)
-        if at_snapshot:
-            psi = psi_of(state)
+        if not (at_snapshot or i % GUARD_EVERY == 0):
+            continue
+        psi = psi_of(state)
+        tripped = psi0 > 0 and psi > config.blowup_factor * psi0
+        if at_snapshot or tripped:
             log.times.append(state.t)
             log.psi.append(psi)
-            if psi0 > 0 and psi > config.blowup_factor * psi0:
-                log.halted = True
-                log.halt_reason = f"blow-up guard tripped at t={state.t}"
-                for sink in sinks:
-                    sink(i, state)
-                break
             for sink in sinks:
                 sink(i, state)
+        if tripped:
+            log.halted = True
+            log.halt_reason = f"blow-up guard tripped at t={state.t}"
+            break
     return state, log
 
 

@@ -11,6 +11,7 @@ curl and cross products remain well defined at 2D cost.
 
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass, field
 
@@ -36,14 +37,16 @@ def ifftn_batch(arr: np.ndarray, n: int) -> np.ndarray:
     return sfft.ifftn(arr, axes=tuple(range(-n, 0)), workers=_workers())
 
 
-def rfftn_batch(arr: np.ndarray, n: int) -> np.ndarray:
-    """Forward real FFT over the last n axes (half spectrum on the last axis)."""
-    return sfft.rfftn(arr, axes=tuple(range(-n, 0)), workers=_workers())
+def rfftn_batch(arr: np.ndarray, n: int, norm: str | None = None) -> np.ndarray:
+    """Forward real FFT over the last n axes (half spectrum on the last axis);
+    norm as in scipy.fft ("forward" divides by the number of points)."""
+    return sfft.rfftn(arr, axes=tuple(range(-n, 0)), norm=norm, workers=_workers())
 
 
-def irfftn_batch(arr: np.ndarray, n: int, shape: tuple) -> np.ndarray:
-    """Inverse real FFT over the last n axes back to the given spatial shape."""
-    return sfft.irfftn(arr, s=shape, axes=tuple(range(-n, 0)), workers=_workers())
+def irfftn_batch(arr: np.ndarray, n: int, shape: tuple, norm: str | None = None) -> np.ndarray:
+    """Inverse real FFT over the last n axes back to the given spatial shape;
+    norm as in scipy.fft ("forward" leaves the inverse unscaled)."""
+    return sfft.irfftn(arr, s=shape, axes=tuple(range(-n, 0)), norm=norm, workers=_workers())
 
 
 def half_to_full(half: np.ndarray, grid: "Grid") -> np.ndarray:
@@ -51,11 +54,13 @@ def half_to_full(half: np.ndarray, grid: "Grid") -> np.ndarray:
     d = grid.dims
     full = np.empty(half.shape[: -grid.n] + grid.shape, dtype=complex)
     full[..., : d // 2 + 1] = half
-    tail = half[..., 1 : d // 2]
-    for ax in range(-grid.n, -1):
-        # index map i -> (-i) mod d on each leading spatial axis
-        tail = np.roll(np.flip(tail, ax), 1, ax)
-    full[..., d // 2 + 1 :] = np.conj(tail[..., ::-1])
+    # the upper half is conj(half) at -k; on each leading spatial axis the index
+    # map i -> (-i) mod d keeps 0 and reverses 1..d-1, so copy block by block
+    pieces = ((slice(0, 1), slice(0, 1)), (slice(1, None), slice(None, 0, -1)))
+    for block in itertools.product(pieces, repeat=grid.n - 1):
+        dst = tuple(to for to, _ in block) + (slice(d // 2 + 1, None),)
+        src = tuple(fro for _, fro in block) + (slice(d // 2 - 1, 0, -1),)
+        np.conjugate(half[(..., *src)], out=full[(..., *dst)])
     return full
 
 

@@ -30,8 +30,10 @@ from hallmhd.spectral import (
     advect,
     divergence,
     gradient,
+    irfftn_batch,
     leray_project,
     lp_norm,
+    rfftn_batch,
     to_physical,
     to_spectral,
 )
@@ -181,6 +183,138 @@ def test_ifrk4_factor_cache_keeps_latest():
     first = step(st, SolverConfig(params, SOB, 1e-3, 1.0))
     step(first, SolverConfig(params, SOB, 2e-3, 1.0))
     assert [key for key in g._cache if "ifrk4" in key] == ["ifrk4"]
+
+
+# Reference for bit identity: the expression-form half-spectrum kernel and
+# IF-RK4 step the in-place solver replaced, with their fresh temporaries.
+
+
+def _ref_cross(a, b):
+    return np.stack(
+        [
+            a[1] * b[2] - a[2] * b[1],
+            a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0],
+        ]
+    )
+
+
+def _ref_half_to_full(half, grid):
+    d = grid.dims
+    full = np.empty(half.shape[: -grid.n] + grid.shape, dtype=complex)
+    full[..., : d // 2 + 1] = half
+    tail = half[..., 1 : d // 2]
+    for ax in range(-grid.n, -1):
+        tail = np.roll(np.flip(tail, ax), 1, ax)
+    full[..., d // 2 + 1 :] = np.conj(tail[..., ::-1])
+    return full
+
+
+def _ref_nonlinear(u, b, g, params, mode):
+    n, npts, k = g.n, g.npoints, g.k_half
+    eta = 0.0 if mode == "mhd" else params.eta
+    j = 1j * _ref_cross(k, b)
+    if mode == "hall_only":
+        pb, pj = np.split(irfftn_batch(np.concatenate([b, j]) * npts, n, g.shape), 2)
+        jxb = rfftn_batch(_ref_cross(pj, pb), n) * (g.dealias_mask_half / npts)
+        return np.zeros_like(u), -eta * (1j * _ref_cross(k, jxb))
+    stack = np.concatenate([u, 1j * _ref_cross(k, u), b, j]) * npts
+    pu, pw, pb, pj = np.split(irfftn_batch(stack, n, g.shape), 4)
+    prods = np.concatenate(
+        [_ref_cross(pu, pw) + _ref_cross(pj, pb), _ref_cross(pu - eta * pj, pb)]
+    )
+    hats = rfftn_batch(prods, n) * (g.dealias_mask_half / npts)
+    nu = _ref_cross(k, _ref_cross(hats[:3], k)) * g.inv_ksq_half
+    return nu, 1j * _ref_cross(k, hats[3:])
+
+
+def _ref_compute_rhs(state, params, mode):
+    g = state.grid
+    half = g.dims // 2 + 1
+    nl = _ref_nonlinear(state.u.coeffs[..., :half], state.b.coeffs[..., :half], g, params, mode)
+    nl = _ref_half_to_full(np.concatenate(nl), g)
+    dudt = nl[:3] - params.nu * g.ksq * state.u.coeffs
+    dbdt = nl[3:] - params.mu * g.ksq * state.b.coeffs
+    if mode == "hall_only":
+        dudt = np.zeros_like(dudt)
+    return dudt, dbdt
+
+
+def _ref_step(state, config, *_):
+    g, p, dt = state.grid, config.params, config.dt
+    eu_h = np.exp(-p.nu * g.ksq_half * (dt / 2.0))
+    eb_h = np.exp(-p.mu * g.ksq_half * (dt / 2.0))
+    eu, eb = eu_h**2, eb_h**2
+    half = g.dims // 2 + 1
+    u0, b0 = state.u.coeffs[..., :half], state.b.coeffs[..., :half]
+    nl = lambda u, b: _ref_nonlinear(u, b, g, p, config.mode)
+    k1u, k1b = nl(u0, b0)
+    k2u, k2b = nl(eu_h * (u0 + 0.5 * dt * k1u), eb_h * (b0 + 0.5 * dt * k1b))
+    k3u, k3b = nl(eu_h * u0 + 0.5 * dt * k2u, eb_h * b0 + 0.5 * dt * k2b)
+    k4u, k4b = nl(eu * u0 + dt * eu_h * k3u, eb * b0 + dt * eb_h * k3b)
+    u1 = eu * u0 + (dt / 6.0) * (eu * k1u + 2.0 * eu_h * (k2u + k3u) + k4u)
+    b1 = eb * b0 + (dt / 6.0) * (eb * k1b + 2.0 * eb_h * (k2b + k3b) + k4b)
+    out = _ref_half_to_full(np.concatenate([u1, b1]), g)
+    return State(SpectralField(g, out[:3]), SpectralField(g, out[3:]), state.t + dt)
+
+
+def _oracle_case(case, mode):
+    n, dims, kind = case
+    g = Grid(n, dims)
+    target = (1.0, 1.0) if kind == "random_band" else None
+    st = make_initial(kind, g, 70, target, SOB)
+    if mode == "hall_only":
+        st = State(SpectralField.zero(g, 3), st.b, 0.0)
+    return st, SolverConfig(PhysicalParams(0.05, 0.07, 0.3), SOB, 1e-3, 1.0, mode=mode)
+
+
+_CASES = [(3, 16, "random_band"), (3, 16, "beltrami"), (3, 16, "taylor_green_like"), (2, 32, "random_band")]
+
+
+@pytest.mark.parametrize("mode", ["full", "mhd", "hall_only"])
+@pytest.mark.parametrize("case", _CASES, ids=lambda c: f"{c[0]}d{c[1]}-{c[2]}")
+def test_step_and_rhs_bit_identical_to_expression_form(case, mode):
+    st, cfg = _oracle_case(case, mode)
+    du, db = compute_rhs(st, cfg.params, mode)
+    du_r, db_r = _ref_compute_rhs(st, cfg.params, mode)
+    assert np.array_equal(du.coeffs, du_r) and np.array_equal(db.coeffs, db_r)
+    got, ref = st, st
+    for _ in range(2):
+        got, ref = step(got, cfg), _ref_step(ref, cfg)
+        assert np.array_equal(got.u.coeffs, ref.u.coeffs)
+        assert np.array_equal(got.b.coeffs, ref.b.coeffs)
+        assert got.t == ref.t
+
+
+def test_run_bit_identical_and_sink_states_not_overwritten(monkeypatch):
+    # 101 steps cross the safety projection of b at step 100; the sink keeps
+    # the State objects it is handed, so a reused buffer would show here
+    st, _ = _oracle_case((3, 16, "random_band"), "full")
+    g = st.grid
+    cfg = SolverConfig(PhysicalParams(0.05, 0.07, 0.3), SOB, 1e-3, 0.101, snapshot_every=3)
+    expected = []
+    with monkeypatch.context() as m:
+        m.setattr(solver, "step", _ref_step)
+        run(st, cfg, sinks=[lambda i, s: expected.append((i, s.copy()))])
+    keys_before = set(g._cache)
+    kept = []
+    final, _ = run(st, cfg, sinks=[lambda i, s: kept.append((i, s))])
+    assert [i for i, _ in kept] == [i for i, _ in expected] == [*range(0, 101, 3), 101]
+    for (_, got), (_, ref) in zip(kept, expected):
+        assert np.array_equal(got.u.coeffs, ref.u.coeffs)
+        assert np.array_equal(got.b.coeffs, ref.b.coeffs)
+        assert got.t == ref.t
+    assert kept[-1][1] is final
+    assert set(g._cache) <= keys_before | {"ifrk4"}
+
+
+def test_step_leaves_its_input_alone():
+    st, cfg = _oracle_case((3, 16, "random_band"), "full")
+    u, b = st.u.coeffs.copy(), st.b.coeffs.copy()
+    first, second = step(st, cfg), step(st, cfg)
+    assert np.array_equal(first.u.coeffs, second.u.coeffs)
+    assert np.array_equal(first.b.coeffs, second.b.coeffs)
+    assert np.array_equal(st.u.coeffs, u) and np.array_equal(st.b.coeffs, b)
 
 
 def test_rhs_preserves_divergence_freedom():
@@ -335,6 +469,42 @@ def test_blowup_guard_halts():
     assert log.halted
     assert "guard" in log.halt_reason
     assert final.t < 0.01
+
+
+def test_blowup_guard_runs_without_snapshots():
+    # snapshot_every = 10**9 leaves only the final step as a snapshot; the
+    # guard still looks every 100 steps and logs the point where it trips
+    g = Grid(3, 16)
+    st = make_initial("random_band", g, 59, (1.0, 1.0), SOB)
+    cfg = SolverConfig(
+        PhysicalParams(0.05, 0.05, 0.0), SOB, 1e-3, 0.15, snapshot_every=10**9,
+        blowup_factor=1e-12,
+    )
+    seen = []
+    final, log = run(st, cfg, sinks=[lambda i, s: seen.append(i)])
+    assert log.halted
+    assert final.t == 100 * 1e-3
+    assert seen == [0, 100]
+    assert log.times == [0.0, 100 * 1e-3] and len(log.psi) == 2
+
+
+def test_guard_checks_that_pass_are_not_logged():
+    g = Grid(2, 16)
+    st = make_initial("random_band", g, 59, (1.0, 1.0), SOB)
+    cfg = SolverConfig(PhysicalParams(0.05, 0.05, 0.1), SOB, 1e-3, 0.25, snapshot_every=10**9)
+    final, log = run(st, cfg)
+    assert not log.halted
+    assert log.times == [0.0, 250 * 1e-3] and len(log.psi) == 2
+    assert len(log.projection_drift) == 2
+
+
+def test_run_warns_when_tmax_is_not_whole_steps():
+    g = Grid(2, 16)
+    st = make_initial("random_band", g, 60, (1.0, 1.0), SOB)
+    cfg = SolverConfig(PhysicalParams(0.05, 0.05, 0.1), SOB, 1e-3, 0.0025)
+    with pytest.warns(RuntimeWarning, match=r"tmax=0\.0025 .* dt=0\.001 .* t=0\.002"):
+        final, _ = run(st, cfg)
+    assert final.t == 0.002
 
 
 def test_blowup_error_on_nonfinite():
