@@ -3,6 +3,9 @@
 Fields live on the periodic box [0, 2pi)^n and are stored as complex Fourier
 amplitudes, so differential operators are exact multiplier operations and
 quadratic products are computed pseudo-spectrally with 2/3-rule dealiasing.
+The fields are real, so only the real-FFT half spectrum is kept: the last
+axis holds k_z = 0 .. N/2, and coeffs[c, i, j, l] is the amplitude of
+component c at k = (fftfreq[i], fftfreq[j], l).
 """
 
 import numpy as np
@@ -34,6 +37,8 @@ print("d/dx error:", np.abs(to_physical(g)[0] - exact).max())
 
 # The Leray projection removes the gradient part of a vector field; the result
 # is divergence-free and the projection is idempotent.
+print("coefficient shape on a 32^3 grid:", f.coeffs.shape)  # (1, 32, 32, 17)
+
 rng = np.random.default_rng(0)
 v = to_spectral(grid, rng.standard_normal((3,) + grid.shape))
 pv = leray_project(v)
@@ -53,5 +58,7 @@ c5 = to_spectral(small, np.cos(5 * xs))
 sq = multiply(c5, c5)
 coef = sq.coeffs[0].copy()
 print("mean of cos^2(5x):", coef[0, 0, 0].real)
+# k = 10 aliases onto k_x = +-6, indices 6 and 10 of the (full) first axis
+print("amplitude at k_x = +-6:", abs(coef[6, 0, 0]), abs(coef[10, 0, 0]))
 coef[0, 0, 0] = 0.0
 print("largest surviving non-mean amplitude:", np.abs(coef).max())

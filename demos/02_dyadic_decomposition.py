@@ -26,6 +26,7 @@ Q = max_shell(grid)
 print(f"grid 32^3 resolves shells q = -1 .. {Q}; band |k| <= {resolved_band(grid)}")
 
 # The radial cutoffs telescope: chi + sum of ring functions = 1 on the band.
+# grid.kmag covers the half spectrum (k_z >= 0), which holds every |k|.
 kmag = grid.kmag
 total = chi(kmag)
 for q in range(0, Q + 1):

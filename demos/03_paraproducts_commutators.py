@@ -36,8 +36,8 @@ print("  resonant :", lp_norm(split.resonant, 2))
 
 # Commutators vanish when the first argument is constant: projection then
 # commutes with multiplication exactly.
-const = SpectralField.zero(grid, 3)
-const.coeffs[(slice(None),) + (0,) * grid.n] = [1.0, -2.0, 0.5]
+const = SpectralField.zero(grid, 3)  # half spectrum, shape (3, 32, 32, 17)
+const.coeffs[:, 0, 0, 0] = [1.0, -2.0, 0.5]  # the k = 0 mode
 print("commutator with constant transport:",
       lp_norm(commutator_transport(const, v, q), 2) / lp_norm(v, 2))
 

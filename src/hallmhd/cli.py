@@ -10,7 +10,7 @@ import numpy as np
 
 from .config import RunConfig, load_config
 from .diagnostics import existence_time, scaling_check
-from .snapshots import snapshot_name, write_diagnostics, write_snapshot
+from .snapshots import list_snapshots, snapshot_name, write_diagnostics, write_snapshot
 from .solver import BlowUpError, State, run
 from .spectral import SpectralField
 from .uniqueness import gronwall_check
@@ -29,7 +29,13 @@ def _cmd_simulate(args) -> int:
     def sink(step, state):
         write_snapshot(os.path.join(args.out, snapshot_name(step)), state)
 
-    final, log = run(initial, solver_cfg, sinks=[sink])
+    try:
+        final, log = run(initial, solver_cfg, sinks=[sink])
+    except BlowUpError:
+        # keep the evidence: the CSVs of the snapshots written before the blow-up
+        if list_snapshots(args.out):
+            write_diagnostics(args.out, cfg.physical_params(), cfg.sobolev())
+        raise
     write_diagnostics(args.out, cfg.physical_params(), cfg.sobolev())
     print(f"final time t={final.t:.17g}")
     if log.halted:

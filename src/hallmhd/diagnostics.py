@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .littlewood_paley import SobolevParams, shell_sums, sobolev_weights
-from .solver import PhysicalParams, SolverConfig, State, run
+from .solver import PhysicalParams, SolverConfig, State, _outside_cube, run
 from .spectral import Grid, SpectralField, irfftn_batch, lp_norm, rfftn_batch
 
 
@@ -77,9 +77,8 @@ def shell_energies(state: State, sob: SobolevParams) -> ShellEnergyRecord:
 
 def flux_terms(state: State, params: PhysicalParams, sob: SobolevParams) -> FluxRecord:
     g = state.grid
-    n, npts, half = g.n, g.npoints, g.dims // 2 + 1
-    k = g.k_half
-    u, b = state.u.coeffs[..., :half], state.b.coeffs[..., :half]
+    n, npts, k = g.n, g.npoints, g.k
+    u, b = state.u.coeffs, state.b.coeffs
     grads = [(1j * k[:, None] * f).reshape((9,) + g.half_shape) for f in (u, b)]
     phys = irfftn_batch(np.concatenate([u, b, *grads]) * npts, n, g.shape)
     pu, pb = phys[:3], phys[3:6]
@@ -95,7 +94,7 @@ def flux_terms(state: State, params: PhysicalParams, sob: SobolevParams) -> Flux
             np.cross(pj, pb, axis=0),
         ]
     )
-    hats = rfftn_batch(prods, n) * (g.dealias_mask_half / npts)
+    hats = rfftn_batch(prods, n) * (g.dealias_mask / npts)
     curl_b = 1j * np.cross(k, b, axis=0)
     power = np.stack(
         [
@@ -106,8 +105,6 @@ def flux_terms(state: State, params: PhysicalParams, sob: SobolevParams) -> Flux
             _real_dot(hats[12:15], curl_b),
         ]
     )
-    # Hermitian weight: every interior k_last plane stands for k and -k
-    power[..., 1 : g.dims // 2] *= 2.0
     sums = (2.0 * np.pi) ** n * shell_sums(g, power)
     ws, wr = sobolev_weights(g, sob.s), sobolev_weights(g, sob.r)
     return FluxRecord(
@@ -175,9 +172,8 @@ def total_energy_residual(states: list[State], params: PhysicalParams) -> np.nda
     )
     def grad_sq(f):
         g = f.grid
-        return (2.0 * np.pi) ** g.n * float(
-            (g.ksq * (f.coeffs.real**2 + f.coeffs.imag**2)).sum()
-        )
+        power = g.ksq * (f.coeffs.real**2 + f.coeffs.imag**2)
+        return (2.0 * np.pi) ** g.n * float((power * g.hermitian_weight).sum())
 
     D = np.array(
         [params.nu * grad_sq(st.u) + params.mu * grad_sq(st.b) for st in states]
@@ -254,15 +250,14 @@ def scale_field(
     finer grid so the image lattice is fully resolved."""
     g = f.grid
     gt = out_grid if out_grid is not None else g
+    kmax = gt.dims // 2 - 1
     k1 = np.fft.fftfreq(g.dims, 1.0 / g.dims).astype(int)
-    valid = np.abs(lam * k1) <= gt.dims // 2 - 1
-    src = np.nonzero(valid)[0]
-    tgt = (lam * k1[valid]) % gt.dims
-    out = np.zeros((f.m,) + gt.shape, dtype=complex)
-    ix_src = np.ix_(*([src] * g.n))
-    ix_tgt = np.ix_(*([tgt] * g.n))
-    for c in range(f.m):
-        out[c][ix_tgt] = amplitude * f.coeffs[c][ix_src]
+    k_last = np.arange(g.dims // 2 + 1)
+    lead, last = np.abs(lam * k1) <= kmax, lam * k_last <= kmax
+    src = np.ix_(*[np.nonzero(lead)[0]] * (g.n - 1), k_last[last])
+    tgt = np.ix_(*[(lam * k1[lead]) % gt.dims] * (g.n - 1), lam * k_last[last])
+    out = np.zeros((f.m,) + gt.half_shape, dtype=complex)
+    out[(slice(None), *tgt)] = amplitude * f.coeffs[(slice(None), *src)]
     return SpectralField(gt, out)
 
 
@@ -271,21 +266,12 @@ def restrict_field(f: SpectralField, coarse) -> SpectralField:
     if coarse.dims > f.grid.dims or coarse.n != f.grid.n:
         raise ValueError("restrict_field expects a coarser grid of the same dimension")
     k1 = np.fft.fftfreq(coarse.dims, 1.0 / coarse.dims).astype(int)
-    src = k1 % f.grid.dims
-    ix = np.ix_(*([src] * coarse.n))
-    out = np.stack([f.coeffs[c][ix] for c in range(f.m)])
-    return SpectralField(coarse, out)
+    ix = np.ix_(*[k1 % f.grid.dims] * (coarse.n - 1), np.arange(coarse.dims // 2 + 1))
+    return SpectralField(coarse, f.coeffs[(slice(None), *ix)])
 
 
 def _band_limit_ok(f: SpectralField, lam: int) -> bool:
-    g = f.grid
-    cutoff = (2.0 / 3.0) * (g.dims / 2) / lam
-    inside = np.ones(g.shape, dtype=bool)
-    for i in range(g.n):
-        inside &= np.abs(g.k[i]) <= cutoff
-    tail = np.abs(f.coeffs[:, ~inside]).max() if (~inside).any() else 0.0
-    scale = np.abs(f.coeffs).max()
-    return scale == 0.0 or tail <= 1e-13 * scale
+    return _outside_cube(f, (2.0 / 3.0) * (f.grid.dims / 2) / lam) <= 1e-13
 
 
 def scaling_check(

@@ -3,7 +3,8 @@
 The radial cutoff chi equals 1 for |xi| <= 3/4 and 0 for |xi| >= 1, with a
 C-infinity bridge in between; phi(xi) = chi(xi/2) - chi(xi) tiles frequency
 space into octave shells of scale lambda_q = 2^q.  Shell projections are
-Fourier multipliers, exact on the torus.
+Fourier multipliers, exact on the torus; like the fields they act on, the
+multipliers cover the real-FFT half spectrum.
 """
 
 from __future__ import annotations
@@ -154,23 +155,25 @@ def decompose(f: SpectralField) -> ShellSet:
 
 
 def shell_sums(grid: Grid, power: np.ndarray) -> np.ndarray:
-    """sum_k phi_q(|k|)^2 power[..., k] for q = -1 .. Q, on the last axis.
+    """sum_k phi_q(|k|)^2 power[..., k] over the whole lattice for q = -1 .. Q,
+    on the last axis.
 
-    power is a spectrum on the full layout (trailing axes grid.shape) or the
-    real-FFT half layout (grid.half_shape); leading axes are kept.  With
-    power = |f_k|^2 the entries are the shell energies ||Delta_q f||_2^2 up to
-    the volume factor (2 pi)^n, with no per-shell copy of f.
+    power is a spectrum on the half layout (trailing axes grid.half_shape);
+    leading axes are kept.  Each mode counts with grid.hermitian_weight, so
+    power must be even in k, as the products of real fields' spectra are.
+    With power = |f_k|^2 the entries are the shell energies ||Delta_q f||_2^2
+    up to the volume factor (2 pi)^n, with no per-shell copy of f.
     """
     n = grid.n
-    spatial = power.shape[-n:]
-    if spatial not in (grid.shape, grid.half_shape):
-        raise ValueError(f"spectrum shape {power.shape} fits neither layout of {grid}")
+    if power.shape[-n:] != grid.half_shape:
+        raise ValueError(f"spectrum shape {power.shape} does not end in {grid.half_shape}")
     lead = power.shape[:-n]
+    weighted = power * grid.hermitian_weight
     Q = max_shell(grid)
     out = np.empty(lead + (Q + 2,))
     for q in range(-1, Q + 1):
-        mult = _shell_multiplier(grid, q)[..., : spatial[-1]]
-        out[..., q + 1] = (power * (mult * mult)).reshape(lead + (-1,)).sum(axis=-1)
+        mult = _shell_multiplier(grid, q)
+        out[..., q + 1] = (weighted * (mult * mult)).reshape(lead + (-1,)).sum(axis=-1)
     return out
 
 
@@ -197,9 +200,9 @@ def besov_norm(f: SpectralField, s: float, p=2) -> float:
 
 def direct_sobolev_norm(f: SpectralField, s: float) -> float:
     """Multiplier H^s norm (sum (1+|k|^2)^s |f_k|^2)^{1/2}; shell-free cross-check."""
-    vol = (2.0 * np.pi) ** f.grid.n
-    w = (1.0 + f.grid.ksq) ** s
-    return float(np.sqrt(vol * np.sum(w * np.abs(f.coeffs) ** 2)))
+    g = f.grid
+    w = (1.0 + g.ksq) ** s * g.hermitian_weight
+    return float(np.sqrt((2.0 * np.pi) ** g.n * np.sum(w * np.abs(f.coeffs) ** 2)))
 
 
 def bernstein_ratio(f_q: SpectralField, q: int, p_from, p_to) -> float:

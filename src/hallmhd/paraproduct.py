@@ -6,9 +6,7 @@ roundoff on band-limited data.  Every (p, q) term of the window |q - p| <= 2
 (p >= q - 2 for the resonant part) is still projected onto shell q and summed
 on its own, in ascending p; only the product of the p-th pieces is shared by
 all shells q whose window holds p.  Merging the window into one product per q
-would break the exact low-frequency cancellations downstream.  The sums run on
-the real-FFT half spectrum: phi_q is real and radial, so they are bit-identical
-to the same sums taken on the full spectrum.
+would break the exact low-frequency cancellations downstream.
 
 The commutator bound ratios of fixed fields share their q-independent pieces
 (sup norms, L2 norms, curls and full products) through CommutatorSweep.
@@ -22,25 +20,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .littlewood_paley import (
-    _shell_multiplier,
-    chi,
-    lambda_q,
-    low_pass,
-    max_shell,
-    project_shell,
-)
-from .spectral import (
-    SpectralField,
-    advect,
-    advect_half,
-    cross,
-    curl,
-    half_to_full,
-    inner_product,
-    lp_norm,
-    lp_norm_half,
-)
+from .littlewood_paley import low_pass, max_shell, project_shell
+from .spectral import SpectralField, advect, cross, curl, inner_product, lp_norm
 
 
 @dataclass
@@ -57,7 +38,7 @@ class BonySplit:
 
 
 def _bony_sums(u: SpectralField, v: SpectralField, qs) -> dict:
-    """Half-spectrum (low_high, high_low, resonant) sums for every q in qs.
+    """(low_high, high_low, resonant) coefficient sums for every q in qs.
 
     One pass over p forms the three products of the p-th pieces, each once,
     and adds phi_q times each to the sums of the shells q in qs whose window
@@ -67,26 +48,15 @@ def _bony_sums(u: SpectralField, v: SpectralField, qs) -> dict:
     if v.grid != g:
         raise ValueError("grid mismatch between fields")
     Q = max_shell(g)
-    h = g.dims // 2 + 1
-    uh, vh = u.coeffs[..., :h], v.coeffs[..., :h]
-
-    def shell(f, p):
-        return f * _shell_multiplier(g, p)[..., :h]
-
     sums = {q: [np.zeros((v.m,) + g.half_shape, dtype=complex) for _ in range(3)] for q in qs}
     for p in range(max(-1, min(qs) - 2), Q + 1):
         window = [q for q in qs if abs(q - p) <= 2]
-        u_p, v_p = shell(uh, p), shell(vh, p)
-        if p >= 1:
-            # low_pass(f, p - 2), the chi(|k| / lambda_{p-1}) cut
-            cut = chi(g.kmag[..., :h] / lambda_q(p - 1))
-            u_low, v_low = uh * cut, vh * cut
-        else:
-            u_low, v_low = np.zeros_like(uh), np.zeros_like(vh)
+        u_p, v_p = project_shell(u, p), project_shell(v, p)
+        u_low, v_low = low_pass(u, p - 2), low_pass(v, p - 2)
         u_near = u_p
         for r in (p - 1, p + 1):
             if -1 <= r <= Q:
-                u_near = u_near + shell(uh, r)
+                u_near = u_near + project_shell(u, r)
         terms = (
             (window, u_low, v_p),
             (window, u_p, v_low),
@@ -95,27 +65,27 @@ def _bony_sums(u: SpectralField, v: SpectralField, qs) -> dict:
         for cls, (targets, a, b) in enumerate(terms):
             if not targets:
                 continue
-            prod = advect_half(a, b, g)
+            prod = advect(a, b)
             for q in targets:
-                sums[q][cls] += shell(prod, q)
+                sums[q][cls] += project_shell(prod, q).coeffs
     return sums
 
 
-def _full_split(g, q: int, sums) -> BonySplit:
-    return BonySplit(q, *(SpectralField(g, half_to_full(s, g)) for s in sums))
+def _split(g, q: int, sums) -> BonySplit:
+    return BonySplit(q, *(SpectralField(g, s) for s in sums))
 
 
 def _splits(g, sums: dict) -> Iterator[BonySplit]:
     for q in list(sums):
-        yield _full_split(g, q, sums.pop(q))
+        yield _split(g, q, sums.pop(q))
 
 
 def bony_splits(u: SpectralField, v: SpectralField) -> Iterator[BonySplit]:
     """BonySplit for q = -1 .. Q in order, from one pass over p.
 
     Every p-product is formed before this returns; the returned generator
-    builds the full-layout fields of one shell at a time.  Each split is equal,
-    bit for bit, to bony_split(u, v, q).
+    hands over the sums of one shell at a time.  Each split is equal, bit for
+    bit, to bony_split(u, v, q).
     """
     return _splits(u.grid, _bony_sums(u, v, range(-1, max_shell(u.grid) + 1)))
 
@@ -124,7 +94,7 @@ def bony_split(u: SpectralField, v: SpectralField, q: int) -> BonySplit:
     Q = max_shell(u.grid)
     if q < -1 or q > Q:
         raise ValueError(f"shell index {q} outside [-1, {Q}]")
-    return _full_split(u.grid, q, _bony_sums(u, v, [q])[q])
+    return _split(u.grid, q, _bony_sums(u, v, [q])[q])
 
 
 def commutator_transport(u_low: SpectralField, v_p: SpectralField, q: int) -> SpectralField:
@@ -145,15 +115,14 @@ def commutator_curl_cross(F: SpectralField, G: SpectralField, q: int) -> Spectra
 def _sup_gradient(F: SpectralField, order: int = 1) -> float:
     """Grid-sampled sup norm of the (iterated) gradient tensor of F.
 
-    The 3^order * m derivative components are formed on the half spectrum and
-    go through one inverse real FFT batch.
+    The 3^order * m derivative components go through one inverse real FFT batch.
     """
     g = F.grid
-    ik = 1j * g.k_half[:, None]
-    comps = F.coeffs[..., : g.dims // 2 + 1]
+    ik = 1j * g.k[:, None]
+    comps = F.coeffs
     for _ in range(order):
         comps = (ik * comps).reshape((-1,) + g.half_shape)
-    return lp_norm_half(comps, g, np.inf)
+    return lp_norm(SpectralField(g, comps), np.inf)
 
 
 def _nonzero(denom: float) -> float:

@@ -12,14 +12,13 @@ dealiased scheme keeps it there.
 
 Time stepping is integrating-factor RK4: diffusion is propagated exactly by
 exp(-nu |k|^2 dt) / exp(-mu |k|^2 dt) and the (dealiased) quadratic terms are
-treated explicitly.  A step runs its four stages and the combine on the
-real-FFT half spectrum and expands to the full Hermitian layout once at the
-end; State, compute_rhs and run keep the full layout.  The stages write into
-the buffers of one _Workspace, which run allocates per call and drops on
-return (a lone step or compute_rhs builds its own), through out= and in-place
-ufuncs in the order of the plain expressions; the 1/npoints of the transform
-pair is folded into the FFTs with norm="forward", exact because npoints is a
-power of two.  Modes:
+treated explicitly.  State, compute_rhs, step and run all hold the real-FFT
+half spectrum of spectral.SpectralField, so nothing is sliced or expanded
+between stages.  The stages write into the buffers of one _Workspace, which
+run allocates per call and drops on return (a lone step or compute_rhs builds
+its own), through out= and in-place ufuncs in the order of the plain
+expressions; the 1/npoints of the transform pair is folded into the FFTs with
+norm="forward", exact because npoints is a power of two.  Modes:
 
   full      - the complete system,
   mhd       - Hall coefficient forced to zero,
@@ -41,7 +40,6 @@ from .spectral import (
     SpectralField,
     advect,
     divergence,
-    half_to_full,
     irfftn_batch,
     leray_project,
     rfftn_batch,
@@ -131,6 +129,28 @@ def _check_divergence(state: State, tol: float = 1.0e-8) -> None:
             )
 
 
+def _outside_cube(f: SpectralField, cutoff: float) -> float:
+    """Largest |coefficient| with some |k_i| > cutoff, relative to the largest
+    of all (0 for a zero field)."""
+    outside = (np.abs(f.grid.k) > cutoff).any(axis=0)
+    mag = np.abs(f.coeffs)
+    peak = mag.max(initial=0.0)
+    return float(mag[:, outside].max(initial=0.0) / peak) if peak > 0 else 0.0
+
+
+def _check_support(state: State, rel: float = 1.0e-12) -> None:
+    """Reject content outside the 2/3 dealias cube, where the curl-form
+    nonlinearity no longer equals the divergence form."""
+    cutoff = (2.0 / 3.0) * (state.grid.dims / 2)
+    for name, f in (("u", state.u), ("b", state.b)):
+        tail = _outside_cube(f, cutoff)
+        if tail > rel:
+            raise StateDriftError(
+                f"state drift: {name} has {tail:.3e} of its largest amplitude outside "
+                f"the 2/3 dealias cube (allowed {rel:.0e}) at t={state.t}"
+            )
+
+
 def _cross_into(out: np.ndarray, a: np.ndarray, b: np.ndarray, tmp: np.ndarray) -> None:
     """out = a x b, one component at a time; tmp is a one-component scratch
     field, and out must share no memory with a, b or tmp."""
@@ -177,7 +197,7 @@ def _nonlinear(
     The transforms use norm="forward", which is exact: npoints is a power of two.
     """
     g = grid
-    n, k = g.n, g.k_half
+    n, k = g.n, g.k
     eta = 0.0 if mode == "mhd" else params.eta
     spec, prods = work.spec, work.prods
     # out[0] is scratch until the results are written
@@ -188,7 +208,7 @@ def _nonlinear(
         pb, pj = np.split(irfftn_batch(spec[6:], n, g.shape, "forward"), 2)
         _cross_into(prods[:3], pj, pb, prods[3])
         jxb = rfftn_batch(prods[:3], n, "forward")
-        jxb *= g.dealias_mask_half
+        jxb *= g.dealias_mask
         out[:3] = 0.0
         _cross_into(out[3:], k, jxb, spec[0])
         out[3:] *= 1j
@@ -207,12 +227,12 @@ def _nonlinear(
     np.subtract(pu, pj, out=pj)
     _cross_into(prods[3:], pj, pb, pw[0])
     hats = rfftn_batch(prods, n, "forward")
-    hats *= g.dealias_mask_half
+    hats *= g.dealias_mask
     # Leray projection as k x (w x k) / |k|^2: gradients along a lattice axis
     # cancel exactly, and so does the k = 0 mode, which vanishes analytically
     _cross_into(spec[:3], hats[:3], k, spec[3])
     _cross_into(out[:3], k, spec[:3], spec[3])
-    out[:3] *= g.inv_ksq_half
+    out[:3] *= g.inv_ksq
     _cross_into(out[3:], k, hats[3:], spec[3])
     out[3:] *= 1j
 
@@ -226,18 +246,8 @@ def compute_rhs(state: State, params: PhysicalParams, mode: str = "full"):
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     _check_divergence(state)
     g = state.grid
-    half = g.dims // 2 + 1
     nl = np.empty((6, *g.half_shape), dtype=complex)
-    _nonlinear(
-        state.u.coeffs[..., :half],
-        state.b.coeffs[..., :half],
-        g,
-        params,
-        mode,
-        _Workspace(g),
-        nl,
-    )
-    nl = half_to_full(nl, g)
+    _nonlinear(state.u.coeffs, state.b.coeffs, g, params, mode, _Workspace(g), nl)
     nu_rhs, nb_rhs = nl[:3], nl[3:]
     dudt = nu_rhs - params.nu * g.ksq * state.u.coeffs
     dbdt = nb_rhs - params.mu * g.ksq * state.b.coeffs
@@ -247,7 +257,7 @@ def compute_rhs(state: State, params: PhysicalParams, mode: str = "full"):
 
 
 def _ifrk4_factors(g: Grid, dt: float, p: PhysicalParams):
-    """Half-spectrum diffusion factors for u and for b: e_h = exp(-c|k|^2 dt/2),
+    """Diffusion factors for u and for b: e_h = exp(-c|k|^2 dt/2),
     e = e_h^2, dt e_h and 2 e_h (c = nu, mu); only the latest (dt, nu, mu) is
     kept per grid."""
     key = (dt, p.nu, p.mu)
@@ -255,7 +265,7 @@ def _ifrk4_factors(g: Grid, dt: float, p: PhysicalParams):
     if cached is None or cached[0] != key:
         factors = []
         for c in (p.nu, p.mu):
-            e_h = np.exp(-c * g.ksq_half * (dt / 2.0))
+            e_h = np.exp(-c * g.ksq * (dt / 2.0))
             factors.append((e_h, e_h**2, dt * e_h, 2.0 * e_h))
         cached = (key, tuple(factors))
         g._cache["ifrk4"] = cached
@@ -265,17 +275,15 @@ def _ifrk4_factors(g: Grid, dt: float, p: PhysicalParams):
 def step(state: State, config: SolverConfig, work: _Workspace | None = None) -> State:
     """One integrating-factor RK4 step; diffusion propagated exactly.
 
-    All four stages and the combine run on the half spectrum, in place in the
-    buffers of work (a fresh workspace if none is given); the result is
-    expanded to the full Hermitian layout once and shares no memory with work.
+    All four stages and the combine run in place in the buffers of work (a
+    fresh workspace if none is given); the result shares no memory with work.
     """
     g = state.grid
     p = config.params
     dt = config.dt
     if work is None:
         work = _Workspace(g)
-    half = g.dims // 2 + 1
-    x0 = (state.u.coeffs[..., :half], state.b.coeffs[..., :half])
+    x0 = (state.u.coeffs, state.b.coeffs)
     parts = [
         (slice(3 * i, 3 * i + 3), x, *factors)
         for i, (x, factors) in enumerate(zip(x0, _ifrk4_factors(g, dt, p)))
@@ -318,7 +326,7 @@ def step(state: State, config: SolverConfig, work: _Workspace | None = None) -> 
     t1 = state.t + dt
     if not np.isfinite(y, out=work.finite).all():
         raise BlowUpError(f"numerical blow-up at t={t1}")
-    out = half_to_full(y, g)
+    out = y.copy()
     return State(SpectralField(g, out[:3]), SpectralField(g, out[3:]), t1)
 
 
@@ -365,9 +373,12 @@ def run(initial: State, config: SolverConfig, sinks=()) -> tuple[State, RunLog]:
     psi(t) > blowup_factor * psi(0) is checked at every snapshot and every
     GUARD_EVERY steps; when it trips the run halts after logging psi and
     calling the sinks.  A tmax that is not a whole number of dt steps is
-    rounded to one, with a RuntimeWarning.
+    rounded to one, with a RuntimeWarning.  The initial state must be
+    divergence-free and supported inside the 2/3 dealias cube (to 1e-12 of
+    its largest amplitude); otherwise StateDriftError names the field.
     """
     _check_divergence(initial)
+    _check_support(initial)
     sob = config.sobolev
     log = RunLog()
 
@@ -426,13 +437,9 @@ def run(initial: State, config: SolverConfig, sinks=()) -> tuple[State, RunLog]:
 
 def recover_pressure(state: State, params: PhysicalParams) -> SpectralField:
     """Zero-mean pressure whose gradient is the projected-out part of the flux."""
+    # grad p = P w - w = -k (k . w) / |k|^2, so p = div w / |k|^2 spectrally
     w = advect(state.u, state.u) - advect(state.b, state.b)
-    g = state.grid
-    k, ksq = g.k, g.ksq
-    kdotw = k[0] * w.coeffs[0] + k[1] * w.coeffs[1] + k[2] * w.coeffs[2]
-    inv_ksq = np.where(ksq > 0, 1.0 / np.where(ksq > 0, ksq, 1.0), 0.0)
-    p_hat = 1j * kdotw * inv_ksq
-    return SpectralField(g, p_hat[None])
+    return SpectralField(w.grid, divergence(w).coeffs * w.grid.inv_ksq)
 
 
 def _beltrami(grid: Grid) -> SpectralField:

@@ -282,6 +282,59 @@ def test_cli_reports_blowup_without_traceback(tmp_path, capsys, monkeypatch):
     assert err.strip() == "error: numerical blow-up at t=0.003"
 
 
+def test_simulate_blowup_keeps_diagnostics(tmp_path, capsys, monkeypatch):
+    # the run writes the step-0 and step-5 snapshots, then blows up
+    def blow_up(initial, config, sinks=()):
+        for i in (0, 5):
+            st = initial.copy()
+            st.t = i * config.dt
+            for sink in sinks:
+                sink(i, st)
+        raise BlowUpError("numerical blow-up at t=0.006")
+
+    monkeypatch.setattr(cli, "run", blow_up)
+    conf = tmp_path / "run.conf"
+    conf.write_text("grid.dims = 16\n")
+    out = tmp_path / "o"
+    rc = main(["simulate", "--config", str(conf), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.strip() == "error: numerical blow-up at t=0.006"
+    for name in (SHELL_CSV, FLUX_CSV):
+        rows = (out / name).read_text().splitlines()[1:]
+        assert sorted({float(row.split(",")[0]) for row in rows}) == [0.0, 0.005]
+    assert len((out / FLUX_CSV).read_text().splitlines()) == 3
+
+
+def test_simulate_rejects_state_outside_dealias_cube(tmp_path, capsys, monkeypatch):
+    initial_state = RunConfig.initial_state
+
+    def widened(self):
+        st = initial_state(self)
+        st.u.coeffs[0, 0, 0, 7] = 0.5  # k = (0, 0, 7): outside the 2/3 cube at 16^3
+        return st
+
+    monkeypatch.setattr(RunConfig, "initial_state", widened)
+    conf = tmp_path / "run.conf"
+    conf.write_text("grid.dims = 16\n")
+    rc = main(["simulate", "--config", str(conf), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("error: state drift: u has 1.000e+00 of its largest amplitude outside")
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+def test_cli_rejects_bad_thread_count(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setenv("HMHD_THREADS", value)
+    conf = tmp_path / "v.conf"
+    conf.write_text("grid.dims = 16\nsweep.size = 1\n")
+    rc = main(["verify", "--config", str(conf)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == f"error: HMHD_THREADS: must be a positive integer, got '{value}'\n"
+
+
 def test_workers_env(monkeypatch):
     monkeypatch.setenv("HMHD_THREADS", "2")
     assert _workers() == 2

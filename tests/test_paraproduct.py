@@ -87,13 +87,13 @@ def test_bony_splits_bit_identical_to_per_pair_oracle(n, dims):
 def test_bony_identity_forms_each_product_once(monkeypatch):
     g = Grid(3, 32)
     calls = []
-    product = paraproduct.advect_half
+    product = paraproduct.advect
 
     def counted(*args):
         calls.append(1)
         return product(*args)
 
-    monkeypatch.setattr(paraproduct, "advect_half", counted)
+    monkeypatch.setattr(paraproduct, "advect", counted)
     assert check_bony_identity(g, 2, 11).passed
     # three products per p = -1 .. Q and pair, shared by every shell q
     assert len(calls) == 2 * 3 * (max_shell(g) + 2) == 24

@@ -42,10 +42,12 @@ SOB = SobolevParams(1.0, 1.75, 0.25)
 
 
 def _oracle_rhs(u, b, params, mode):
-    """Independent Hall-MHD right-hand side built on raw numpy.fft only."""
+    """Independent Hall-MHD right-hand side built on raw numpy.fft only, on the
+    full lattice; returns its half-spectrum part."""
     g = u.grid
     N, n = g.dims, g.n
     axes = tuple(range(-n, 0))
+    half = N // 2 + 1
     k1 = np.fft.fftfreq(N, 1.0 / N)
     ks = list(np.meshgrid(*([k1] * n), indexing="ij"))
     while len(ks) < 3:
@@ -82,7 +84,10 @@ def _oracle_rhs(u, b, params, mode):
             ]
         )
 
-    uh, bh = u.coeffs, b.coeffs
+    def full(c):
+        return np.fft.fftn(np.fft.irfftn(c * g.npoints, s=g.shape, axes=axes), axes=axes) / g.npoints
+
+    uh, bh = full(u.coeffs), full(b.coeffs)
     if mode == "hall_only":
         du = np.zeros_like(uh)
         db = np.zeros_like(bh)
@@ -101,7 +106,7 @@ def _oracle_rhs(u, b, params, mode):
         db = db - params.eta * curl_hat(hall_hat)
         if mode == "hall_only":
             db = db - params.mu * ksq * bh
-    return du, db
+    return du[..., :half], db[..., :half]
 
 
 @pytest.mark.parametrize("mode", ["full", "mhd", "hall_only"])
@@ -166,16 +171,6 @@ def test_fft_fields_per_rhs(monkeypatch, mode, inverse, forward):
     assert tally == {"irfftn_batch": inverse, "rfftn_batch": forward}
 
 
-def test_step_expands_to_full_spectrum_once(monkeypatch):
-    g = Grid(3, 16)
-    st = make_initial("random_band", g, 65, (1.0, 1.0), SOB)
-    calls = []
-    inner = solver.half_to_full
-    monkeypatch.setattr(solver, "half_to_full", lambda *a: calls.append(1) or inner(*a))
-    step(st, SolverConfig(PhysicalParams(0.05, 0.05, 0.1), SOB, 1e-3, 1.0))
-    assert len(calls) == 1
-
-
 def test_ifrk4_factor_cache_keeps_latest():
     g = Grid(3, 16)
     st = make_initial("random_band", g, 66, (1.0, 1.0), SOB)
@@ -199,40 +194,27 @@ def _ref_cross(a, b):
     )
 
 
-def _ref_half_to_full(half, grid):
-    d = grid.dims
-    full = np.empty(half.shape[: -grid.n] + grid.shape, dtype=complex)
-    full[..., : d // 2 + 1] = half
-    tail = half[..., 1 : d // 2]
-    for ax in range(-grid.n, -1):
-        tail = np.roll(np.flip(tail, ax), 1, ax)
-    full[..., d // 2 + 1 :] = np.conj(tail[..., ::-1])
-    return full
-
-
 def _ref_nonlinear(u, b, g, params, mode):
-    n, npts, k = g.n, g.npoints, g.k_half
+    n, npts, k = g.n, g.npoints, g.k
     eta = 0.0 if mode == "mhd" else params.eta
     j = 1j * _ref_cross(k, b)
     if mode == "hall_only":
         pb, pj = np.split(irfftn_batch(np.concatenate([b, j]) * npts, n, g.shape), 2)
-        jxb = rfftn_batch(_ref_cross(pj, pb), n) * (g.dealias_mask_half / npts)
+        jxb = rfftn_batch(_ref_cross(pj, pb), n) * (g.dealias_mask / npts)
         return np.zeros_like(u), -eta * (1j * _ref_cross(k, jxb))
     stack = np.concatenate([u, 1j * _ref_cross(k, u), b, j]) * npts
     pu, pw, pb, pj = np.split(irfftn_batch(stack, n, g.shape), 4)
     prods = np.concatenate(
         [_ref_cross(pu, pw) + _ref_cross(pj, pb), _ref_cross(pu - eta * pj, pb)]
     )
-    hats = rfftn_batch(prods, n) * (g.dealias_mask_half / npts)
-    nu = _ref_cross(k, _ref_cross(hats[:3], k)) * g.inv_ksq_half
+    hats = rfftn_batch(prods, n) * (g.dealias_mask / npts)
+    nu = _ref_cross(k, _ref_cross(hats[:3], k)) * g.inv_ksq
     return nu, 1j * _ref_cross(k, hats[3:])
 
 
 def _ref_compute_rhs(state, params, mode):
     g = state.grid
-    half = g.dims // 2 + 1
-    nl = _ref_nonlinear(state.u.coeffs[..., :half], state.b.coeffs[..., :half], g, params, mode)
-    nl = _ref_half_to_full(np.concatenate(nl), g)
+    nl = np.concatenate(_ref_nonlinear(state.u.coeffs, state.b.coeffs, g, params, mode))
     dudt = nl[:3] - params.nu * g.ksq * state.u.coeffs
     dbdt = nl[3:] - params.mu * g.ksq * state.b.coeffs
     if mode == "hall_only":
@@ -242,11 +224,10 @@ def _ref_compute_rhs(state, params, mode):
 
 def _ref_step(state, config, *_):
     g, p, dt = state.grid, config.params, config.dt
-    eu_h = np.exp(-p.nu * g.ksq_half * (dt / 2.0))
-    eb_h = np.exp(-p.mu * g.ksq_half * (dt / 2.0))
+    eu_h = np.exp(-p.nu * g.ksq * (dt / 2.0))
+    eb_h = np.exp(-p.mu * g.ksq * (dt / 2.0))
     eu, eb = eu_h**2, eb_h**2
-    half = g.dims // 2 + 1
-    u0, b0 = state.u.coeffs[..., :half], state.b.coeffs[..., :half]
+    u0, b0 = state.u.coeffs, state.b.coeffs
     nl = lambda u, b: _ref_nonlinear(u, b, g, p, config.mode)
     k1u, k1b = nl(u0, b0)
     k2u, k2b = nl(eu_h * (u0 + 0.5 * dt * k1u), eb_h * (b0 + 0.5 * dt * k1b))
@@ -254,8 +235,7 @@ def _ref_step(state, config, *_):
     k4u, k4b = nl(eu * u0 + dt * eu_h * k3u, eb * b0 + dt * eb_h * k3b)
     u1 = eu * u0 + (dt / 6.0) * (eu * k1u + 2.0 * eu_h * (k2u + k3u) + k4u)
     b1 = eb * b0 + (dt / 6.0) * (eb * k1b + 2.0 * eb_h * (k2b + k3b) + k4b)
-    out = _ref_half_to_full(np.concatenate([u1, b1]), g)
-    return State(SpectralField(g, out[:3]), SpectralField(g, out[3:]), state.t + dt)
+    return State(SpectralField(g, u1), SpectralField(g, b1), state.t + dt)
 
 
 def _oracle_case(case, mode):
@@ -341,6 +321,24 @@ def test_divergence_drift_metric():
     x = g.coordinates()[0]
     bad = to_spectral(g, np.stack([np.sin(x), np.zeros_like(x), np.zeros_like(x)]))
     assert divergence_drift(bad) > 0.1
+
+
+def test_run_rejects_content_outside_dealias_cube():
+    g = Grid(3, 16)
+    st = make_initial("random_band", g, 67, (1.0, 1.0), SOB)
+    cfg = SolverConfig(PhysicalParams(0.05, 0.05, 0.1), SOB, 1e-3, 1e-3)
+    scale = np.abs(st.b.coeffs).max()
+    # k = (0, 0, 7) lies outside the 2/3 cube (|k_i| <= 16/3); x-polarized, so
+    # the mode is divergence-free and only the support check can object
+    for amplitude, ok in ((1e-13 * scale, True), (1e-11 * scale, False)):
+        b = st.b.coeffs.copy()
+        b[0, 0, 0, 7] = amplitude
+        bad = State(st.u, SpectralField(g, b), 0.0)
+        if ok:
+            run(bad, cfg)
+        else:
+            with pytest.raises(StateDriftError, match="b has .* of its largest amplitude outside the 2/3 dealias cube"):
+                run(bad, cfg)
 
 
 def test_integrator_fourth_order():
