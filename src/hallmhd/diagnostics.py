@@ -26,7 +26,7 @@ import numpy as np
 
 from .littlewood_paley import SobolevParams, shell_sums, sobolev_weights
 from .solver import PhysicalParams, SolverConfig, State, _outside_cube, run
-from .spectral import Grid, SpectralField, irfftn_batch, lp_norm, rfftn_batch
+from .spectral import Grid, SpectralField, dealias_cutoff, irfftn_batch, lp_norm, rfftn_batch
 
 
 @dataclass
@@ -271,7 +271,7 @@ def restrict_field(f: SpectralField, coarse) -> SpectralField:
 
 
 def _band_limit_ok(f: SpectralField, lam: int) -> bool:
-    return _outside_cube(f, (2.0 / 3.0) * (f.grid.dims / 2) / lam) <= 1e-13
+    return _outside_cube(f, dealias_cutoff(f.grid.dims) / lam) <= 1e-13
 
 
 def scaling_check(

@@ -6,7 +6,9 @@ Snapshot layout (little-endian):
     | time f64 | u components then b components as f64 physical-space arrays
     in axis-major (C) order.
 
-read(write(x)) is bit-exact.  CSVs print every float with 17 significant
+read(write(x)) is bit-exact.  read_snapshot checks the state's entry
+invariants: u and b divergence-free to 1e-8 and supported inside the 2/3
+dealias cube to 1e-12 of their largest amplitude.  CSVs print every float with 17 significant
 digits; files are written atomically (temp file + rename).
 """
 
@@ -21,7 +23,7 @@ import numpy as np
 
 from .diagnostics import balance_residuals, flux_terms, shell_energies
 from .littlewood_paley import SobolevParams
-from .solver import PhysicalParams, State
+from .solver import PhysicalParams, State, StateDriftError, _check_divergence, _check_support
 from .spectral import Grid, SpectralField, to_physical, to_spectral
 
 MAGIC = b"HMHD"
@@ -69,6 +71,8 @@ def write_snapshot(path, state: State) -> None:
 
 
 def read_snapshot(path) -> State:
+    """Read a snapshot; a malformed file or a state that breaks the entry
+    invariants raises a one-line ValueError naming the path (and the field)."""
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:4] != MAGIC:
@@ -99,7 +103,13 @@ def read_snapshot(path) -> State:
     b = to_spectral(grid, pb)
     u._phys_payload = (u.coeffs.copy(), pu)
     b._phys_payload = (b.coeffs.copy(), pb)
-    return State(u, b, t)
+    state = State(u, b, t)
+    try:
+        _check_divergence(state)
+        _check_support(state)
+    except StateDriftError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return state
 
 
 def snapshot_name(step: int) -> str:

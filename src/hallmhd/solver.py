@@ -13,8 +13,14 @@ dealiased scheme keeps it there.
 Time stepping is integrating-factor RK4: diffusion is propagated exactly by
 exp(-nu |k|^2 dt) / exp(-mu |k|^2 dt) and the (dealiased) quadratic terms are
 treated explicitly.  State, compute_rhs, step and run all hold the real-FFT
-half spectrum of spectral.SpectralField, so nothing is sliced or expanded
-between stages.  The stages write into the buffers of one _Workspace, which
+half spectrum of spectral.SpectralField, but under the 2/3 rule every state
+and every right-hand side is zero outside the dealias cube, so the spectral
+work runs on compact copies of that cube (spectral.gather_cube): the curls,
+the Leray form, the four stages and the combine.  Only the FFT input is a
+full half spectrum, one buffer whose modes outside the cube are never
+written; keeping the cube of the forward output is the dealiasing.  step and
+compute_rhs read only the cube of their input, and their output is exactly
+zero outside it.  The stages write into the buffers of one _Workspace, which
 run allocates per call and drops on return (a lone step or compute_rhs builds
 its own), through out= and in-place ufuncs in the order of the plain
 expressions; the 1/npoints of the transform pair is folded into the FFTs with
@@ -39,11 +45,14 @@ from .spectral import (
     Grid,
     SpectralField,
     advect,
+    dealias_cutoff,
     divergence,
+    gather_cube,
     irfftn_batch,
     leray_project,
     rfftn_batch,
     lp_norm,
+    scatter_cube,
     to_spectral,
 )
 
@@ -141,7 +150,7 @@ def _outside_cube(f: SpectralField, cutoff: float) -> float:
 def _check_support(state: State, rel: float = 1.0e-12) -> None:
     """Reject content outside the 2/3 dealias cube, where the curl-form
     nonlinearity no longer equals the divergence form."""
-    cutoff = (2.0 / 3.0) * (state.grid.dims / 2)
+    cutoff = dealias_cutoff(state.grid.dims)
     for name, f in (("u", state.u), ("b", state.b)):
         tail = _outside_cube(f, cutoff)
         if tail > rel:
@@ -161,21 +170,38 @@ def _cross_into(out: np.ndarray, a: np.ndarray, b: np.ndarray, tmp: np.ndarray) 
 
 
 class _Workspace:
-    """Buffers for the half-spectrum RHS and the IF-RK4 stages on one grid.
+    """Buffers for the RHS and the IF-RK4 stages on one grid.
 
-    spec holds the 12 spectral fields (u, w, b, j) sent to physical space and
-    prods the 6 physical products; stage is a step's stage input and slopes
-    three slope slots (the fourth slope reuses the third).  Pages are touched
-    only when written, so compute_rhs pays nothing for the stepping buffers.
+    The spectral work runs on compact copies of the 2/3 dealias cube
+    (spectral.gather_cube), about 30 % of the half spectrum in 3D: k and
+    inv_ksq, gathered once; x0, a step's input; stage, the stage input;
+    slopes, three slope slots (the fourth slope reuses the third); curls, the
+    spectral curls w and j, later scratch for the Leray form; hats, the
+    dealiased products; finite, the finiteness check.  spec is the one
+    half-spectrum FFT input, 12 fields (u, w, b, j); each RHS writes only its
+    cube, so everything outside stays zero for the life of the workspace.
+    prods holds the 6 physical products.  Pages are touched only when
+    written, so compute_rhs pays nothing for the stepping buffers.
     """
 
     def __init__(self, grid: Grid):
-        half = grid.half_shape
-        self.spec = np.empty((12, *half), dtype=complex)
+        cube = grid.cube_shape
+        self.k = gather_cube(grid.k, np.empty((3, *cube)))
+        self.inv_ksq = gather_cube(grid.inv_ksq, np.empty(cube))
+        self.spec = np.zeros((12, *grid.half_shape), dtype=complex)
         self.prods = np.empty((6, *grid.shape))
-        self.stage = np.empty((6, *half), dtype=complex)
-        self.slopes = np.empty((3, 6, *half), dtype=complex)
-        self.finite = np.empty((6, *half), dtype=bool)
+        self.curls = np.empty((6, *cube), dtype=complex)
+        self.hats = np.empty((6, *cube), dtype=complex)
+        self.x0 = np.empty((6, *cube), dtype=complex)
+        self.stage = np.empty((6, *cube), dtype=complex)
+        self.slopes = np.empty((3, 6, *cube), dtype=complex)
+        self.finite = np.empty((6, *cube), dtype=bool)
+
+    def load(self, state: State) -> np.ndarray:
+        """x0 <- the dealias cube of (u, b); returns x0."""
+        gather_cube(state.u.coeffs, self.x0[:3])
+        gather_cube(state.b.coeffs, self.x0[3:])
+        return self.x0
 
 
 def _nonlinear(
@@ -187,37 +213,40 @@ def _nonlinear(
     work: _Workspace,
     out: np.ndarray,
 ) -> None:
-    """Nonlinear right-hand sides (no diffusion) on the real-FFT half spectrum,
-    written to out = (du, db) with shape (6, *half_shape).
+    """Nonlinear right-hand sides (no diffusion) on the compact dealias cube:
+    u, b and out = (du, db) have shape (3, *cube_shape) and (6, *cube_shape).
 
     Momentum in rotational form P(u x w + j x b) with w = curl u, j = curl b;
     induction and Hall together as curl((u - eta j) x b).  Both equal the
     divergence-form terms for divergence-free states inside the 2/3 cube.
-    Full and mhd transform 12 fields in and 6 out; hall_only 6 in and 3 out.
+    (u, w, b, j) are formed on the cube and scattered into work.spec; full
+    and mhd transform 12 fields in and 6 out, hall_only 6 in and 3 out, and
+    only the cube of the forward output is kept, which is the 2/3 dealiasing.
     The transforms use norm="forward", which is exact: npoints is a power of two.
     """
     g = grid
-    n, k = g.n, g.k
+    n, k = g.n, work.k
     eta = 0.0 if mode == "mhd" else params.eta
-    spec, prods = work.spec, work.prods
+    spec, prods, curls, hats = work.spec, work.prods, work.curls, work.hats
     # out[0] is scratch until the results are written
-    np.copyto(spec[6:9], b)
-    _cross_into(spec[9:], k, b, out[0])
-    spec[9:] *= 1j
+    _cross_into(curls[3:], k, b, out[0])
+    curls[3:] *= 1j
+    scatter_cube(b, spec[6:9])
+    scatter_cube(curls[3:], spec[9:])
     if mode == "hall_only":
         pb, pj = np.split(irfftn_batch(spec[6:], n, g.shape, "forward"), 2)
         _cross_into(prods[:3], pj, pb, prods[3])
-        jxb = rfftn_batch(prods[:3], n, "forward")
-        jxb *= g.dealias_mask
+        jxb = gather_cube(rfftn_batch(prods[:3], n, "forward"), hats[:3])
         out[:3] = 0.0
-        _cross_into(out[3:], k, jxb, spec[0])
+        _cross_into(out[3:], k, jxb, curls[0])
         out[3:] *= 1j
         out[3:] *= -eta
         return
 
-    np.copyto(spec[:3], u)
-    _cross_into(spec[3:6], k, u, out[0])
-    spec[3:6] *= 1j
+    _cross_into(curls[:3], k, u, out[0])
+    curls[:3] *= 1j
+    scatter_cube(u, spec[:3])
+    scatter_cube(curls[:3], spec[3:6])
     pu, pw, pb, pj = np.split(irfftn_batch(spec, n, g.shape, "forward"), 4)
     # prods[3] and pw are scratch until the products that live there are formed
     _cross_into(prods[:3], pu, pw, prods[3])
@@ -226,46 +255,53 @@ def _nonlinear(
     pj *= eta
     np.subtract(pu, pj, out=pj)
     _cross_into(prods[3:], pj, pb, pw[0])
-    hats = rfftn_batch(prods, n, "forward")
-    hats *= g.dealias_mask
+    gather_cube(rfftn_batch(prods, n, "forward"), hats)
     # Leray projection as k x (w x k) / |k|^2: gradients along a lattice axis
     # cancel exactly, and so does the k = 0 mode, which vanishes analytically
-    _cross_into(spec[:3], hats[:3], k, spec[3])
-    _cross_into(out[:3], k, spec[:3], spec[3])
-    out[:3] *= g.inv_ksq
-    _cross_into(out[3:], k, hats[3:], spec[3])
+    _cross_into(curls[:3], hats[:3], k, curls[3])
+    _cross_into(out[:3], k, curls[:3], curls[3])
+    out[:3] *= work.inv_ksq
+    _cross_into(out[3:], k, hats[3:], curls[3])
     out[3:] *= 1j
 
 
 def compute_rhs(state: State, params: PhysicalParams, mode: str = "full"):
     """Full right-hand sides (du/dt, db/dt) including diffusion.
 
-    Raises StateDriftError if the input is not divergence-free to 1e-8.
+    Only the 2/3 dealias cube of the state is read, and the result is exactly
+    zero outside it.  Raises StateDriftError if the input is not
+    divergence-free to 1e-8 or has more than 1e-12 of its largest amplitude
+    outside the cube.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     _check_divergence(state)
+    _check_support(state)
     g = state.grid
-    nl = np.empty((6, *g.half_shape), dtype=complex)
-    _nonlinear(state.u.coeffs, state.b.coeffs, g, params, mode, _Workspace(g), nl)
-    nu_rhs, nb_rhs = nl[:3], nl[3:]
-    dudt = nu_rhs - params.nu * g.ksq * state.u.coeffs
-    dbdt = nb_rhs - params.mu * g.ksq * state.b.coeffs
+    work = _Workspace(g)
+    x = work.load(state)
+    nl = work.slopes[0]
+    _nonlinear(x[:3], x[3:], g, params, mode, work, nl)
+    ksq = gather_cube(g.ksq, np.empty(g.cube_shape))
+    nl[:3] -= params.nu * ksq * x[:3]
+    nl[3:] -= params.mu * ksq * x[3:]
     if mode == "hall_only":
-        dudt = np.zeros_like(dudt)
-    return SpectralField(g, dudt), SpectralField(g, dbdt)
+        nl[:3] = 0.0
+    rhs = scatter_cube(nl, np.zeros((6, *g.half_shape), dtype=complex))
+    return SpectralField(g, rhs[:3]), SpectralField(g, rhs[3:])
 
 
 def _ifrk4_factors(g: Grid, dt: float, p: PhysicalParams):
-    """Diffusion factors for u and for b: e_h = exp(-c|k|^2 dt/2),
-    e = e_h^2, dt e_h and 2 e_h (c = nu, mu); only the latest (dt, nu, mu) is
-    kept per grid."""
+    """Diffusion factors for u and for b on the compact dealias cube:
+    e_h = exp(-c|k|^2 dt/2), e = e_h^2, dt e_h and 2 e_h (c = nu, mu); only
+    the latest (dt, nu, mu) is kept per grid."""
     key = (dt, p.nu, p.mu)
     cached = g._cache.get("ifrk4")
     if cached is None or cached[0] != key:
+        ksq = gather_cube(g.ksq, np.empty(g.cube_shape))
         factors = []
         for c in (p.nu, p.mu):
-            e_h = np.exp(-c * g.ksq * (dt / 2.0))
+            e_h = np.exp(-c * ksq * (dt / 2.0))
             factors.append((e_h, e_h**2, dt * e_h, 2.0 * e_h))
         cached = (key, tuple(factors))
         g._cache["ifrk4"] = cached
@@ -275,18 +311,20 @@ def _ifrk4_factors(g: Grid, dt: float, p: PhysicalParams):
 def step(state: State, config: SolverConfig, work: _Workspace | None = None) -> State:
     """One integrating-factor RK4 step; diffusion propagated exactly.
 
-    All four stages and the combine run in place in the buffers of work (a
-    fresh workspace if none is given); the result shares no memory with work.
+    Only the 2/3 dealias cube of the state is read, and the new state is
+    exactly zero outside it.  All four stages and the combine run in place on
+    the compact cube buffers of work (a fresh workspace if none is given);
+    the result shares no memory with work.
     """
     g = state.grid
     p = config.params
     dt = config.dt
     if work is None:
         work = _Workspace(g)
-    x0 = (state.u.coeffs, state.b.coeffs)
+    x0 = work.load(state)
     parts = [
-        (slice(3 * i, 3 * i + 3), x, *factors)
-        for i, (x, factors) in enumerate(zip(x0, _ifrk4_factors(g, dt, p)))
+        (slice(3 * i, 3 * i + 3), x0[3 * i : 3 * i + 3], *factors)
+        for i, factors in enumerate(_ifrk4_factors(g, dt, p))
     ]
     y, (s1, s2, s3) = work.stage, work.slopes
 
@@ -294,7 +332,7 @@ def step(state: State, config: SolverConfig, work: _Workspace | None = None) -> 
         _nonlinear(u, b, g, p, config.mode, work, out)
 
     # y <- e_h (x0 + dt/2 k1)
-    rhs(*x0, s1)
+    rhs(x0[:3], x0[3:], s1)
     for sl, x, e_h, e, dt_e_h, two_e_h in parts:
         np.multiply(s1[sl], 0.5 * dt, out=y[sl])
         np.add(x, y[sl], out=y[sl])
@@ -326,7 +364,7 @@ def step(state: State, config: SolverConfig, work: _Workspace | None = None) -> 
     t1 = state.t + dt
     if not np.isfinite(y, out=work.finite).all():
         raise BlowUpError(f"numerical blow-up at t={t1}")
-    out = y.copy()
+    out = scatter_cube(y, np.zeros((6, *g.half_shape), dtype=complex))
     return State(SpectralField(g, out[:3]), SpectralField(g, out[3:]), t1)
 
 

@@ -15,6 +15,8 @@ curl and cross products remain well defined at 2D cost.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import os
 from dataclasses import dataclass, field
 
@@ -46,6 +48,50 @@ def irfftn_batch(arr: np.ndarray, n: int, shape: tuple, norm: str | None = None)
     """Inverse real FFT over the last n axes back to the given spatial shape;
     norm as in scipy.fft ("forward" leaves the inverse unscaled)."""
     return sfft.irfftn(arr, s=shape, axes=tuple(range(-n, 0)), norm=norm, workers=_workers())
+
+
+def dealias_cutoff(dims: int) -> int:
+    """kc = floor((2/3)(dims/2)): the 2/3 rule keeps the modes with |k_i| <= kc
+    on every axis, the dealias cube."""
+    return dims // 3
+
+
+@functools.lru_cache(maxsize=32)
+def _cube_blocks(full_shape: tuple, comp_shape: tuple) -> tuple:
+    """(full, compact) index pairs of the slab blocks that make up the dealias
+    cube.  The spatial axes are the trailing ones whose lengths differ between
+    the half spectrum and the cube; leading batch axes match and are taken
+    whole.  A leading spatial axis has two blocks, k = 0 .. kc and -kc .. -1;
+    the last (half) axis has one, k_last = 0 .. kc."""
+    if len(full_shape) != len(comp_shape):
+        raise ValueError(f"rank mismatch: {full_shape} vs {comp_shape}")
+    kc = comp_shape[-1] - 1
+    dims = 2 * (full_shape[-1] - 1)
+    axes = [[(slice(None), slice(None))] if f == c else
+            [(slice(0, kc + 1), slice(0, kc + 1)), (slice(dims - kc, None), slice(kc + 1, None))]
+            for f, c in zip(full_shape[:-1], comp_shape[:-1])]
+    axes.append([(slice(0, kc + 1), slice(None))])
+    return tuple(tuple(zip(*pairs)) for pairs in itertools.product(*axes))
+
+
+def gather_cube(full: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Copy the dealias cube of a half-spectrum array into its compact form.
+
+    out has the cube shape (2kc+1,)*(n-1) + (kc+1,) on its trailing axes, the
+    leading spatial axes ordered k = 0 .. kc, -kc .. -1 (kc = dealias_cutoff);
+    2**(n-1) slab copies.  Returns out.
+    """
+    for f, c in _cube_blocks(full.shape, out.shape):
+        out[c] = full[f]
+    return out
+
+
+def scatter_cube(comp: np.ndarray, full: np.ndarray) -> np.ndarray:
+    """Write a compact cube array into the cube of a half-spectrum array; the
+    modes of full outside the cube are left as they are.  Returns full."""
+    for f, c in _cube_blocks(full.shape, comp.shape):
+        full[f] = comp[c]
+    return full
 
 
 @dataclass(frozen=True)
@@ -135,14 +181,18 @@ class Grid:
         return self._cached("inv_ksq", build)
 
     @property
+    def cube_shape(self) -> tuple:
+        """Shape of the compact 2/3 dealias cube; see gather_cube."""
+        kc = dealias_cutoff(self.dims)
+        return (2 * kc + 1,) * (self.n - 1) + (kc + 1,)
+
+    @property
     def dealias_mask(self) -> np.ndarray:
-        """2/3-rule mask: zero every mode with |k_i| > (2/3)(dims/2) on any axis."""
+        """2/3-rule mask on the half spectrum: True exactly on the dealias cube."""
 
         def build():
-            cutoff = (2.0 / 3.0) * (self.dims / 2)
-            keep = np.ones(self.half_shape, dtype=bool)
-            for i in range(self.n):
-                keep &= np.abs(self.k[i]) <= cutoff
+            keep = np.zeros(self.half_shape, dtype=bool)
+            scatter_cube(np.ones(self.cube_shape, dtype=bool), keep)
             return keep
 
         return self._cached("dealias", build)

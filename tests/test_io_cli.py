@@ -7,7 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from hallmhd import Grid, PhysicalParams, SobolevParams, SolverConfig, make_initial, run
+from hallmhd import Grid, PhysicalParams, SobolevParams, SolverConfig, State, make_initial, run
 from hallmhd import cli, snapshots
 from hallmhd.cli import main
 from hallmhd.config import RunConfig, load_config, parse_config
@@ -22,7 +22,7 @@ from hallmhd.snapshots import (
     write_snapshot,
 )
 from hallmhd.solver import BlowUpError
-from hallmhd.spectral import _workers, lp_norm, to_physical
+from hallmhd.spectral import _workers, lp_norm, to_physical, to_spectral
 
 SOB = SobolevParams(1.0, 1.75, 0.25)
 
@@ -96,6 +96,42 @@ def test_snapshot_corruption_errors(tmp_path, small_state):
     bad.write_bytes(bytes(unequal))
     with pytest.raises(ValueError, match="unequal"):
         read_snapshot(bad)
+
+
+def _crafted_snapshots(run_dir, state):
+    """Two snapshots that break an entry invariant: b = (sin x, 0, 0) is not
+    divergence-free; u gains a mode at |k_1| = kmax = 7, outside the 2/3 cube."""
+    g = state.grid
+    x = g.coordinates()[0]
+    zero = np.zeros_like(x)
+    divergent = State(state.u, to_spectral(g, np.stack([np.sin(x), zero, zero])), 0.0)
+    wide = State(state.u + to_spectral(g, np.stack([zero, np.cos(7 * x), zero])), state.b, 0.0)
+    paths = {}
+    for name, st, field in (("div", divergent, "div b"), ("wide", wide, "u has")):
+        paths[run_dir / f"{name}.hmhd"] = field
+        write_snapshot(run_dir / f"{name}.hmhd", st)
+    return paths
+
+
+def test_read_snapshot_checks_entry_invariants(tmp_path, small_state):
+    for path, field in _crafted_snapshots(tmp_path, small_state).items():
+        with pytest.raises(ValueError) as info:
+            read_snapshot(path)
+        msg = str(info.value)
+        assert msg.startswith(f"{path}: state drift: {field}") and "\n" not in msg
+
+
+def test_analyze_rejects_crafted_snapshot(tmp_path, capsys, small_state):
+    for path, field in _crafted_snapshots(tmp_path, small_state).items():
+        run_dir = tmp_path / path.stem
+        run_dir.mkdir()
+        (run_dir / "config.txt").write_text("grid.dims = 16\n")
+        os.replace(path, run_dir / snapshot_name(0))
+        rc = main(["analyze", "--run", str(run_dir)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith(f"error: {run_dir / snapshot_name(0)}: state drift: {field}")
 
 
 def test_snapshot_names_sorted(tmp_path, small_state):

@@ -341,6 +341,43 @@ def test_run_rejects_content_outside_dealias_cube():
                 run(bad, cfg)
 
 
+def test_compute_rhs_rejects_content_outside_dealias_cube():
+    g = Grid(3, 16)
+    st = make_initial("random_band", g, 67, (1.0, 1.0), SOB)
+    u = st.u.coeffs.copy()
+    u[0, 0, 0, 7] = 1e-11 * np.abs(u).max()  # k = (0, 0, 7), x-polarized: divergence-free
+    with pytest.raises(StateDriftError, match="u has .* outside the 2/3 dealias cube"):
+        compute_rhs(State(SpectralField(g, u), st.b, 0.0), PhysicalParams(0.05, 0.05, 0.1))
+
+
+def test_step_reads_only_the_dealias_cube():
+    # a tail below the 1e-12 entry tolerance is dropped, not carried: the
+    # step of the tailed state equals that of the truncated one bit for bit
+    st, cfg = _oracle_case((3, 16, "random_band"), "full")
+    g = st.grid
+    rng = np.random.default_rng(68)
+    tailed = []
+    for f in (st.u, st.b):
+        tail = rng.standard_normal(f.coeffs.shape) * (1e-13 * np.abs(f.coeffs).max())
+        tailed.append(SpectralField(g, np.where(g.dealias_mask, f.coeffs, tail)))
+    got = step(State(*tailed, 0.0), cfg)
+    ref = step(st, cfg)
+    assert np.array_equal(got.u.coeffs, ref.u.coeffs)
+    assert np.array_equal(got.b.coeffs, ref.b.coeffs)
+    du, db = compute_rhs(State(*tailed, 0.0), cfg.params)
+    du_r, db_r = compute_rhs(st, cfg.params)
+    assert np.array_equal(du.coeffs, du_r.coeffs) and np.array_equal(db.coeffs, db_r.coeffs)
+
+
+@pytest.mark.parametrize("mode", ["full", "hall_only"])
+def test_step_and_rhs_zero_outside_dealias_cube(mode):
+    st, cfg = _oracle_case((3, 16, "random_band"), mode)
+    outside = ~st.grid.dealias_mask
+    stepped = step(st, cfg)
+    for f in (stepped.u, stepped.b, *compute_rhs(st, cfg.params, mode)):
+        assert not f.coeffs[:, outside].any()
+
+
 def test_integrator_fourth_order():
     # Richardson: error(dt) / error(dt/2) ~ 16 against a much finer reference;
     # amplitudes chosen so the time error sits far above roundoff

@@ -15,6 +15,7 @@ from hallmhd.spectral import (
     curl,
     dealias,
     divergence,
+    gather_cube,
     gradient,
     inner_product,
     laplacian,
@@ -22,6 +23,7 @@ from hallmhd.spectral import (
     lp_norm,
     multiply,
     partial_derivative,
+    scatter_cube,
     to_physical,
     to_spectral,
 )
@@ -140,6 +142,25 @@ def test_dealias_mask_two_thirds(grid):
     k = grid.k
     inside = (np.abs(k[0]) <= 16 / 3) & (np.abs(k[1]) <= 16 / 3) & (np.abs(k[2]) <= 16 / 3)
     assert np.array_equal(mask, inside)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("dims", [16, 32, 64, 128])
+def test_cube_helpers_match_dealias_mask(n, dims):
+    # no FFT plan is built: the cube and the mask come from dims alone
+    g = Grid(n, dims)
+    kc = dims // 3
+    assert g.cube_shape == (2 * kc + 1,) * (n - 1) + (kc + 1,)
+    ones = scatter_cube(np.ones(g.cube_shape, dtype=bool), np.zeros(g.half_shape, dtype=bool))
+    assert np.array_equal(ones, g.dealias_mask)
+    k = g.k[:n]
+    assert np.array_equal(g.dealias_mask, (np.abs(k) <= (2.0 / 3.0) * (dims / 2)).all(axis=0))
+    comp = np.random.default_rng(dims + n).standard_normal((2, *g.cube_shape))
+    full = scatter_cube(comp, np.zeros((2, *g.half_shape)))
+    assert np.array_equal(gather_cube(full, np.empty_like(comp)), comp)
+    # leading axes of the cube run k = 0 .. kc, -kc .. -1
+    kx = gather_cube(g.k, np.empty((3, *g.cube_shape)))[0]
+    assert np.array_equal(kx[(slice(None),) + (0,) * (n - 1)], np.r_[0 : kc + 1, -kc:0])
 
 
 def test_multiply_matches_product_formula(grid):
