@@ -8,8 +8,8 @@ Snapshot layout (little-endian):
 
 read(write(x)) is bit-exact.  read_snapshot checks the state's entry
 invariants: u and b divergence-free to 1e-8 and supported inside the 2/3
-dealias cube to 1e-12 of their largest amplitude.  CSVs print every float with 17 significant
-digits; files are written atomically (temp file + rename).
+dealias cube to 1e-12 of their largest amplitude.  CSVs print every float
+with 17 significant digits; files are written atomically (temp file + rename).
 """
 
 from __future__ import annotations

@@ -7,7 +7,9 @@ at k.  Amplitudes are normalized so that a constant field c has coefficient c
 at k = 0.  A sum over the whole lattice (Parseval) counts every interior
 k_last plane twice, for k and -k, through grid.hermitian_weight.  All
 differential operators are exact Fourier multipliers; products are formed
-pointwise in physical space and dealiased by the 2/3 rule.
+pointwise in physical space and dealiased by the 2/3 rule, which keeps the
+cube |k_i| <= dealias_cutoff(dims) = dims // 3; gather_cube and scatter_cube
+copy that cube to and from a compact array.
 
 2D grids carry 3-component fields that depend on (x, y) only ("2.5D"), so
 curl and cross products remain well defined at 2D cost.
