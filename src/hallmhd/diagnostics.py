@@ -9,13 +9,14 @@ Every dyadic quantity is a weighted spectral sum: by Parseval,
 lambda_q^{2s} <Delta_q F, Delta_q f> = lambda_q^{2s} (2 pi)^n sum_k
 phi_q(|k|)^2 Re(F_k . conj f_k), so shell energies and dissipations contract
 |f_k|^2 and |k|^2 |f_k|^2 against the shell multipliers and no shell is ever
-materialized.  The fluxes take one inverse transform of 24 half-spectrum
-fields (u, b, grad u, grad b; j = curl b is formed pointwise from grad b), the
-five dealiased products u.grad u, b.grad b, u.grad b, b.grad u and j x b, and
-one forward transform of those 15 fields.  These are the divergence-form
-products of the energy identities, not the curl forms the solver steps with.
-I5 pairs j x b with i k x b_k, since curl commutes with Delta_q, and carries
-the Hall coefficient with the sign that closes the identity.
+materialized.  The fluxes are one call of spectral.dealiased_product, the
+home of the transform pair, its normalization and the 2/3 rule: the 24
+half-spectrum fields u, b, grad u, grad b in (j = curl b is formed pointwise
+from grad b), the 15 of u.grad u, b.grad b, u.grad b, b.grad u and j x b
+back.  These are the divergence-form products of the energy identities, not
+the curl forms the solver steps with.  I5 pairs j x b with i k x b_k, since
+curl commutes with Delta_q, and carries the Hall coefficient with the sign
+that closes the identity.
 """
 
 from __future__ import annotations
@@ -26,7 +27,9 @@ import numpy as np
 
 from .littlewood_paley import SobolevParams, shell_sums, sobolev_weights
 from .solver import PhysicalParams, SolverConfig, State, _outside_cube, run
-from .spectral import Grid, SpectralField, dealias_cutoff, irfftn_batch, lp_norm, rfftn_batch
+from .spectral import (
+    Grid, SpectralField, cross_into, curl, dealias_cutoff, dealiased_product, lp_norm, scatter_cube
+)
 
 
 @dataclass
@@ -57,16 +60,6 @@ def _power(coeffs: np.ndarray) -> np.ndarray:
     return (coeffs.real**2 + coeffs.imag**2).sum(axis=0)
 
 
-def _real_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Re(a_k . conj(b_k)) summed over components."""
-    return (a.real * b.real + a.imag * b.imag).sum(axis=0)
-
-
-def _transport(a: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """(a . grad) f pointwise, with grad[j, m] = d_j f_m."""
-    return a[0] * grad[0] + a[1] * grad[1] + a[2] * grad[2]
-
-
 def shell_energies(state: State, sob: SobolevParams) -> ShellEnergyRecord:
     g = state.grid
     pu, pb = _power(state.u.coeffs), _power(state.b.coeffs)
@@ -77,35 +70,27 @@ def shell_energies(state: State, sob: SobolevParams) -> ShellEnergyRecord:
 
 def flux_terms(state: State, params: PhysicalParams, sob: SobolevParams) -> FluxRecord:
     g = state.grid
-    n, npts, k = g.n, g.npoints, g.k
     u, b = state.u.coeffs, state.b.coeffs
-    grads = [(1j * k[:, None] * f).reshape((9,) + g.half_shape) for f in (u, b)]
-    phys = irfftn_batch(np.concatenate([u, b, *grads]) * npts, n, g.shape)
-    pu, pb = phys[:3], phys[3:6]
-    du = phys[6:15].reshape((3, 3) + g.shape)
-    db = phys[15:].reshape((3, 3) + g.shape)
-    pj = np.stack([db[1, 2] - db[2, 1], db[2, 0] - db[0, 2], db[0, 1] - db[1, 0]])
-    prods = np.concatenate(
-        [
-            _transport(pu, du),
-            _transport(pb, db),
-            _transport(pu, db),
-            _transport(pb, du),
-            np.cross(pj, pb, axis=0),
-        ]
-    )
-    hats = rfftn_batch(prods, n) * (g.dealias_mask / npts)
-    curl_b = 1j * np.cross(k, b, axis=0)
-    power = np.stack(
-        [
-            _real_dot(hats[0:3], u),
-            _real_dot(hats[3:6], u),
-            _real_dot(hats[6:9], b),
-            _real_dot(hats[9:12], b),
-            _real_dot(hats[12:15], curl_b),
-        ]
-    )
-    sums = (2.0 * np.pi) ** n * shell_sums(g, power)
+    grads = [(1j * g.k[:, None] * f).reshape((9,) + g.half_shape) for f in (u, b)]
+
+    def products(phys):
+        pu, pb = phys[:3], phys[3:6]
+        du, db = phys[6:].reshape((2, 3, 3) + g.shape)
+        prods = np.empty((15,) + g.shape)
+        # (a . grad) f, with grad[j, m] = d_j f_m
+        for i, (a, grad) in enumerate(((pu, du), (pb, db), (pu, db), (pb, du))):
+            prods[3 * i : 3 * i + 3] = a[0] * grad[0] + a[1] * grad[1] + a[2] * grad[2]
+        pj = np.stack([db[1, 2] - db[2, 1], db[2, 0] - db[0, 2], db[0, 1] - db[1, 0]])
+        # pu is spent, so phys[0] is scratch
+        cross_into(prods[12:], pj, pb, phys[0])
+        return prods
+
+    cube = dealiased_product(g, np.concatenate([u, b, *grads]), products)
+    hats = scatter_cube(cube, np.zeros((15,) + g.half_shape, dtype=complex))
+    # Re(hat_k . conj f_k) of each product and the field its flux tests it against
+    tested = zip(np.split(hats, 5), (u, u, b, b, curl(state.b).coeffs))
+    power = np.stack([(h.real * f.real + h.imag * f.imag).sum(axis=0) for h, f in tested])
+    sums = (2.0 * np.pi) ** g.n * shell_sums(g, power)
     ws, wr = sobolev_weights(g, sob.s), sobolev_weights(g, sob.r)
     return FluxRecord(
         state.t,
@@ -271,7 +256,8 @@ def restrict_field(f: SpectralField, coarse) -> SpectralField:
 
 
 def _band_limit_ok(f: SpectralField, lam: int) -> bool:
-    return _outside_cube(f, dealias_cutoff(f.grid.dims) / lam) <= 1e-13
+    # |k_i| > kc / lam and |k_i| > kc // lam agree on integer wavenumbers
+    return _outside_cube(f, dealias_cutoff(f.grid.dims) // lam) <= 1e-13
 
 
 def scaling_check(

@@ -4,9 +4,9 @@ With w = curl u and j = curl b, the nonlinearity is evaluated in curl form:
 the momentum term in rotational form P(u x w + j x b), where the Leray
 projection P also removes the pressure and the |u|^2/2, |b|^2/2 gradients,
 and the induction and Hall terms together as curl((u - eta j) x b).  That is
-six pointwise products per right-hand side: 12 fields transformed to physical
-space and 6 back (18 FFT fields; 6 + 3 = 9 in hall_only).  The curl form
-equals the divergence form only for divergence-free states supported inside
+six pointwise products per right-hand side from spectral.dealiased_product:
+12 fields to physical space and 6 back (18 FFT fields; 9 in hall_only).  The
+curl form equals the divergence form only for divergence-free states inside
 the 2/3 dealias cube, so make_initial cuts its data to that cube and the
 dealiased scheme keeps it there.
 
@@ -18,13 +18,13 @@ and every right-hand side is zero outside the dealias cube, so the spectral
 work runs on compact copies of that cube (spectral.gather_cube): the curls,
 the Leray form, the four stages and the combine.  Only the FFT input is a
 full half spectrum, one buffer whose modes outside the cube are never
-written; keeping the cube of the forward output is the dealiasing.  step and
+written; the transform pair, its normalization and the dealiasing are
+dealiased_product's, which returns the cube of the products.  step and
 compute_rhs read only the cube of their input, and their output is exactly
 zero outside it.  The stages write into the buffers of one _Workspace, which
 run allocates per call and drops on return (a lone step or compute_rhs builds
-its own), through out= and in-place ufuncs in the order of the plain
-expressions; the 1/npoints of the transform pair is folded into the FFTs with
-norm="forward", exact because npoints is a power of two.  Modes:
+its own), through out=, in-place ufuncs and spectral.cross_into, in the order
+of the plain expressions.  Modes:
 
   full      - the complete system,
   mhd       - Hall coefficient forced to zero,
@@ -44,13 +44,15 @@ from .random_fields import random_band_field
 from .spectral import (
     Grid,
     SpectralField,
+    _expanded,
     advect,
+    cross_into,
+    dealias,
     dealias_cutoff,
+    dealiased_product,
     divergence,
     gather_cube,
-    irfftn_batch,
     leray_project,
-    rfftn_batch,
     lp_norm,
     scatter_cube,
     to_spectral,
@@ -138,13 +140,14 @@ def _check_divergence(state: State, tol: float = 1.0e-8) -> None:
             )
 
 
-def _outside_cube(f: SpectralField, cutoff: float) -> float:
+def _outside_cube(f: SpectralField, cutoff: int) -> float:
     """Largest |coefficient| with some |k_i| > cutoff, relative to the largest
     of all (0 for a zero field)."""
-    outside = (np.abs(f.grid.k) > cutoff).any(axis=0)
     mag = np.abs(f.coeffs)
     peak = mag.max(initial=0.0)
-    return float(mag[:, outside].max(initial=0.0) / peak) if peak > 0 else 0.0
+    # zero the cube |k_i| <= cutoff; what is left lies outside it
+    scatter_cube(np.zeros((f.m,) + (2 * cutoff + 1,) * (f.grid.n - 1) + (cutoff + 1,)), mag)
+    return float(mag.max() / peak) if peak > 0 else 0.0
 
 
 def _check_support(state: State, rel: float = 1.0e-12) -> None:
@@ -160,21 +163,12 @@ def _check_support(state: State, rel: float = 1.0e-12) -> None:
             )
 
 
-def _cross_into(out: np.ndarray, a: np.ndarray, b: np.ndarray, tmp: np.ndarray) -> None:
-    """out = a x b, one component at a time; tmp is a one-component scratch
-    field, and out must share no memory with a, b or tmp."""
-    for i, j, l in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        np.multiply(a[j], b[l], out=out[i])
-        np.multiply(a[l], b[j], out=tmp)
-        np.subtract(out[i], tmp, out=out[i])
-
-
 class _Workspace:
     """Buffers for the RHS and the IF-RK4 stages on one grid.
 
     The spectral work runs on compact copies of the 2/3 dealias cube
-    (spectral.gather_cube), about 30 % of the half spectrum in 3D: k and
-    inv_ksq, gathered once; x0, a step's input; stage, the stage input;
+    (spectral.gather_cube), about 30 % of the half spectrum in 3D: k, ksq
+    and inv_ksq, gathered once; x0, a step's input; stage, the stage input;
     slopes, three slope slots (the fourth slope reuses the third); curls, the
     spectral curls w and j, later scratch for the Leray form; hats, the
     dealiased products; finite, the finiteness check.  spec is the one
@@ -187,6 +181,7 @@ class _Workspace:
     def __init__(self, grid: Grid):
         cube = grid.cube_shape
         self.k = gather_cube(grid.k, np.empty((3, *cube)))
+        self.ksq = gather_cube(grid.ksq, np.empty(cube))
         self.inv_ksq = gather_cube(grid.inv_ksq, np.empty(cube))
         self.spec = np.zeros((12, *grid.half_shape), dtype=complex)
         self.prods = np.empty((6, *grid.shape))
@@ -219,49 +214,52 @@ def _nonlinear(
     Momentum in rotational form P(u x w + j x b) with w = curl u, j = curl b;
     induction and Hall together as curl((u - eta j) x b).  Both equal the
     divergence-form terms for divergence-free states inside the 2/3 cube.
-    (u, w, b, j) are formed on the cube and scattered into work.spec; full
-    and mhd transform 12 fields in and 6 out, hall_only 6 in and 3 out, and
-    only the cube of the forward output is kept, which is the 2/3 dealiasing.
-    The transforms use norm="forward", which is exact: npoints is a power of two.
+    (u, w, b, j) are formed on the cube and scattered into work.spec, and
+    spectral.dealiased_product forms the products in work.prods and returns
+    their cube in work.hats (12 fields in and 6 out; 6 and 3 in hall_only).
     """
-    g = grid
-    n, k = g.n, work.k
+    k = work.k
     eta = 0.0 if mode == "mhd" else params.eta
     spec, prods, curls, hats = work.spec, work.prods, work.curls, work.hats
     # out[0] is scratch until the results are written
-    _cross_into(curls[3:], k, b, out[0])
+    cross_into(curls[3:], k, b, out[0])
     curls[3:] *= 1j
     scatter_cube(b, spec[6:9])
     scatter_cube(curls[3:], spec[9:])
     if mode == "hall_only":
-        pb, pj = np.split(irfftn_batch(spec[6:], n, g.shape, "forward"), 2)
-        _cross_into(prods[:3], pj, pb, prods[3])
-        jxb = gather_cube(rfftn_batch(prods[:3], n, "forward"), hats[:3])
+        # j x b from the physical (b, j)
+        jxb = dealiased_product(
+            grid, spec[6:], lambda phys: cross_into(prods[:3], phys[3:], phys[:3], prods[3]), hats[:3]
+        )
         out[:3] = 0.0
-        _cross_into(out[3:], k, jxb, curls[0])
+        cross_into(out[3:], k, jxb, curls[0])
         out[3:] *= 1j
         out[3:] *= -eta
         return
 
-    _cross_into(curls[:3], k, u, out[0])
+    cross_into(curls[:3], k, u, out[0])
     curls[:3] *= 1j
     scatter_cube(u, spec[:3])
     scatter_cube(curls[:3], spec[3:6])
-    pu, pw, pb, pj = np.split(irfftn_batch(spec, n, g.shape, "forward"), 4)
-    # prods[3] and pw are scratch until the products that live there are formed
-    _cross_into(prods[:3], pu, pw, prods[3])
-    _cross_into(pw, pj, pb, prods[3])
-    prods[:3] += pw
-    pj *= eta
-    np.subtract(pu, pj, out=pj)
-    _cross_into(prods[3:], pj, pb, pw[0])
-    gather_cube(rfftn_batch(prods, n, "forward"), hats)
+
+    def products(phys):
+        pu, pw, pb, pj = np.split(phys, 4)
+        # prods[3] and pw are scratch until the products that live there are formed
+        cross_into(prods[:3], pu, pw, prods[3])
+        cross_into(pw, pj, pb, prods[3])
+        prods[:3] += pw
+        pj *= eta
+        np.subtract(pu, pj, out=pj)
+        cross_into(prods[3:], pj, pb, pw[0])
+        return prods
+
+    dealiased_product(grid, spec, products, hats)
     # Leray projection as k x (w x k) / |k|^2: gradients along a lattice axis
     # cancel exactly, and so does the k = 0 mode, which vanishes analytically
-    _cross_into(curls[:3], hats[:3], k, curls[3])
-    _cross_into(out[:3], k, curls[:3], curls[3])
+    cross_into(curls[:3], hats[:3], k, curls[3])
+    cross_into(out[:3], k, curls[:3], curls[3])
     out[:3] *= work.inv_ksq
-    _cross_into(out[3:], k, hats[3:], curls[3])
+    cross_into(out[3:], k, hats[3:], curls[3])
     out[3:] *= 1j
 
 
@@ -282,23 +280,20 @@ def compute_rhs(state: State, params: PhysicalParams, mode: str = "full"):
     x = work.load(state)
     nl = work.slopes[0]
     _nonlinear(x[:3], x[3:], g, params, mode, work, nl)
-    ksq = gather_cube(g.ksq, np.empty(g.cube_shape))
-    nl[:3] -= params.nu * ksq * x[:3]
-    nl[3:] -= params.mu * ksq * x[3:]
+    nl[:3] -= params.nu * work.ksq * x[:3]
+    nl[3:] -= params.mu * work.ksq * x[3:]
     if mode == "hall_only":
         nl[:3] = 0.0
-    rhs = scatter_cube(nl, np.zeros((6, *g.half_shape), dtype=complex))
-    return SpectralField(g, rhs[:3]), SpectralField(g, rhs[3:])
+    return _expanded(g, nl[:3]), _expanded(g, nl[3:])
 
 
-def _ifrk4_factors(g: Grid, dt: float, p: PhysicalParams):
-    """Diffusion factors for u and for b on the compact dealias cube:
-    e_h = exp(-c|k|^2 dt/2), e = e_h^2, dt e_h and 2 e_h (c = nu, mu); only
-    the latest (dt, nu, mu) is kept per grid."""
+def _ifrk4_factors(g: Grid, ksq: np.ndarray, dt: float, p: PhysicalParams):
+    """Diffusion factors for u and for b on the compact dealias cube, whose
+    |k|^2 is ksq: e_h = exp(-c|k|^2 dt/2), e = e_h^2, dt e_h and 2 e_h
+    (c = nu, mu); only the latest (dt, nu, mu) is kept per grid."""
     key = (dt, p.nu, p.mu)
     cached = g._cache.get("ifrk4")
     if cached is None or cached[0] != key:
-        ksq = gather_cube(g.ksq, np.empty(g.cube_shape))
         factors = []
         for c in (p.nu, p.mu):
             e_h = np.exp(-c * ksq * (dt / 2.0))
@@ -324,7 +319,7 @@ def step(state: State, config: SolverConfig, work: _Workspace | None = None) -> 
     x0 = work.load(state)
     parts = [
         (slice(3 * i, 3 * i + 3), x0[3 * i : 3 * i + 3], *factors)
-        for i, factors in enumerate(_ifrk4_factors(g, dt, p))
+        for i, factors in enumerate(_ifrk4_factors(g, work.ksq, dt, p))
     ]
     y, (s1, s2, s3) = work.stage, work.slopes
 
@@ -364,8 +359,7 @@ def step(state: State, config: SolverConfig, work: _Workspace | None = None) -> 
     t1 = state.t + dt
     if not np.isfinite(y, out=work.finite).all():
         raise BlowUpError(f"numerical blow-up at t={t1}")
-    out = scatter_cube(y, np.zeros((6, *g.half_shape), dtype=complex))
-    return State(SpectralField(g, out[:3]), SpectralField(g, out[3:]), t1)
+    return State(_expanded(g, y[:3]), _expanded(g, y[3:]), t1)
 
 
 def cfl_advisory_dt(state: State, params: PhysicalParams, c: float = 0.5) -> float:
@@ -528,7 +522,7 @@ def make_initial(
         raise ValueError(f"unknown initial kind {kind!r}")
 
     # the curl-form nonlinearity matches the divergence form only inside the 2/3 cube
-    u, b = (SpectralField(grid, np.where(grid.dealias_mask, f.coeffs, 0.0)) for f in (u, b))
+    u, b = dealias(u), dealias(b)
     if target_norms is not None:
         tu, tb = target_norms
         u = _rescale(u, sob.s, tu, kind, seed)

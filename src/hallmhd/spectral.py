@@ -6,10 +6,11 @@ with k_last = 0 .. dims/2, the amplitude at -k being the conjugate of the one
 at k.  Amplitudes are normalized so that a constant field c has coefficient c
 at k = 0.  A sum over the whole lattice (Parseval) counts every interior
 k_last plane twice, for k and -k, through grid.hermitian_weight.  All
-differential operators are exact Fourier multipliers; products are formed
-pointwise in physical space and dealiased by the 2/3 rule, which keeps the
-cube |k_i| <= dealias_cutoff(dims) = dims // 3; gather_cube and scatter_cube
-copy that cube to and from a compact array.
+differential operators are exact Fourier multipliers, and cross_into is the
+one cross-product kernel.  Every product goes through dealiased_product, the
+one home of the transform pair, its normalization and the 2/3 rule, which
+keeps the cube |k_i| <= dealias_cutoff(dims) = dims // 3; gather_cube and
+scatter_cube copy that cube to and from a compact array.
 
 2D grids carry 3-component fields that depend on (x, y) only ("2.5D"), so
 curl and cross products remain well defined at 2D cost.
@@ -283,6 +284,37 @@ def to_spectral(grid: Grid, values: np.ndarray) -> SpectralField:
     return SpectralField(grid, rfftn_batch(values, grid.n, "forward"))
 
 
+def cross_into(out: np.ndarray, a: np.ndarray, b: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """out = a x b over the leading axis, one component at a time, and return
+    out; tmp is one-component scratch, and out shares no memory with a, b, tmp."""
+    for i, j, l in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        np.multiply(a[j], b[l], out=out[i])
+        np.multiply(a[l], b[j], out=tmp)
+        np.subtract(out[i], tmp, out=out[i])
+    return out
+
+
+def dealiased_product(grid: Grid, spec: np.ndarray, product, out: np.ndarray | None = None) -> np.ndarray:
+    """The 2/3 dealias cube, shape (p, *grid.cube_shape), of pointwise products.
+
+    spec, the stacked input half spectra, goes to physical space in one inverse
+    batch; product maps those values to the stacked real products (it may use
+    its argument as scratch), which come back in one forward batch.  Both use
+    norm="forward", exact as npoints is a power of two.  out receives the cube.
+    """
+    prods = product(irfftn_batch(spec, grid.n, grid.shape, "forward"))
+    hats = rfftn_batch(prods, grid.n, "forward")
+    if out is None:
+        out = np.empty(hats.shape[: -grid.n] + grid.cube_shape, dtype=complex)
+    return gather_cube(hats, out)
+
+
+def _expanded(grid: Grid, comp: np.ndarray) -> SpectralField:
+    """The SpectralField with dealias cube comp, zero outside it."""
+    full = np.zeros((len(comp), *grid.half_shape), dtype=complex)
+    return SpectralField(grid, scatter_cube(comp, full))
+
+
 def gradient(f: SpectralField) -> SpectralField:
     """Gradient of a scalar field: ik multiplier, 3 components (kz = 0 in 2D)."""
     if f.m != 1:
@@ -304,12 +336,9 @@ def curl(v: SpectralField) -> SpectralField:
     """Curl of a vector field: ik cross multiplier."""
     if v.m != 3:
         raise ValueError("curl expects a 3-component field")
-    k = v.grid.k
     c = v.coeffs
-    out = np.empty_like(c)
-    out[0] = 1j * (k[1] * c[2] - k[2] * c[1])
-    out[1] = 1j * (k[2] * c[0] - k[0] * c[2])
-    out[2] = 1j * (k[0] * c[1] - k[1] * c[0])
+    out = cross_into(np.empty_like(c), v.grid.k, c, np.empty_like(c[0]))
+    out *= 1j
     return SpectralField(v.grid, out)
 
 
@@ -334,7 +363,9 @@ def leray_project(v: SpectralField) -> SpectralField:
 
 
 def dealias(f: SpectralField) -> SpectralField:
-    return SpectralField(f.grid, f.coeffs * f.grid.dealias_mask)
+    """2/3-rule truncation: the dealias cube of f, zero outside it."""
+    g = f.grid
+    return _expanded(g, gather_cube(f.coeffs, np.empty((f.m, *g.cube_shape), dtype=complex)))
 
 
 def multiply(f: SpectralField, g: SpectralField) -> SpectralField:
@@ -343,21 +374,10 @@ def multiply(f: SpectralField, g: SpectralField) -> SpectralField:
     Componentwise if m matches; a scalar factor broadcasts over a vector.
     """
     _check_compat(f, g, same_m=False)
-    pf, pg = to_physical(f), to_physical(g)
-    if f.m == g.m:
-        prod = pf * pg
-    elif f.m == 1:
-        prod = pf[0] * pg
-    elif g.m == 1:
-        prod = pf * pg[0]
-    else:
+    if f.m != g.m and 1 not in (f.m, g.m):
         raise ValueError(f"component-count mismatch: {f.m} vs {g.m}")
-    return dealias(to_spectral(f.grid, prod))
-
-
-def _dealiased(prod: np.ndarray, grid: Grid) -> SpectralField:
-    """Forward-transform real products and dealias."""
-    return SpectralField(grid, rfftn_batch(prod, grid.n) * (grid.dealias_mask / grid.npoints))
+    spec, m = np.concatenate([f.coeffs, g.coeffs]), f.m
+    return _expanded(f.grid, dealiased_product(f.grid, spec, lambda phys: phys[:m] * phys[m:]))
 
 
 def cross(u: SpectralField, v: SpectralField) -> SpectralField:
@@ -365,10 +385,9 @@ def cross(u: SpectralField, v: SpectralField) -> SpectralField:
     _check_compat(u, v)
     if u.m != 3:
         raise ValueError("cross expects 3-component fields")
-    g = u.grid
-    phys = irfftn_batch(np.concatenate([u.coeffs, v.coeffs]) * g.npoints, g.n, g.shape)
-    prod = np.cross(phys[:3], phys[3:], axisa=0, axisb=0, axisc=0)
-    return _dealiased(prod, g)
+    g, prod = u.grid, np.empty((4, *u.grid.shape))
+    spec = np.concatenate([u.coeffs, v.coeffs])
+    return _expanded(g, dealiased_product(g, spec, lambda p: cross_into(prod[:3], p[:3], p[3:], prod[3])))
 
 
 def advect(u: SpectralField, v: SpectralField) -> SpectralField:
@@ -381,12 +400,12 @@ def advect(u: SpectralField, v: SpectralField) -> SpectralField:
         raise ValueError("advect expects a 3-component advecting field")
     g, m = u.grid, v.m
     gradv = 1j * g.k[:, None] * v.coeffs  # (3, m, ...)
-    stacked = np.concatenate([u.coeffs, gradv.reshape((3 * m,) + g.half_shape)])
-    phys = irfftn_batch(stacked * g.npoints, g.n, g.shape)
-    pu = phys[:3]
-    pgrad = phys[3:].reshape((3, m) + g.shape)
-    prod = np.einsum("j...,jm...->m...", pu, pgrad)
-    return _dealiased(prod, g)
+    spec = np.concatenate([u.coeffs, gradv.reshape((3 * m,) + g.half_shape)])
+
+    def product(phys):
+        return np.einsum("j...,jm...->m...", phys[:3], phys[3:].reshape((3, m) + g.shape))
+
+    return _expanded(g, dealiased_product(g, spec, product))
 
 
 def inner_product(f: SpectralField, g: SpectralField) -> float:

@@ -30,6 +30,8 @@ from hallmhd.littlewood_paley import (
     max_shell,
     project_shell,
     resolved_band,
+    shell_sums,
+    sobolev_weights,
 )
 from hallmhd.random_fields import random_band_field
 from hallmhd.snapshots import read_snapshot, write_snapshot
@@ -38,7 +40,9 @@ from hallmhd.spectral import (
     advect,
     cross,
     curl,
+    irfftn_batch,
     lp_norm,
+    rfftn_batch,
     to_physical,
     to_spectral,
 )
@@ -140,6 +144,53 @@ def test_flux_terms_match_quadrature_on_more_states(kernel_state):
     for name in oracle:
         got = getattr(rec, name)
         assert abs(got - oracle[name]) < 1e-9 * max(abs(oracle[name]), 1.0)
+
+
+def _ref_flux_terms(state, params, sob):
+    """flux_terms before dealiased_product: its own transform pair, npoints
+    scaling, mask multiply and np.cross."""
+    g = state.grid
+    n, npts, k = g.n, g.npoints, g.k
+    u, b = state.u.coeffs, state.b.coeffs
+
+    def transport(a, grad):
+        return a[0] * grad[0] + a[1] * grad[1] + a[2] * grad[2]
+
+    def real_dot(a, c):
+        return (a.real * c.real + a.imag * c.imag).sum(axis=0)
+
+    grads = [(1j * k[:, None] * f).reshape((9,) + g.half_shape) for f in (u, b)]
+    phys = irfftn_batch(np.concatenate([u, b, *grads]) * npts, n, g.shape)
+    pu, pb = phys[:3], phys[3:6]
+    du = phys[6:15].reshape((3, 3) + g.shape)
+    db = phys[15:].reshape((3, 3) + g.shape)
+    pj = np.stack([db[1, 2] - db[2, 1], db[2, 0] - db[0, 2], db[0, 1] - db[1, 0]])
+    prods = np.concatenate(
+        [transport(pu, du), transport(pb, db), transport(pu, db), transport(pb, du),
+         np.cross(pj, pb, axis=0)]
+    )
+    hats = rfftn_batch(prods, n) * (g.dealias_mask / npts)
+    curl_b = 1j * np.cross(k, b, axis=0)
+    power = np.stack(
+        [real_dot(hats[0:3], u), real_dot(hats[3:6], u), real_dot(hats[6:9], b),
+         real_dot(hats[9:12], b), real_dot(hats[12:15], curl_b)]
+    )
+    sums = (2.0 * np.pi) ** n * shell_sums(g, power)
+    ws, wr = sobolev_weights(g, sob.s), sobolev_weights(g, sob.r)
+    return (float(ws @ sums[0]), -float(ws @ sums[1]), float(wr @ sums[2]),
+            -float(wr @ sums[3]), params.eta * float(wr @ sums[4]))
+
+
+@pytest.mark.parametrize("n, dims", [(3, 16), (3, 32), (2, 64)])
+def test_flux_terms_bit_identical_to_inline_transforms(n, dims):
+    g = Grid(n, dims)
+    inside = make_initial("random_band", g, 78, (1.0, 1.0), SOB)
+    # b fills the whole half spectrum, outside the dealias cube included
+    b = random_band_field(g, 79, g.kmax)
+    for st in (inside, State(inside.u, b, 0.0)):
+        rec = flux_terms(st, PARAMS, SOB)
+        ref = _ref_flux_terms(st, PARAMS, SOB)
+        assert (rec.I1, rec.I2, rec.I3, rec.I4, rec.I5) == ref
 
 
 def test_flux_terms_zero_state(grid):

@@ -17,7 +17,8 @@ from hallmhd import (
 )
 from hallmhd.littlewood_paley import dyadic_sobolev_norm, resolved_band
 from hallmhd.random_fields import random_band_field
-from hallmhd import solver
+from hallmhd import solver, spectral
+from hallmhd.diagnostics import flux_terms
 from hallmhd.solver import (
     BlowUpError,
     StateDriftError,
@@ -28,6 +29,7 @@ from hallmhd.solver import (
 from hallmhd.spectral import (
     SpectralField,
     advect,
+    dealias_cutoff,
     divergence,
     gradient,
     irfftn_batch,
@@ -151,13 +153,14 @@ def test_make_initial_dealiases_wide_band():
 
 
 def _count_calls(monkeypatch, name, tally):
-    inner = getattr(solver, name)
+    # the transforms as spectral.dealiased_product calls them: arr and n positionally
+    inner = getattr(spectral, name)
 
     def counted(arr, *args):
-        tally[name] = tally.get(name, 0) + arr.shape[0]
+        tally.setdefault(name, []).append(arr.shape[0])
         return inner(arr, *args)
 
-    monkeypatch.setattr(solver, name, counted)
+    monkeypatch.setattr(spectral, name, counted)
 
 
 @pytest.mark.parametrize("mode, inverse, forward", [("full", 12, 6), ("mhd", 12, 6), ("hall_only", 6, 3)])
@@ -168,7 +171,45 @@ def test_fft_fields_per_rhs(monkeypatch, mode, inverse, forward):
     for name in ("irfftn_batch", "rfftn_batch"):
         _count_calls(monkeypatch, name, tally)
     compute_rhs(st, PhysicalParams(0.05, 0.05, 0.1), mode)
-    assert tally == {"irfftn_batch": inverse, "rfftn_batch": forward}
+    assert tally == {"irfftn_batch": [inverse], "rfftn_batch": [forward]}
+
+
+def test_flux_terms_fft_fields(monkeypatch):
+    # one inverse batch of u, b, grad u, grad b and one forward batch of the five products
+    st = make_initial("random_band", Grid(3, 16), 64, (1.0, 1.0), SOB)
+    tally = {}
+    for name in ("irfftn_batch", "rfftn_batch"):
+        _count_calls(monkeypatch, name, tally)
+    flux_terms(st, PhysicalParams(0.05, 0.05, 0.1), SOB)
+    assert tally == {"irfftn_batch": [24], "rfftn_batch": [15]}
+
+
+def _ref_outside_cube(f, cutoff):
+    # the mask definition _outside_cube replaced, for any real cutoff
+    outside = (np.abs(f.grid.k) > cutoff).any(axis=0)
+    mag = np.abs(f.coeffs)
+    peak = mag.max(initial=0.0)
+    return float(mag[:, outside].max(initial=0.0) / peak) if peak > 0 else 0.0
+
+
+@pytest.mark.parametrize(
+    "n, dims, lam",
+    [(2, 16, 1), (2, 64, 2), (2, 64, 4), (3, 16, 1), (3, 16, 2), (3, 16, 4), (3, 32, 1), (3, 32, 4), (3, 64, 2)],
+)
+def test_outside_cube_matches_mask_definition(n, dims, lam):
+    # integer wavenumbers: |k_i| > kc / lam exactly when |k_i| > kc // lam
+    # (3, 32, 4) has kc / lam = 2.5
+    g = Grid(n, dims)
+    kc = dealias_cutoff(dims)
+    rng = np.random.default_rng(dims + n + lam)
+    noise = rng.standard_normal((2, 3) + g.half_shape)
+    f = SpectralField(g, (noise[0] + 1j * noise[1]) * np.exp(-0.3 * g.kmag))
+    inside = SpectralField(g, f.coeffs * ~(np.abs(g.k) > kc / lam).any(axis=0))
+    for field in (f, inside, SpectralField.zero(g, 3)):
+        got = solver._outside_cube(field, kc // lam)
+        assert got == _ref_outside_cube(field, kc / lam)
+    assert 0.0 < solver._outside_cube(f, kc // lam) < 1.0
+    assert solver._outside_cube(inside, kc // lam) == 0.0
 
 
 def test_ifrk4_factor_cache_keeps_latest():

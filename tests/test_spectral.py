@@ -18,16 +18,18 @@ from hallmhd.spectral import (
     gather_cube,
     gradient,
     inner_product,
+    irfftn_batch,
     laplacian,
     leray_project,
     lp_norm,
     multiply,
     partial_derivative,
+    rfftn_batch,
     scatter_cube,
     to_physical,
     to_spectral,
 )
-from hallmhd.random_fields import _hermitian_symmetrize
+from hallmhd.random_fields import _hermitian_symmetrize, random_band_field
 from hallmhd.solver import _taylor_green_like, divergence_drift
 
 
@@ -252,3 +254,66 @@ def test_dealias_idempotent(grid):
     f = to_spectral(grid, rng.standard_normal((3,) + grid.shape))
     once = dealias(f)
     assert np.array_equal(once.coeffs, dealias(once).coeffs)
+
+
+# References for bit identity: the product bodies before dealiased_product,
+# each with its own transform pair, npoints scaling and mask multiply.
+
+
+def _ref_dealiased(prod, grid):
+    return rfftn_batch(prod, grid.n) * (grid.dealias_mask / grid.npoints)
+
+
+def _ref_cross(u, v):
+    g = u.grid
+    phys = irfftn_batch(np.concatenate([u.coeffs, v.coeffs]) * g.npoints, g.n, g.shape)
+    prod = np.cross(phys[:3], phys[3:], axisa=0, axisb=0, axisc=0)
+    return _ref_dealiased(prod, g)
+
+
+def _ref_advect(u, v):
+    g, m = u.grid, v.m
+    gradv = 1j * g.k[:, None] * v.coeffs
+    stacked = np.concatenate([u.coeffs, gradv.reshape((3 * m,) + g.half_shape)])
+    phys = irfftn_batch(stacked * g.npoints, g.n, g.shape)
+    pgrad = phys[3:].reshape((3, m) + g.shape)
+    return _ref_dealiased(np.einsum("j...,jm...->m...", phys[:3], pgrad), g)
+
+
+def _ref_multiply(f, g):
+    pf, pg = to_physical(f), to_physical(g)
+    if f.m == g.m:
+        prod = pf * pg
+    elif f.m == 1:
+        prod = pf[0] * pg
+    else:
+        prod = pf * pg[0]
+    return to_spectral(f.grid, prod).coeffs * f.grid.dealias_mask
+
+
+def _ref_curl(v):
+    k, c = v.grid.k, v.coeffs
+    out = np.empty_like(c)
+    out[0] = 1j * (k[1] * c[2] - k[2] * c[1])
+    out[1] = 1j * (k[2] * c[0] - k[0] * c[2])
+    out[2] = 1j * (k[0] * c[1] - k[1] * c[0])
+    return out
+
+
+@pytest.mark.parametrize("n, dims", [(3, 16), (3, 32), (2, 64)])
+def test_products_bit_identical_to_inline_transforms(n, dims):
+    g = Grid(n, dims)
+    rng = np.random.default_rng(dims + n)
+    # u fills the whole half spectrum, Nyquist planes included; v and s are band-limited
+    u = to_spectral(g, rng.standard_normal((3,) + g.shape))
+    v = random_band_field(g, dims, g.kmax)
+    s = to_spectral(g, rng.standard_normal(g.shape))
+    for a, b in ((u, v), (v, u), (v, v)):
+        assert np.array_equal(cross(a, b).coeffs, _ref_cross(a, b))
+        assert np.array_equal(advect(a, b).coeffs, _ref_advect(a, b))
+        assert np.array_equal(multiply(a, b).coeffs, _ref_multiply(a, b))
+        assert np.array_equal(curl(a).coeffs, _ref_curl(a))
+    assert np.array_equal(advect(u, s).coeffs, _ref_advect(u, s))
+    for a, b in ((s, u), (u, s), (s, s)):
+        assert np.array_equal(multiply(a, b).coeffs, _ref_multiply(a, b))
+    assert np.array_equal(dealias(u).coeffs, u.coeffs * g.dealias_mask)
