@@ -26,9 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .littlewood_paley import SobolevParams, shell_sums, sobolev_weights
-from .solver import PhysicalParams, SolverConfig, State, _outside_cube, run
+from .solver import PhysicalParams, SolverConfig, State, run
 from .spectral import (
-    Grid, SpectralField, cross_into, curl, dealias_cutoff, dealiased_product, lp_norm, scatter_cube
+    Grid, SpectralField, _outside_cube, cross_into, curl, dealias_cutoff, dealiased_product, gradient,
+    lp_norm, power, scatter_cube,
 )
 
 
@@ -55,14 +56,9 @@ class FluxRecord:
     I5: float
 
 
-def _power(coeffs: np.ndarray) -> np.ndarray:
-    """|f_k|^2 summed over components."""
-    return (coeffs.real**2 + coeffs.imag**2).sum(axis=0)
-
-
 def shell_energies(state: State, sob: SobolevParams) -> ShellEnergyRecord:
     g = state.grid
-    pu, pb = _power(state.u.coeffs), _power(state.b.coeffs)
+    pu, pb = power(state.u.coeffs), power(state.b.coeffs)
     sums = (2.0 * np.pi) ** g.n * shell_sums(g, np.stack([pu, pb, g.ksq * pu, g.ksq * pb]))
     ws, wr = sobolev_weights(g, sob.s), sobolev_weights(g, sob.r)
     return ShellEnergyRecord(state.t, ws * sums[0], wr * sums[1], ws * sums[2], wr * sums[3])
@@ -71,7 +67,7 @@ def shell_energies(state: State, sob: SobolevParams) -> ShellEnergyRecord:
 def flux_terms(state: State, params: PhysicalParams, sob: SobolevParams) -> FluxRecord:
     g = state.grid
     u, b = state.u.coeffs, state.b.coeffs
-    grads = [(1j * g.k[:, None] * f).reshape((9,) + g.half_shape) for f in (u, b)]
+    grads = [gradient(f).coeffs for f in (state.u, state.b)]
 
     def products(phys):
         pu, pb = phys[:3], phys[3:6]
@@ -89,8 +85,8 @@ def flux_terms(state: State, params: PhysicalParams, sob: SobolevParams) -> Flux
     hats = scatter_cube(cube, np.zeros((15,) + g.half_shape, dtype=complex))
     # Re(hat_k . conj f_k) of each product and the field its flux tests it against
     tested = zip(np.split(hats, 5), (u, u, b, b, curl(state.b).coeffs))
-    power = np.stack([(h.real * f.real + h.imag * f.imag).sum(axis=0) for h, f in tested])
-    sums = (2.0 * np.pi) ** g.n * shell_sums(g, power)
+    dots = np.stack([(h.real * f.real + h.imag * f.imag).sum(axis=0) for h, f in tested])
+    sums = (2.0 * np.pi) ** g.n * shell_sums(g, dots)
     ws, wr = sobolev_weights(g, sob.s), sobolev_weights(g, sob.r)
     return FluxRecord(
         state.t,
@@ -157,8 +153,7 @@ def total_energy_residual(states: list[State], params: PhysicalParams) -> np.nda
     )
     def grad_sq(f):
         g = f.grid
-        power = g.ksq * (f.coeffs.real**2 + f.coeffs.imag**2)
-        return (2.0 * np.pi) ** g.n * float((power * g.hermitian_weight).sum())
+        return (2.0 * np.pi) ** g.n * float((g.ksq * power(f.coeffs) * g.hermitian_weight).sum())
 
     D = np.array(
         [params.nu * grad_sq(st.u) + params.mu * grad_sq(st.b) for st in states]

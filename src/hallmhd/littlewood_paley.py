@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import Grid, SpectralField, lp_norm, partial_derivative
+from .spectral import Grid, SpectralField, dealias_cutoff, gradient, lp_norm, power
 
 
 @dataclass(frozen=True)
@@ -86,10 +86,10 @@ def lambda_q(q: int) -> float:
 
 
 def max_shell(grid: Grid) -> int:
-    """Largest Q whose shell fits inside the dealias band: 2*2^Q <= (2/3)(dims/2)."""
-    cutoff = (2.0 / 3.0) * (grid.dims / 2)
-    Q = int(np.floor(np.log2(cutoff / 2.0)))
-    return max(Q, 0)
+    """Largest Q whose shell fits inside the dealias band: 2*2^Q <= kc, with
+    kc = dealias_cutoff(dims); for a power-of-two dims no power of two lies
+    between kc and (2/3)(dims/2), so this is the float bound too."""
+    return int(np.floor(np.log2(dealias_cutoff(grid.dims) / 2.0)))
 
 
 def resolved_band(grid: Grid) -> float:
@@ -185,8 +185,7 @@ def sobolev_weights(grid: Grid, s: float) -> np.ndarray:
 def dyadic_sobolev_norm(f: SpectralField, s: float) -> float:
     """(sum_q lambda_q^{2s} ||f_q||_2^2)^{1/2} over the grid's shell family."""
     g = f.grid
-    power = (f.coeffs.real**2 + f.coeffs.imag**2).sum(axis=0)
-    total = (2.0 * np.pi) ** g.n * float(sobolev_weights(g, s) @ shell_sums(g, power))
+    total = (2.0 * np.pi) ** g.n * float(sobolev_weights(g, s) @ shell_sums(g, power(f.coeffs)))
     return float(np.sqrt(total))
 
 
@@ -224,8 +223,4 @@ def bernstein_ratio(f_q: SpectralField, q: int, p_from, p_to) -> float:
 
 def gradient_shell_norm(f: SpectralField, q: int) -> float:
     """||grad f_q||_2, summed over all partial derivatives and components."""
-    fq = project_shell(f, q)
-    total = 0.0
-    for axis in range(3):
-        total += lp_norm(partial_derivative(fq, axis), 2) ** 2
-    return float(np.sqrt(total))
+    return lp_norm(gradient(project_shell(f, q)), 2)

@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .littlewood_paley import low_pass, max_shell, project_shell
-from .spectral import SpectralField, advect, cross, curl, inner_product, lp_norm
+from .spectral import SpectralField, advect, cross, curl, gradient, inner_product, lp_norm
 
 
 @dataclass
@@ -117,12 +117,9 @@ def _sup_gradient(F: SpectralField, order: int = 1) -> float:
 
     The 3^order * m derivative components go through one inverse real FFT batch.
     """
-    g = F.grid
-    ik = 1j * g.k[:, None]
-    comps = F.coeffs
     for _ in range(order):
-        comps = (ik * comps).reshape((-1,) + g.half_shape)
-    return lp_norm(SpectralField(g, comps), np.inf)
+        F = gradient(F)
+    return lp_norm(F, np.inf)
 
 
 def _nonzero(denom: float) -> float:

@@ -16,10 +16,11 @@ treated explicitly.  State, compute_rhs, step and run all hold the real-FFT
 half spectrum of spectral.SpectralField, but under the 2/3 rule every state
 and every right-hand side is zero outside the dealias cube, so the spectral
 work runs on compact copies of that cube (spectral.gather_cube): the curls,
-the Leray form, the four stages and the combine.  Only the FFT input is a
-full half spectrum, one buffer whose modes outside the cube are never
-written; the transform pair, its normalization and the dealiasing are
-dealiased_product's, which returns the cube of the products.  step and
+the Leray form, the four stages and the combine, each on one (u, b) stack of
+shape (2, 3, *cube) with nu and mu as one (2, 1, ...) diffusivity.  Only the
+FFT input is a full half spectrum, one buffer whose modes outside the cube
+are never written; the transform pair, its normalization and the dealiasing
+are dealiased_product's, which returns the cube of the products.  step and
 compute_rhs read only the cube of their input, and their output is exactly
 zero outside it.  The stages write into the buffers of one _Workspace, which
 run allocates per call and drops on return (a lone step or compute_rhs builds
@@ -45,6 +46,7 @@ from .spectral import (
     Grid,
     SpectralField,
     _expanded,
+    _outside_cube,
     advect,
     cross_into,
     dealias,
@@ -121,9 +123,9 @@ class SolverConfig:
                 f"solver.snapshot_every: must be at least 1, got {self.snapshot_every!r}"
             )
         if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+            raise ValueError(f"solver.mode: must be one of {MODES}, got {self.mode!r}")
         if self.scheme != "ifrk4":
-            raise ValueError(f"unknown scheme {self.scheme!r}")
+            raise ValueError(f"solver.scheme: unknown scheme {self.scheme!r}")
 
 
 def divergence_drift(f: SpectralField) -> float:
@@ -138,16 +140,6 @@ def _check_divergence(state: State, tol: float = 1.0e-8) -> None:
             raise StateDriftError(
                 f"state drift: div {name} = {drift:.3e} exceeds {tol:.1e} at t={state.t}"
             )
-
-
-def _outside_cube(f: SpectralField, cutoff: int) -> float:
-    """Largest |coefficient| with some |k_i| > cutoff, relative to the largest
-    of all (0 for a zero field)."""
-    mag = np.abs(f.coeffs)
-    peak = mag.max(initial=0.0)
-    # zero the cube |k_i| <= cutoff; what is left lies outside it
-    scatter_cube(np.zeros((f.m,) + (2 * cutoff + 1,) * (f.grid.n - 1) + (cutoff + 1,)), mag)
-    return float(mag.max() / peak) if peak > 0 else 0.0
 
 
 def _check_support(state: State, rel: float = 1.0e-12) -> None:
@@ -170,12 +162,14 @@ class _Workspace:
     (spectral.gather_cube), about 30 % of the half spectrum in 3D: k, ksq
     and inv_ksq, gathered once; x0, a step's input; stage, the stage input;
     slopes, three slope slots (the fourth slope reuses the third); curls, the
-    spectral curls w and j, later scratch for the Leray form; hats, the
-    dealiased products; finite, the finiteness check.  spec is the one
-    half-spectrum FFT input, 12 fields (u, w, b, j); each RHS writes only its
-    cube, so everything outside stays zero for the life of the workspace.
-    prods holds the 6 physical products.  Pages are touched only when
-    written, so compute_rhs pays nothing for the stepping buffers.
+    spectral curls (w, j), later scratch for the Leray form; finite, the
+    finiteness check.  x0, stage, each slope and curls have shape
+    (2, 3, *cube), one vector field per leading index: u and b (w and j).
+    hats holds the dealiased products; spec is the one half-spectrum FFT
+    input, 12 fields (u, w, b, j); each RHS writes only its cube, so
+    everything outside stays zero for the life of the workspace.  prods
+    holds the 6 physical products.  Pages are touched only when written, so
+    compute_rhs pays nothing for the stepping buffers.
     """
 
     def __init__(self, grid: Grid):
@@ -185,23 +179,27 @@ class _Workspace:
         self.inv_ksq = gather_cube(grid.inv_ksq, np.empty(cube))
         self.spec = np.zeros((12, *grid.half_shape), dtype=complex)
         self.prods = np.empty((6, *grid.shape))
-        self.curls = np.empty((6, *cube), dtype=complex)
+        self.curls = np.empty((2, 3, *cube), dtype=complex)
         self.hats = np.empty((6, *cube), dtype=complex)
-        self.x0 = np.empty((6, *cube), dtype=complex)
-        self.stage = np.empty((6, *cube), dtype=complex)
-        self.slopes = np.empty((3, 6, *cube), dtype=complex)
-        self.finite = np.empty((6, *cube), dtype=bool)
+        self.x0 = np.empty((2, 3, *cube), dtype=complex)
+        self.stage = np.empty((2, 3, *cube), dtype=complex)
+        self.slopes = np.empty((3, 2, 3, *cube), dtype=complex)
+        self.finite = np.empty((2, 3, *cube), dtype=bool)
 
     def load(self, state: State) -> np.ndarray:
         """x0 <- the dealias cube of (u, b); returns x0."""
-        gather_cube(state.u.coeffs, self.x0[:3])
-        gather_cube(state.b.coeffs, self.x0[3:])
+        gather_cube(state.u.coeffs, self.x0[0])
+        gather_cube(state.b.coeffs, self.x0[1])
         return self.x0
 
 
+def _diffusivity(p: PhysicalParams, n: int) -> np.ndarray:
+    """(nu, mu) shaped (2, 1, ...), to scale a (u, b) stack on n spatial axes."""
+    return np.reshape((p.nu, p.mu), (2,) + (1,) * (n + 1))
+
+
 def _nonlinear(
-    u: np.ndarray,
-    b: np.ndarray,
+    x: np.ndarray,
     grid: Grid,
     params: PhysicalParams,
     mode: str,
@@ -209,7 +207,7 @@ def _nonlinear(
     out: np.ndarray,
 ) -> None:
     """Nonlinear right-hand sides (no diffusion) on the compact dealias cube:
-    u, b and out = (du, db) have shape (3, *cube_shape) and (6, *cube_shape).
+    x = (u, b) and out = (du, db) have shape (2, 3, *cube_shape).
 
     Momentum in rotational form P(u x w + j x b) with w = curl u, j = curl b;
     induction and Hall together as curl((u - eta j) x b).  Both equal the
@@ -220,27 +218,28 @@ def _nonlinear(
     """
     k = work.k
     eta = 0.0 if mode == "mhd" else params.eta
-    spec, prods, curls, hats = work.spec, work.prods, work.curls, work.hats
-    # out[0] is scratch until the results are written
-    cross_into(curls[3:], k, b, out[0])
-    curls[3:] *= 1j
+    spec, prods, hats = work.spec, work.prods, work.hats
+    (u, b), (du, db), (w, j) = x, out, work.curls
+    # du[0] is scratch until the results are written
+    cross_into(j, k, b, du[0])
+    j *= 1j
     scatter_cube(b, spec[6:9])
-    scatter_cube(curls[3:], spec[9:])
+    scatter_cube(j, spec[9:])
     if mode == "hall_only":
         # j x b from the physical (b, j)
         jxb = dealiased_product(
             grid, spec[6:], lambda phys: cross_into(prods[:3], phys[3:], phys[:3], prods[3]), hats[:3]
         )
-        out[:3] = 0.0
-        cross_into(out[3:], k, jxb, curls[0])
-        out[3:] *= 1j
-        out[3:] *= -eta
+        du[...] = 0.0
+        cross_into(db, k, jxb, w[0])
+        db *= 1j
+        db *= -eta
         return
 
-    cross_into(curls[:3], k, u, out[0])
-    curls[:3] *= 1j
+    cross_into(w, k, u, du[0])
+    w *= 1j
     scatter_cube(u, spec[:3])
-    scatter_cube(curls[:3], spec[3:6])
+    scatter_cube(w, spec[3:6])
 
     def products(phys):
         pu, pw, pb, pj = np.split(phys, 4)
@@ -256,11 +255,11 @@ def _nonlinear(
     dealiased_product(grid, spec, products, hats)
     # Leray projection as k x (w x k) / |k|^2: gradients along a lattice axis
     # cancel exactly, and so does the k = 0 mode, which vanishes analytically
-    cross_into(curls[:3], hats[:3], k, curls[3])
-    cross_into(out[:3], k, curls[:3], curls[3])
-    out[:3] *= work.inv_ksq
-    cross_into(out[3:], k, hats[3:], curls[3])
-    out[3:] *= 1j
+    cross_into(w, hats[:3], k, j[0])
+    cross_into(du, k, w, j[0])
+    du *= work.inv_ksq
+    cross_into(db, k, hats[3:], j[0])
+    db *= 1j
 
 
 def compute_rhs(state: State, params: PhysicalParams, mode: str = "full"):
@@ -279,26 +278,23 @@ def compute_rhs(state: State, params: PhysicalParams, mode: str = "full"):
     work = _Workspace(g)
     x = work.load(state)
     nl = work.slopes[0]
-    _nonlinear(x[:3], x[3:], g, params, mode, work, nl)
-    nl[:3] -= params.nu * work.ksq * x[:3]
-    nl[3:] -= params.mu * work.ksq * x[3:]
+    _nonlinear(x, g, params, mode, work, nl)
+    nl -= _diffusivity(params, g.n) * work.ksq * x
     if mode == "hall_only":
-        nl[:3] = 0.0
-    return _expanded(g, nl[:3]), _expanded(g, nl[3:])
+        nl[0] = 0.0
+    return _expanded(g, nl[0]), _expanded(g, nl[1])
 
 
 def _ifrk4_factors(g: Grid, ksq: np.ndarray, dt: float, p: PhysicalParams):
-    """Diffusion factors for u and for b on the compact dealias cube, whose
-    |k|^2 is ksq: e_h = exp(-c|k|^2 dt/2), e = e_h^2, dt e_h and 2 e_h
-    (c = nu, mu); only the latest (dt, nu, mu) is kept per grid."""
+    """Diffusion factors e_h = exp(-c|k|^2 dt/2), e = e_h^2, dt e_h and 2 e_h
+    on the compact dealias cube, whose |k|^2 is ksq, for c = (nu, mu) at once:
+    each has shape (2, 1, *cube) and scales a (u, b) stack.  Only the latest
+    (dt, nu, mu) is kept per grid."""
     key = (dt, p.nu, p.mu)
     cached = g._cache.get("ifrk4")
     if cached is None or cached[0] != key:
-        factors = []
-        for c in (p.nu, p.mu):
-            e_h = np.exp(-c * ksq * (dt / 2.0))
-            factors.append((e_h, e_h**2, dt * e_h, 2.0 * e_h))
-        cached = (key, tuple(factors))
+        e_h = np.exp(-_diffusivity(p, g.n) * ksq * (dt / 2.0))
+        cached = (key, (e_h, e_h**2, dt * e_h, 2.0 * e_h))
         g._cache["ifrk4"] = cached
     return cached[1]
 
@@ -308,7 +304,7 @@ def step(state: State, config: SolverConfig, work: _Workspace | None = None) -> 
 
     Only the 2/3 dealias cube of the state is read, and the new state is
     exactly zero outside it.  All four stages and the combine run in place on
-    the compact cube buffers of work (a fresh workspace if none is given);
+    the compact (u, b) stacks of work (a fresh workspace if none is given);
     the result shares no memory with work.
     """
     g = state.grid
@@ -317,49 +313,42 @@ def step(state: State, config: SolverConfig, work: _Workspace | None = None) -> 
     if work is None:
         work = _Workspace(g)
     x0 = work.load(state)
-    parts = [
-        (slice(3 * i, 3 * i + 3), x0[3 * i : 3 * i + 3], *factors)
-        for i, factors in enumerate(_ifrk4_factors(g, work.ksq, dt, p))
-    ]
+    e_h, e, dt_e_h, two_e_h = _ifrk4_factors(g, work.ksq, dt, p)
     y, (s1, s2, s3) = work.stage, work.slopes
 
-    def rhs(u, b, out):
-        _nonlinear(u, b, g, p, config.mode, work, out)
+    def rhs(x, out):
+        _nonlinear(x, g, p, config.mode, work, out)
 
     # y <- e_h (x0 + dt/2 k1)
-    rhs(x0[:3], x0[3:], s1)
-    for sl, x, e_h, e, dt_e_h, two_e_h in parts:
-        np.multiply(s1[sl], 0.5 * dt, out=y[sl])
-        np.add(x, y[sl], out=y[sl])
-        y[sl] *= e_h
+    rhs(x0, s1)
+    np.multiply(s1, 0.5 * dt, out=y)
+    np.add(x0, y, out=y)
+    y *= e_h
     # y <- e_h x0 + dt/2 k2
-    rhs(y[:3], y[3:], s2)
-    for sl, x, e_h, e, dt_e_h, two_e_h in parts:
-        np.multiply(s2[sl], 0.5 * dt, out=s3[sl])
-        np.multiply(e_h, x, out=y[sl])
-        y[sl] += s3[sl]
+    rhs(y, s2)
+    np.multiply(s2, 0.5 * dt, out=s3)
+    np.multiply(e_h, x0, out=y)
+    y += s3
     # y <- e x0 + dt e_h k3, after s2 <- k2 + k3
-    rhs(y[:3], y[3:], s3)
+    rhs(y, s3)
     s2 += s3
-    for sl, x, e_h, e, dt_e_h, two_e_h in parts:
-        s3[sl] *= dt_e_h
-        np.multiply(e, x, out=y[sl])
-        y[sl] += s3[sl]
+    s3 *= dt_e_h
+    np.multiply(e, x0, out=y)
+    y += s3
     # y <- e x0 + dt/6 (e k1 + 2 e_h (k2 + k3) + k4)
-    rhs(y[:3], y[3:], s3)
-    for sl, x, e_h, e, dt_e_h, two_e_h in parts:
-        s1[sl] *= e
-        s2[sl] *= two_e_h
-        s1[sl] += s2[sl]
-        s1[sl] += s3[sl]
-        s1[sl] *= dt / 6.0
-        np.multiply(e, x, out=y[sl])
-        y[sl] += s1[sl]
+    rhs(y, s3)
+    s1 *= e
+    s2 *= two_e_h
+    s1 += s2
+    s1 += s3
+    s1 *= dt / 6.0
+    np.multiply(e, x0, out=y)
+    y += s1
 
     t1 = state.t + dt
     if not np.isfinite(y, out=work.finite).all():
         raise BlowUpError(f"numerical blow-up at t={t1}")
-    return State(_expanded(g, y[:3]), _expanded(g, y[3:]), t1)
+    return State(_expanded(g, y[0]), _expanded(g, y[1]), t1)
 
 
 def cfl_advisory_dt(state: State, params: PhysicalParams, c: float = 0.5) -> float:

@@ -5,12 +5,14 @@ stored as its real-FFT half spectrum: complex Fourier amplitudes on the modes
 with k_last = 0 .. dims/2, the amplitude at -k being the conjugate of the one
 at k.  Amplitudes are normalized so that a constant field c has coefficient c
 at k = 0.  A sum over the whole lattice (Parseval) counts every interior
-k_last plane twice, for k and -k, through grid.hermitian_weight.  All
-differential operators are exact Fourier multipliers, and cross_into is the
-one cross-product kernel.  Every product goes through dealiased_product, the
-one home of the transform pair, its normalization and the 2/3 rule, which
-keeps the cube |k_i| <= dealias_cutoff(dims) = dims // 3; gather_cube and
-scatter_cube copy that cube to and from a compact array.
+k_last plane twice, for k and -k, through grid.hermitian_weight; power is
+the one |f_k|^2.  All differential operators are exact Fourier multipliers:
+gradient is the one ik (x) f, the gradient tensor of any m-component field,
+and cross_into is the one cross-product kernel.  Every product goes through
+dealiased_product, the one home of the transform pair, its normalization and
+the 2/3 rule, which keeps the cube |k_i| <= dealias_cutoff(dims) = dims // 3;
+gather_cube and scatter_cube copy that cube to and from a compact array, and
+_outside_cube measures a field's content outside such a cube.
 
 2D grids carry 3-component fields that depend on (x, y) only ("2.5D"), so
 curl and cross products remain well defined at 2D cost.
@@ -59,6 +61,11 @@ def dealias_cutoff(dims: int) -> int:
     return dims // 3
 
 
+def _cube_shape(n: int, kc: int) -> tuple:
+    """Trailing shape of the compact cube |k_i| <= kc of an n-D half spectrum."""
+    return (2 * kc + 1,) * (n - 1) + (kc + 1,)
+
+
 @functools.lru_cache(maxsize=32)
 def _cube_blocks(full_shape: tuple, comp_shape: tuple) -> tuple:
     """(full, compact) index pairs of the slab blocks that make up the dealias
@@ -95,6 +102,16 @@ def scatter_cube(comp: np.ndarray, full: np.ndarray) -> np.ndarray:
     for f, c in _cube_blocks(full.shape, comp.shape):
         full[f] = comp[c]
     return full
+
+
+def _outside_cube(f: SpectralField, cutoff: int) -> float:
+    """Largest |coefficient| with some |k_i| > cutoff, relative to the largest
+    of all (0 for a zero field)."""
+    mag = np.abs(f.coeffs)
+    peak = mag.max(initial=0.0)
+    # zero the cube |k_i| <= cutoff; what is left lies outside it
+    scatter_cube(np.zeros((f.m, *_cube_shape(f.grid.n, cutoff))), mag)
+    return float(mag.max() / peak) if peak > 0 else 0.0
 
 
 @dataclass(frozen=True)
@@ -186,8 +203,7 @@ class Grid:
     @property
     def cube_shape(self) -> tuple:
         """Shape of the compact 2/3 dealias cube; see gather_cube."""
-        kc = dealias_cutoff(self.dims)
-        return (2 * kc + 1,) * (self.n - 1) + (kc + 1,)
+        return _cube_shape(self.n, dealias_cutoff(self.dims))
 
     @property
     def dealias_mask(self) -> np.ndarray:
@@ -316,11 +332,16 @@ def _expanded(grid: Grid, comp: np.ndarray) -> SpectralField:
 
 
 def gradient(f: SpectralField) -> SpectralField:
-    """Gradient of a scalar field: ik multiplier, 3 components (kz = 0 in 2D)."""
-    if f.m != 1:
-        raise ValueError("gradient expects a scalar field (m = 1)")
-    k = f.grid.k
-    return SpectralField(f.grid, 1j * k * f.coeffs[0])
+    """Gradient tensor of an m-component field: the ik multiplier, 3m components
+    ordered (j, m), component j*m + c being d_j f_c (d_z = 0 in 2D); for a
+    scalar field, the gradient vector."""
+    g = f.grid
+    return SpectralField(g, (1j * g.k[:, None] * f.coeffs).reshape((3 * f.m,) + g.half_shape))
+
+
+def power(coeffs: np.ndarray) -> np.ndarray:
+    """|f_k|^2 summed over the components (the leading axis) of coeffs."""
+    return (coeffs.real**2 + coeffs.imag**2).sum(axis=0)
 
 
 def divergence(v: SpectralField) -> SpectralField:
@@ -399,8 +420,7 @@ def advect(u: SpectralField, v: SpectralField) -> SpectralField:
     if u.m != 3:
         raise ValueError("advect expects a 3-component advecting field")
     g, m = u.grid, v.m
-    gradv = 1j * g.k[:, None] * v.coeffs  # (3, m, ...)
-    spec = np.concatenate([u.coeffs, gradv.reshape((3 * m,) + g.half_shape)])
+    spec = np.concatenate([u.coeffs, gradient(v).coeffs])
 
     def product(phys):
         return np.einsum("j...,jm...->m...", phys[:3], phys[3:].reshape((3, m) + g.shape))

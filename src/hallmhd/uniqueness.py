@@ -21,11 +21,11 @@ from .spectral import (
     cross,
     curl,
     divergence,
+    gradient,
     inner_product,
     laplacian,
     leray_project,
     lp_norm,
-    partial_derivative,
     to_physical,
 )
 
@@ -129,11 +129,6 @@ class DifferenceTrace:
     minimal_C_nu_mu: float
 
 
-def _grad_field(f: SpectralField) -> SpectralField:
-    comps = [partial_derivative(f, ax).coeffs for ax in range(3)]
-    return SpectralField(f.grid, np.concatenate(comps))
-
-
 def gronwall_check(
     run1: list[State],
     run2: list[State],
@@ -163,7 +158,7 @@ def gronwall_check(
     g = np.array(
         [
             dyadic_sobolev_norm(s1.u, sob.s + 1.0) ** 2
-            + dyadic_sobolev_norm(_grad_field(s2.b), sob.r) ** 2
+            + dyadic_sobolev_norm(gradient(s2.b), sob.r) ** 2
             for s1, s2 in zip(run1, run2)
         ]
     )
@@ -217,4 +212,4 @@ def flux_bound_residuals(
 
 
 def _grad_l2(f: SpectralField) -> float:
-    return lp_norm(_grad_field(f), 2)
+    return lp_norm(gradient(f), 2)

@@ -189,9 +189,7 @@ def check_cancellations(grid: Grid, seed: int) -> list[CheckResult]:
     # correlated with |U|^2, so the transport identity fails at O(1)
     e = (to_physical(U) ** 2).sum(axis=0)
     ehat = to_spectral(grid, e)
-    pot = SpectralField(
-        grid, np.where(grid.ksq > 0, -ehat.coeffs / np.maximum(grid.ksq, 1e-300), 0.0)
-    )
+    pot = SpectralField(grid, -ehat.coeffs * grid.inv_ksq)
     bump = gradient(pot)
     contaminated = u2 + bump * (lp_norm(u2, 2) / lp_norm(bump, 2))
     bad = cancellation_check(U, B, contaminated, b1, b2)

@@ -294,6 +294,8 @@ def test_cli_error_exit_code(tmp_path, capsys):
         ("params.nu = nan", "params.nu"),
         ("solver.tmax = -1", "solver.tmax"),
         ("solver.tmax = 0.0025", "solver.tmax"),
+        ("solver.mode = warp", "solver.mode"),
+        ("solver.scheme = euler", "solver.scheme"),
     ],
 )
 def test_cli_rejects_invalid_value(tmp_path, capsys, line, field):

@@ -70,6 +70,10 @@ def test_max_shell_and_band():
     assert max_shell(Grid(3, 16)) == 1
     assert max_shell(Grid(3, 32)) == 2
     assert max_shell(Grid(3, 64)) == 3
+    for e in range(4, 13):
+        # the float cutoff max_shell used before it took dealias_cutoff
+        cutoff = (2.0 / 3.0) * (2**e / 2)
+        assert max_shell(Grid(3, 2**e)) == max(int(np.floor(np.log2(cutoff / 2.0))), 0)
     assert resolved_band(Grid(3, 32)) == pytest.approx(0.75 * 8)
     assert lambda_q(-1) == 0.5 and lambda_q(3) == 8.0
 

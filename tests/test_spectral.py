@@ -108,6 +108,23 @@ def test_gradient_curl_divergence_identities(grid):
     assert lp_norm(divergence(curl(v)), 2) < 1e-12 * lp_norm(v, 2)
 
 
+def _ref_grad_field(f):
+    # the per-axis gradient tensor gradient replaced
+    comps = [partial_derivative(f, ax).coeffs for ax in range(3)]
+    return SpectralField(f.grid, np.concatenate(comps))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("m", [1, 3])
+def test_gradient_tensor_matches_per_axis_derivatives(n, m):
+    g = Grid(n, 16)
+    f = random_band_field(g, 40 + n, 6.0)
+    f = SpectralField(g, f.coeffs[:m])
+    grad = gradient(f)
+    assert grad.m == 3 * m
+    assert np.array_equal(grad.coeffs, _ref_grad_field(f).coeffs)
+
+
 def test_curl_oracle(grid):
     x, y, z = grid.coordinates()
     vals = np.stack([np.sin(y), np.sin(z), np.sin(x)])
