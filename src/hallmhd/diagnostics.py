@@ -12,9 +12,10 @@ phi_q(|k|)^2 Re(F_k . conj f_k), so shell energies and dissipations contract
 materialized.  The fluxes are one call of spectral.dealiased_product, the
 home of the transform pair, its normalization and the 2/3 rule: the 24
 half-spectrum fields u, b, grad u, grad b in (j = curl b is formed pointwise
-from grad b), the 15 of u.grad u, b.grad b, u.grad b, b.grad u and j x b
-back.  These are the divergence-form products of the energy identities, not
-the curl forms the solver steps with.  I5 pairs j x b with i k x b_k, since
+from grad b), the dealias cubes of the 15 of u.grad u, b.grad b, u.grad b,
+b.grad u and j x b back, dotted against the cubes of u, b and curl b.  These
+are the divergence-form products of the energy identities, not the curl
+forms the solver steps with.  I5 pairs j x b with i k x b_k, since
 curl commutes with Delta_q, and carries the Hall coefficient with the sign
 that closes the identity.
 """
@@ -28,8 +29,8 @@ import numpy as np
 from .littlewood_paley import SobolevParams, shell_sums, sobolev_weights
 from .solver import PhysicalParams, SolverConfig, State, run
 from .spectral import (
-    Grid, SpectralField, _outside_cube, cross_into, curl, dealias_cutoff, dealiased_product, gradient,
-    lp_norm, power, scatter_cube,
+    Grid, SpectralField, _outside_cube, cross_into, dealias_cutoff, dealiased_product, gather_cube,
+    gradient, lp_norm, power, scatter_cube,
 )
 
 
@@ -81,12 +82,15 @@ def flux_terms(state: State, params: PhysicalParams, sob: SobolevParams) -> Flux
         cross_into(prods[12:], pj, pb, phys[0])
         return prods
 
-    cube = dealiased_product(g, np.concatenate([u, b, *grads]), products)
-    hats = scatter_cube(cube, np.zeros((15,) + g.half_shape, dtype=complex))
+    hats = dealiased_product(g, np.concatenate([u, b, *grads]), products)
+    # the products live on the cube, so the fluxes need u, b and curl b only there
+    k, cu, cb = (gather_cube(f, np.empty(f.shape[:1] + g.cube_shape, f.dtype)) for f in (g.k, u, b))
+    cj = cross_into(np.empty_like(cb), k, cb, np.empty_like(cb[0]))
+    cj *= 1j
     # Re(hat_k . conj f_k) of each product and the field its flux tests it against
-    tested = zip(np.split(hats, 5), (u, u, b, b, curl(state.b).coeffs))
+    tested = zip(np.split(hats, 5), (cu, cu, cb, cb, cj))
     dots = np.stack([(h.real * f.real + h.imag * f.imag).sum(axis=0) for h, f in tested])
-    sums = (2.0 * np.pi) ** g.n * shell_sums(g, dots)
+    sums = (2.0 * np.pi) ** g.n * shell_sums(g, scatter_cube(dots, np.zeros((5, *g.half_shape))))
     ws, wr = sobolev_weights(g, sob.s), sobolev_weights(g, sob.r)
     return FluxRecord(
         state.t,

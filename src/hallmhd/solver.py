@@ -14,18 +14,18 @@ Time stepping is integrating-factor RK4: diffusion is propagated exactly by
 exp(-nu |k|^2 dt) / exp(-mu |k|^2 dt) and the (dealiased) quadratic terms are
 treated explicitly.  State, compute_rhs, step and run all hold the real-FFT
 half spectrum of spectral.SpectralField, but under the 2/3 rule every state
-and every right-hand side is zero outside the dealias cube, so the spectral
-work runs on compact copies of that cube (spectral.gather_cube): the curls,
-the Leray form, the four stages and the combine, each on one (u, b) stack of
-shape (2, 3, *cube) with nu and mu as one (2, 1, ...) diffusivity.  Only the
-FFT input is a full half spectrum, one buffer whose modes outside the cube
-are never written; the transform pair, its normalization and the dealiasing
-are dealiased_product's, which returns the cube of the products.  step and
-compute_rhs read only the cube of their input, and their output is exactly
-zero outside it.  The stages write into the buffers of one _Workspace, which
-run allocates per call and drops on return (a lone step or compute_rhs builds
-its own), through out=, in-place ufuncs and spectral.cross_into, in the order
-of the plain expressions.  Modes:
+and every right-hand side is zero outside the dealias cube, so all the
+spectral work runs on compact copies of that cube (spectral.gather_cube): the
+curls, the Leray form, the four stages and the combine, each on one (u, b)
+stack of shape (2, 3, *cube) with nu and mu as one (2, 1, ...) diffusivity.
+The FFT input is a cube too: the transform pair, its normalization and the
+dealiasing are dealiased_product's, which takes the cubes of (u, w, b, j),
+transforms them field by field on the lines the cube reaches, and returns
+the cube of the products.  step and compute_rhs read only the cube of their
+input, and their output is exactly zero outside it.  The stages write into
+the buffers of one _Workspace, which run allocates per call and drops on
+return (a lone step or compute_rhs builds its own), through out=, in-place
+ufuncs and spectral.cross_into, in the order of the plain expressions.  Modes:
 
   full      - the complete system,
   mhd       - Hall coefficient forced to zero,
@@ -56,7 +56,6 @@ from .spectral import (
     gather_cube,
     leray_project,
     lp_norm,
-    scatter_cube,
     to_spectral,
 )
 
@@ -158,18 +157,16 @@ def _check_support(state: State, rel: float = 1.0e-12) -> None:
 class _Workspace:
     """Buffers for the RHS and the IF-RK4 stages on one grid.
 
-    The spectral work runs on compact copies of the 2/3 dealias cube
+    All spectral work runs on compact copies of the 2/3 dealias cube
     (spectral.gather_cube), about 30 % of the half spectrum in 3D: k, ksq
     and inv_ksq, gathered once; x0, a step's input; stage, the stage input;
-    slopes, three slope slots (the fourth slope reuses the third); curls, the
-    spectral curls (w, j), later scratch for the Leray form; finite, the
-    finiteness check.  x0, stage, each slope and curls have shape
-    (2, 3, *cube), one vector field per leading index: u and b (w and j).
-    hats holds the dealiased products; spec is the one half-spectrum FFT
-    input, 12 fields (u, w, b, j); each RHS writes only its cube, so
-    everything outside stays zero for the life of the workspace.  prods
-    holds the 6 physical products.  Pages are touched only when written, so
-    compute_rhs pays nothing for the stepping buffers.
+    slopes, three slope slots (the fourth slope reuses the third); finite,
+    the finiteness check.  x0, stage and each slope have shape (2, 3, *cube),
+    one vector field per leading index: u and b.  spec, shape (4, 3, *cube),
+    is the FFT input (u, w, b, j), the curls formed in place, and later
+    scratch for the Leray form; hats holds the cubes of the dealiased
+    products and prods the 6 physical products.  Pages are touched only when
+    written, so compute_rhs pays nothing for the stepping buffers.
     """
 
     def __init__(self, grid: Grid):
@@ -177,9 +174,8 @@ class _Workspace:
         self.k = gather_cube(grid.k, np.empty((3, *cube)))
         self.ksq = gather_cube(grid.ksq, np.empty(cube))
         self.inv_ksq = gather_cube(grid.inv_ksq, np.empty(cube))
-        self.spec = np.zeros((12, *grid.half_shape), dtype=complex)
+        self.spec = np.empty((4, 3, *cube), dtype=complex)
         self.prods = np.empty((6, *grid.shape))
-        self.curls = np.empty((2, 3, *cube), dtype=complex)
         self.hats = np.empty((6, *cube), dtype=complex)
         self.x0 = np.empty((2, 3, *cube), dtype=complex)
         self.stage = np.empty((2, 3, *cube), dtype=complex)
@@ -212,23 +208,23 @@ def _nonlinear(
     Momentum in rotational form P(u x w + j x b) with w = curl u, j = curl b;
     induction and Hall together as curl((u - eta j) x b).  Both equal the
     divergence-form terms for divergence-free states inside the 2/3 cube.
-    (u, w, b, j) are formed on the cube and scattered into work.spec, and
-    spectral.dealiased_product forms the products in work.prods and returns
+    (u, w, b, j) are formed in work.spec, and spectral.dealiased_product
+    transforms their cubes, forms the products in work.prods and returns
     their cube in work.hats (12 fields in and 6 out; 6 and 3 in hall_only).
     """
     k = work.k
     eta = 0.0 if mode == "mhd" else params.eta
     spec, prods, hats = work.spec, work.prods, work.hats
-    (u, b), (du, db), (w, j) = x, out, work.curls
+    (u, b), (du, db), (_, w, _, j) = x, out, spec
+    fields = spec.reshape((12, *spec.shape[2:]))
     # du[0] is scratch until the results are written
     cross_into(j, k, b, du[0])
     j *= 1j
-    scatter_cube(b, spec[6:9])
-    scatter_cube(j, spec[9:])
+    spec[2] = b
     if mode == "hall_only":
         # j x b from the physical (b, j)
         jxb = dealiased_product(
-            grid, spec[6:], lambda phys: cross_into(prods[:3], phys[3:], phys[:3], prods[3]), hats[:3]
+            grid, fields[6:], lambda phys: cross_into(prods[:3], phys[3:], phys[:3], prods[3]), hats[:3]
         )
         du[...] = 0.0
         cross_into(db, k, jxb, w[0])
@@ -238,8 +234,7 @@ def _nonlinear(
 
     cross_into(w, k, u, du[0])
     w *= 1j
-    scatter_cube(u, spec[:3])
-    scatter_cube(w, spec[3:6])
+    spec[0] = u
 
     def products(phys):
         pu, pw, pb, pj = np.split(phys, 4)
@@ -252,9 +247,10 @@ def _nonlinear(
         cross_into(prods[3:], pj, pb, pw[0])
         return prods
 
-    dealiased_product(grid, spec, products, hats)
+    dealiased_product(grid, fields, products, hats)
     # Leray projection as k x (w x k) / |k|^2: gradients along a lattice axis
-    # cancel exactly, and so does the k = 0 mode, which vanishes analytically
+    # cancel exactly, and so does the k = 0 mode, which vanishes analytically;
+    # the transforms are done, so w and j are scratch
     cross_into(w, hats[:3], k, j[0])
     cross_into(du, k, w, j[0])
     du *= work.inv_ksq

@@ -12,7 +12,11 @@ and cross_into is the one cross-product kernel.  Every product goes through
 dealiased_product, the one home of the transform pair, its normalization and
 the 2/3 rule, which keeps the cube |k_i| <= dealias_cutoff(dims) = dims // 3;
 gather_cube and scatter_cube copy that cube to and from a compact array, and
-_outside_cube measures a field's content outside such a cube.
+_outside_cube measures a field's content outside such a cube.  The batched
+transforms take either layout: half spectra go through scipy's multi-axis
+transform with HMHD_THREADS workers, compact cubes field by field with one
+worker, skipping the lines that are zero outside the cube, bit-identical to
+the full transform.
 
 2D grids carry 3-component fields that depend on (x, y) only ("2.5D"), so
 curl and cross products remain well defined at 2D cost.
@@ -43,16 +47,90 @@ def _workers() -> int:
     return workers
 
 
-def rfftn_batch(arr: np.ndarray, n: int, norm: str | None = None) -> np.ndarray:
+def rfftn_batch(arr: np.ndarray, n: int, norm: str | None = None, out: np.ndarray | None = None) -> np.ndarray:
     """Forward real FFT over the last n axes (half spectrum on the last axis);
-    norm as in scipy.fft ("forward" divides by the number of points)."""
-    return sfft.rfftn(arr, axes=tuple(range(-n, 0)), norm=norm, workers=_workers())
+    norm as in scipy.fft ("forward" divides by the number of points).
+
+    Given out, with the trailing shape of the 2/3 dealias cube of arr's grid,
+    only the cube of each field is formed, one field at a time, and written
+    to out, which is returned: np.array_equal to gather_cube of the full
+    transform (see _rfftn_cube).
+    """
+    workers = _workers()
+    if out is None:
+        return sfft.rfftn(arr, axes=tuple(range(-n, 0)), norm=norm, workers=workers)
+    expected = arr.shape[:-n] + _cube_shape(n, dealias_cutoff(arr.shape[-1]))
+    if out.shape != expected:
+        raise ValueError(f"rfftn_batch: out has shape {out.shape}, expected the dealias cubes {expected}")
+    return _rfftn_cube(arr, n, norm, out)
 
 
 def irfftn_batch(arr: np.ndarray, n: int, shape: tuple, norm: str | None = None) -> np.ndarray:
     """Inverse real FFT over the last n axes back to the given spatial shape;
-    norm as in scipy.fft ("forward" leaves the inverse unscaled)."""
-    return sfft.irfftn(arr, s=shape, axes=tuple(range(-n, 0)), norm=norm, workers=_workers())
+    norm as in scipy.fft ("forward" leaves the inverse unscaled).
+
+    arr holds half spectra (trailing shape that of shape's half spectrum) or
+    dealias cubes (that of its 2/3 cube, see gather_cube); cubes are
+    transformed one field at a time, np.array_equal to the full transform of
+    scatter_cube into zeros (see _irfftn_cube).  Any other shape raises.
+    """
+    workers = _workers()
+    shape = tuple(shape)
+    dims = shape[-1]
+    half = shape[:-1] + (dims // 2 + 1,)
+    cube = _cube_shape(n, dealias_cutoff(dims))
+    if arr.shape[-n:] == half:
+        return sfft.irfftn(arr, s=shape, axes=tuple(range(-n, 0)), norm=norm, workers=workers)
+    if arr.shape[-n:] == cube:
+        return _irfftn_cube(arr, n, shape, norm)
+    raise ValueError(
+        f"irfftn_batch: trailing shape {arr.shape[-n:]} is neither the half spectrum "
+        f"{half} nor the dealias cube {cube} of grid {shape}"
+    )
+
+
+# The cube paths run scipy's own passes, in its order, on the lines that are
+# not all zero: its multi-axis inverse transforms the leading axes in order,
+# then the last axis complex-to-real; its forward runs real-to-complex on the
+# last axis, then the leading axes in order.  Each line sees the same 1-D
+# pocketfft transform, and norm applied per pass is exact for power-of-two
+# lengths, so both paths are bit-identical to the full ones.  Fields go one at
+# a time, so the working set is one field's half spectrum, with one worker.
+
+
+def _irfftn_cube(cube: np.ndarray, n: int, shape: tuple, norm: str | None) -> np.ndarray:
+    """irfftn of stacked dealias cubes: per field, the cube goes into a zeroed
+    half spectrum and each leading axis is transformed only on the lines whose
+    later leading indices lie in the cube's rows and whose k_last <= kc; the
+    other k_last planes stay zero for the final complex-to-real pass."""
+    dims, kc = shape[-1], cube.shape[-1] - 1
+    out = np.empty(cube.shape[:-n] + shape)
+    half = np.zeros(shape[:-1] + (dims // 2 + 1,), dtype=complex)
+    low = half[..., : kc + 1]
+    for i in np.ndindex(cube.shape[:-n]):
+        low[...] = 0.0
+        scatter_cube(cube[i], half)
+        for axis in range(n - 1):
+            for rows in itertools.product(_cube_rows(dims, kc), repeat=n - 2 - axis):
+                lines = low[(slice(None),) * (axis + 1) + rows]
+                sfft.ifft(lines, axis=axis, norm=norm, overwrite_x=True, workers=1)
+        out[i] = sfft.irfft(half, n=dims, axis=-1, norm=norm, workers=1)
+    return out
+
+
+def _rfftn_cube(arr: np.ndarray, n: int, norm: str | None, out: np.ndarray) -> np.ndarray:
+    """rfftn of stacked real fields cut to their dealias cubes in out: per
+    field, each leading axis is transformed only on the lines whose earlier
+    leading indices lie in the cube's rows and whose k_last <= kc."""
+    dims, kc = arr.shape[-1], out.shape[-1] - 1
+    for i in np.ndindex(arr.shape[:-n]):
+        half = sfft.rfft(arr[i], axis=-1, norm=norm, workers=1)
+        low = half[..., : kc + 1]
+        for axis in range(n - 1):
+            for rows in itertools.product(_cube_rows(dims, kc), repeat=axis):
+                sfft.fft(low[rows], axis=axis, norm=norm, overwrite_x=True, workers=1)
+        gather_cube(half, out[i])
+    return out
 
 
 def dealias_cutoff(dims: int) -> int:
@@ -64,6 +142,11 @@ def dealias_cutoff(dims: int) -> int:
 def _cube_shape(n: int, kc: int) -> tuple:
     """Trailing shape of the compact cube |k_i| <= kc of an n-D half spectrum."""
     return (2 * kc + 1,) * (n - 1) + (kc + 1,)
+
+
+def _cube_rows(dims: int, kc: int) -> tuple:
+    """The two slabs of the cube on a leading axis: k = 0 .. kc and -kc .. -1."""
+    return (slice(0, kc + 1), slice(dims - kc, None))
 
 
 @functools.lru_cache(maxsize=32)
@@ -78,7 +161,7 @@ def _cube_blocks(full_shape: tuple, comp_shape: tuple) -> tuple:
     kc = comp_shape[-1] - 1
     dims = 2 * (full_shape[-1] - 1)
     axes = [[(slice(None), slice(None))] if f == c else
-            [(slice(0, kc + 1), slice(0, kc + 1)), (slice(dims - kc, None), slice(kc + 1, None))]
+            list(zip(_cube_rows(dims, kc), (slice(0, kc + 1), slice(kc + 1, None))))
             for f, c in zip(full_shape[:-1], comp_shape[:-1])]
     axes.append([(slice(0, kc + 1), slice(None))])
     return tuple(tuple(zip(*pairs)) for pairs in itertools.product(*axes))
@@ -313,16 +396,16 @@ def cross_into(out: np.ndarray, a: np.ndarray, b: np.ndarray, tmp: np.ndarray) -
 def dealiased_product(grid: Grid, spec: np.ndarray, product, out: np.ndarray | None = None) -> np.ndarray:
     """The 2/3 dealias cube, shape (p, *grid.cube_shape), of pointwise products.
 
-    spec, the stacked input half spectra, goes to physical space in one inverse
-    batch; product maps those values to the stacked real products (it may use
-    its argument as scratch), which come back in one forward batch.  Both use
-    norm="forward", exact as npoints is a power of two.  out receives the cube.
+    spec, the stacked input half spectra or dealias cubes, goes to physical
+    space in one inverse batch; product maps those values to the stacked real
+    products (it may use its argument as scratch), whose cubes come back in one
+    forward batch.  Both use norm="forward", exact as npoints is a power of
+    two.  out receives the cube.
     """
     prods = product(irfftn_batch(spec, grid.n, grid.shape, "forward"))
-    hats = rfftn_batch(prods, grid.n, "forward")
     if out is None:
-        out = np.empty(hats.shape[: -grid.n] + grid.cube_shape, dtype=complex)
-    return gather_cube(hats, out)
+        out = np.empty(prods.shape[: -grid.n] + grid.cube_shape, dtype=complex)
+    return rfftn_batch(prods, grid.n, "forward", out)
 
 
 def _expanded(grid: Grid, comp: np.ndarray) -> SpectralField:

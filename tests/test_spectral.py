@@ -6,14 +6,17 @@ numpy.fft, independent of the package's own transform helpers.
 
 import numpy as np
 import pytest
+from scipy import fft as sfft
 
 from hallmhd.spectral import (
     Grid,
     SpectralField,
     advect,
     cross,
+    cross_into,
     curl,
     dealias,
+    dealiased_product,
     divergence,
     gather_cube,
     gradient,
@@ -334,3 +337,54 @@ def test_products_bit_identical_to_inline_transforms(n, dims):
     for a, b in ((s, u), (u, s), (s, s)):
         assert np.array_equal(multiply(a, b).coeffs, _ref_multiply(a, b))
     assert np.array_equal(dealias(u).coeffs, u.coeffs * g.dealias_mask)
+
+
+# The cube paths of the batched transforms against scipy's full transforms.
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("dims", [16, 32, 64])
+@pytest.mark.parametrize("p", [1, 3, 12])
+@pytest.mark.parametrize("norm", [None, "forward"])
+def test_cube_transforms_bit_identical_to_full(n, dims, p, norm):
+    g = Grid(n, dims)
+    axes = tuple(range(-n, 0))
+    rng = np.random.default_rng(dims + n + p)
+    cubes = rng.standard_normal((p, *g.cube_shape)) + 1j * rng.standard_normal((p, *g.cube_shape))
+    full = scatter_cube(cubes, np.zeros((p, *g.half_shape), dtype=complex))
+    assert np.array_equal(irfftn_batch(cubes, n, g.shape, norm), sfft.irfftn(full, s=g.shape, axes=axes, norm=norm))
+    vals = rng.standard_normal((p, *g.shape))
+    out = np.empty((p, *g.cube_shape), dtype=complex)
+    assert rfftn_batch(vals, n, norm, out) is out
+    ref = gather_cube(sfft.rfftn(vals, axes=axes, norm=norm), np.empty_like(out))
+    assert np.array_equal(out, ref)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_dealiased_product_same_for_cube_and_half_spectrum(n):
+    g = Grid(n, 32)
+    rng = np.random.default_rng(50 + n)
+    full = dealias(to_spectral(g, rng.standard_normal((6, *g.shape)))).coeffs
+    cubes = gather_cube(full, np.empty((6, *g.cube_shape), dtype=complex))
+    prod = np.empty((4, *g.shape))
+
+    def product(phys):
+        return cross_into(prod[:3], phys[:3], phys[3:], prod[3])
+
+    from_cube = dealiased_product(g, cubes, product)
+    assert np.array_equal(from_cube, dealiased_product(g, full, product))
+    u, v = SpectralField(g, full[:3]), SpectralField(g, full[3:])
+    assert np.array_equal(from_cube, gather_cube(cross(u, v).coeffs, np.empty_like(from_cube)))
+
+
+def test_batched_transforms_reject_other_shapes(grid, monkeypatch):
+    with pytest.raises(ValueError, match=r"neither the half spectrum \(16, 16, 9\) nor the dealias cube \(11, 11, 6\)"):
+        irfftn_batch(np.zeros((2, 11, 11, 9), dtype=complex), 3, grid.shape)
+    with pytest.raises(ValueError, match="expected the dealias cubes"):
+        rfftn_batch(np.zeros((2, *grid.shape)), 3, None, np.empty((1, *grid.cube_shape), dtype=complex))
+    # the cube paths read HMHD_THREADS too, so a bad value fails the same way
+    monkeypatch.setenv("HMHD_THREADS", "0")
+    with pytest.raises(ValueError, match="HMHD_THREADS"):
+        irfftn_batch(np.zeros((1, *grid.cube_shape), dtype=complex), 3, grid.shape)
+    with pytest.raises(ValueError, match="HMHD_THREADS"):
+        rfftn_batch(np.zeros((1, *grid.shape)), 3, None, np.empty((1, *grid.cube_shape), dtype=complex))
