@@ -12,7 +12,7 @@ from .config import RunConfig, load_config
 from .diagnostics import existence_time, scaling_check
 from .snapshots import list_snapshots, snapshot_name, write_diagnostics, write_snapshot
 from .solver import BlowUpError, State, run
-from .spectral import SpectralField
+from .spectral import SpectralField, dealias_cutoff
 from .uniqueness import gronwall_check
 from .verification import run_verification
 
@@ -60,10 +60,14 @@ def _cmd_verify(args) -> int:
 def _cmd_scaling(args) -> int:
     cfg = load_config(args.config)
     grid = cfg.grid()
-    cutoff = (2.0 / 3.0) * (grid.dims / 2)
-    band = min(
-        cfg["init.band"] or cutoff / args.lam - 1.0, cutoff / args.lam - 1.0
-    )
+    # a random draw must fit the 2/3 cube of the grid shrunk by lambda
+    limit = dealias_cutoff(grid.dims) / args.lam - 1.0
+    if cfg["init.kind"] == "random_band" and limit < 1.0:
+        raise ValueError(
+            f"--lambda: {args.lam} leaves no modes on grid.dims = {grid.dims}: the band "
+            f"dealias_cutoff / lambda - 1 = {limit:.3g} is below 1; use a larger grid.dims"
+        )
+    band = min(cfg["init.band"] or limit, limit)
     from .solver import make_initial
 
     initial = make_initial(
@@ -77,6 +81,8 @@ def _cmd_scaling(args) -> int:
 
 
 def _cmd_uniqueness(args) -> int:
+    if not np.isfinite(args.perturb):
+        raise ValueError(f"--perturb: must be a finite number, got {args.perturb!r}")
     cfg = load_config(args.config)
     solver_cfg = cfg.solver_config()
     initial = cfg.initial_state()

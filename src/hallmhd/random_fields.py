@@ -17,27 +17,13 @@ from .spectral import Grid, SpectralField, leray_project
 
 def _hermitian_symmetrize(coeffs: np.ndarray, n: int) -> np.ndarray:
     """Project full-lattice coefficients onto their Hermitian-symmetric part,
-    whose physical values are real."""
+    whose physical values are real; the full-lattice form of what
+    random_band_field does on its band box."""
     axes = tuple(range(-n, 0))
     flipped = coeffs.copy()
     for ax in axes:
         flipped = np.flip(np.roll(flipped, -1, axis=ax), axis=ax)
     return 0.5 * (coeffs + np.conj(flipped))
-
-
-def _full_kmag(grid: Grid) -> np.ndarray:
-    """|k| on the full FFT lattice the draw runs over, cached on the grid."""
-
-    def build():
-        k1sq = np.fft.fftfreq(grid.dims, 1.0 / grid.dims) ** 2
-        ksq = np.zeros(grid.shape)
-        for axis in range(grid.n):
-            sh = [1] * grid.n
-            sh[axis] = -1
-            ksq = ksq + k1sq.reshape(sh)
-        return np.sqrt(ksq)
-
-    return grid._cached("draw_kmag", build)
 
 
 def random_band_field(
@@ -47,13 +33,28 @@ def random_band_field(
     m: int = 3,
     divergence_free: bool = True,
 ) -> SpectralField:
-    """Random field with spectral support in 0 < |k| <= band."""
+    """Random field with spectral support in 0 < |k| <= band.
+
+    Only the half-spectrum box |k_i| <= band can be nonzero, so the mask and
+    the Hermitian symmetrization run there alone: each mode k of the box and
+    its conjugate partner -k are read from the full-lattice draw, and the
+    arithmetic is that of _hermitian_symmetrize, so the field is np.array_equal
+    to the full-lattice construction.
+    """
     rng = np.random.default_rng(seed)
     shape = (m,) + grid.shape
-    raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    kmag = _full_kmag(grid)
-    full = _hermitian_symmetrize(raw * ((kmag > 0) & (kmag <= band)), grid.n)
-    f = SpectralField(grid, np.ascontiguousarray(full[..., : grid.dims // 2 + 1]))
+    re = rng.standard_normal(shape)
+    im = rng.standard_normal(shape)
+    freq = np.fft.fftfreq(grid.dims, 1.0 / grid.dims)
+    rows = [np.flatnonzero(np.abs(freq) <= band)] * (grid.n - 1)
+    rows.append(np.flatnonzero(np.arange(grid.dims // 2 + 1) <= band))
+    box = (slice(None),) + np.ix_(*rows)
+    partner = (slice(None),) + np.ix_(*[(-r) % grid.dims for r in rows])
+    kmag = np.sqrt(sum(np.ix_(*[freq[r] ** 2 for r in rows])))
+    mask = (kmag > 0) & (kmag <= band)
+    coeffs = np.zeros((m,) + grid.half_shape, dtype=complex)
+    coeffs[box] = 0.5 * ((re[box] + 1j * im[box]) * mask + np.conj((re[partner] + 1j * im[partner]) * mask))
+    f = SpectralField(grid, coeffs)
     if divergence_free:
         if m != 3:
             raise ValueError("divergence-free draw requires m = 3")

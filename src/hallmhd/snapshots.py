@@ -23,7 +23,7 @@ import numpy as np
 
 from .diagnostics import balance_residuals, flux_terms, shell_energies
 from .littlewood_paley import SobolevParams
-from .solver import PhysicalParams, State, StateDriftError, _check_divergence, _check_support
+from .solver import PhysicalParams, State, StateDriftError, _check_state
 from .spectral import Grid, SpectralField, to_physical, to_spectral
 
 MAGIC = b"HMHD"
@@ -105,8 +105,7 @@ def read_snapshot(path) -> State:
     b._phys_payload = (b.coeffs.copy(), pb)
     state = State(u, b, t)
     try:
-        _check_divergence(state)
-        _check_support(state)
+        _check_state(state)
     except StateDriftError as exc:
         raise ValueError(f"{path}: {exc}") from None
     return state

@@ -63,7 +63,7 @@ MODES = ("full", "mhd", "hall_only")
 
 
 class StateDriftError(ValueError):
-    """Raised when an allegedly divergence-free state has drifted."""
+    """Raised when a state breaks an entry invariant (see _check_state)."""
 
 
 class BlowUpError(RuntimeError):
@@ -130,6 +130,20 @@ class SolverConfig:
 def divergence_drift(f: SpectralField) -> float:
     """L2 norm of div f, relative to the field scale (absolute for small fields)."""
     return lp_norm(divergence(f), 2) / max(1.0, lp_norm(f, 2))
+
+
+def _check_state(state: State) -> None:
+    """The entry invariants of a state, in order: finite coefficients,
+    divergence-free to 1e-8 and supported inside the 2/3 dealias cube to 1e-12
+    of its largest amplitude; StateDriftError names the first field that
+    breaks one.  The finiteness test comes first because NaN passes the other
+    two (every comparison with NaN is False)."""
+    for name, f in (("u", state.u), ("b", state.b)):
+        bad = f.coeffs.size - np.count_nonzero(np.isfinite(f.coeffs))
+        if bad:
+            raise StateDriftError(f"non-finite state: {name} has {bad} non-finite coefficients at t={state.t}")
+    _check_divergence(state)
+    _check_support(state)
 
 
 def _check_divergence(state: State, tol: float = 1.0e-8) -> None:
@@ -262,14 +276,13 @@ def compute_rhs(state: State, params: PhysicalParams, mode: str = "full"):
     """Full right-hand sides (du/dt, db/dt) including diffusion.
 
     Only the 2/3 dealias cube of the state is read, and the result is exactly
-    zero outside it.  Raises StateDriftError if the input is not
+    zero outside it.  Raises StateDriftError if the input is not finite, not
     divergence-free to 1e-8 or has more than 1e-12 of its largest amplitude
     outside the cube.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    _check_divergence(state)
-    _check_support(state)
+    _check_state(state)
     g = state.grid
     work = _Workspace(g)
     x = work.load(state)
@@ -390,12 +403,11 @@ def run(initial: State, config: SolverConfig, sinks=()) -> tuple[State, RunLog]:
     psi(t) > blowup_factor * psi(0) is checked at every snapshot and every
     GUARD_EVERY steps; when it trips the run halts after logging psi and
     calling the sinks.  A tmax that is not a whole number of dt steps is
-    rounded to one, with a RuntimeWarning.  The initial state must be
+    rounded to one, with a RuntimeWarning.  The initial state must be finite,
     divergence-free and supported inside the 2/3 dealias cube (to 1e-12 of
     its largest amplitude); otherwise StateDriftError names the field.
     """
-    _check_divergence(initial)
-    _check_support(initial)
+    _check_state(initial)
     sob = config.sobolev
     log = RunLog()
 

@@ -13,10 +13,13 @@ dealiased_product, the one home of the transform pair, its normalization and
 the 2/3 rule, which keeps the cube |k_i| <= dealias_cutoff(dims) = dims // 3;
 gather_cube and scatter_cube copy that cube to and from a compact array, and
 _outside_cube measures a field's content outside such a cube.  The batched
-transforms take either layout: half spectra go through scipy's multi-axis
-transform with HMHD_THREADS workers, compact cubes field by field with one
-worker, skipping the lines that are zero outside the cube, bit-identical to
-the full transform.
+transforms take either layout and are bit-identical to scipy's full ones.
+Compact cubes go field by field with one worker, skipping the lines that are
+zero outside the cube; so do half spectra that are exactly zero outside it on
+grids where that is measured faster, each field on its own support box
+(irfftn_batch).  Other half spectra go through scipy's multi-axis transform
+with HMHD_THREADS workers.  The field-by-field passes call scipy's pocketfft
+binding directly, the one private scipy import.
 
 2D grids carry 3-component fields that depend on (x, y) only ("2.5D"), so
 curl and cross products remain well defined at 2D cost.
@@ -31,6 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import fft as sfft
+from scipy.fft._pocketfft import pypocketfft as _pocketfft
 
 
 def _workers() -> int:
@@ -70,51 +74,116 @@ def irfftn_batch(arr: np.ndarray, n: int, shape: tuple, norm: str | None = None)
     norm as in scipy.fft ("forward" leaves the inverse unscaled).
 
     arr holds half spectra (trailing shape that of shape's half spectrum) or
-    dealias cubes (that of its 2/3 cube, see gather_cube); cubes are
-    transformed one field at a time, np.array_equal to the full transform of
-    scatter_cube into zeros (see _irfftn_cube).  Any other shape raises.
+    dealias cubes (that of its 2/3 cube, see gather_cube).  Three routes, all
+    np.array_equal to scipy's full transform (of scatter_cube into zeros, for
+    cubes), the first two field by field with one worker (see _irfftn_pruned):
+      - cubes, on the fixed box of the cube;
+      - half spectra whose every nonzero coefficient lies in the cube, on a
+        grid of at least _PRUNED_FROM[n] points per axis: each field on its
+        own support box (_support), a zero field written as zeros;
+      - other half spectra, through scipy's multi-axis transform with
+        HMHD_THREADS workers.
+    Any other shape raises.
     """
     workers = _workers()
     shape = tuple(shape)
     dims = shape[-1]
+    kc = dealias_cutoff(dims)
     half = shape[:-1] + (dims // 2 + 1,)
-    cube = _cube_shape(n, dealias_cutoff(dims))
+    cube = _cube_shape(n, kc)
     if arr.shape[-n:] == half:
+        # a nonzero k_last = kc + 1 plane settles it without the measurement
+        if dims >= _PRUNED_FROM[n] and not arr[..., kc + 1].any():
+            support = _support(arr, n)
+            if support.max(initial=-1) <= kc:
+                return _irfftn_pruned(arr, n, shape, norm, support)
         return sfft.irfftn(arr, s=shape, axes=tuple(range(-n, 0)), norm=norm, workers=workers)
     if arr.shape[-n:] == cube:
-        return _irfftn_cube(arr, n, shape, norm)
+        return _irfftn_pruned(arr, n, shape, norm, np.full(arr.shape[:-n], kc))
     raise ValueError(
         f"irfftn_batch: trailing shape {arr.shape[-n:]} is neither the half spectrum "
         f"{half} nor the dealias cube {cube} of grid {shape}"
     )
 
 
-# The cube paths run scipy's own passes, in its order, on the lines that are
+# Smallest dims, per n, from which the pruned route beats scipy's full inverse
+# with one worker on 12 half spectra that fill the dealias cube, support
+# measurement included (timing table in BENCH_11.json; the gain grows with
+# dims).  On smaller grids half spectra keep the full path.
+_PRUNED_FROM = {2: 64, 3: 32}
+
+
+def _support(arr: np.ndarray, n: int) -> np.ndarray:
+    """Per field of the stacked half spectra arr, the smallest kb with every
+    nonzero coefficient in the box |k_i| <= kb, or -1 for a zero field; NaN
+    counts as nonzero.  One exact != 0 pass, then per-axis reductions."""
+    batch, spatial = arr.shape[:-n], arr.shape[-n:]
+    parts = np.ascontiguousarray(arr, dtype=complex).view(np.float64)
+    reached = parts.reshape((-1, *spatial, 2)) != 0
+    dims = spatial[0]
+    lead = np.minimum(np.arange(dims), dims - np.arange(dims))
+    support = np.full(reached.shape[0], -1)
+    for axis in range(n):
+        if axis < n - 1:
+            hit = reached.reshape(reached.shape[:2] + (-1,)).any(axis=-1)
+            reached = reached.any(axis=1)
+            absk = lead
+        else:
+            hit = reached.any(axis=-1)
+            absk = np.arange(spatial[-1])
+        np.maximum(support, np.where(hit, absk, -1).max(axis=-1), out=support)
+    return support.reshape(batch)
+
+
+# The pruned paths run scipy's own passes, in its order, on the lines that are
 # not all zero: its multi-axis inverse transforms the leading axes in order,
 # then the last axis complex-to-real; its forward runs real-to-complex on the
 # last axis, then the leading axes in order.  Each line sees the same 1-D
 # pocketfft transform, and norm applied per pass is exact for power-of-two
-# lengths, so both paths are bit-identical to the full ones.  Fields go one at
-# a time, so the working set is one field's half spectrum, with one worker.
+# lengths, so both paths are bit-identical to the full ones.  The passes call
+# pocketfft directly with the axes, direction and normalization code scipy.fft
+# passes it, which saves scipy's per-call dispatch.  Fields go one at a time,
+# so the working set is one field's half spectrum, with one worker.
+_NORM_CODE = {None: 0, "backward": 0, "ortho": 1, "forward": 2}
 
 
-def _irfftn_cube(cube: np.ndarray, n: int, shape: tuple, norm: str | None) -> np.ndarray:
-    """irfftn of stacked dealias cubes: per field, the cube goes into a zeroed
-    half spectrum and each leading axis is transformed only on the lines whose
-    later leading indices lie in the cube's rows and whose k_last <= kc; the
-    other k_last planes stay zero for the final complex-to-real pass."""
-    dims, kc = shape[-1], cube.shape[-1] - 1
-    out = np.empty(cube.shape[:-n] + shape)
+def _inorm(norm: str | None, forward: bool) -> int:
+    """pocketfft's normalization code for scipy's norm in one direction."""
+    if norm not in _NORM_CODE:
+        raise ValueError(f"invalid norm {norm!r}; use None, 'backward', 'ortho' or 'forward'")
+    return _NORM_CODE[norm] if forward else 2 - _NORM_CODE[norm]
+
+
+def _irfftn_pruned(arr: np.ndarray, n: int, shape: tuple, norm: str | None, support: np.ndarray) -> np.ndarray:
+    """irfftn of stacked half spectra or dealias cubes, per field on the box
+    |k_i| <= kb of its support kb: the box goes into a zeroed half spectrum
+    and each leading axis is transformed only on the lines whose later leading
+    indices lie in the box's rows and whose k_last <= kb; the other k_last
+    planes stay zero for the final complex-to-real pass.  A field with
+    kb = -1 is zero."""
+    dims = shape[-1]
+    inorm = _inorm(norm, forward=False)
+    out = np.empty(arr.shape[:-n] + shape)
     half = np.zeros(shape[:-1] + (dims // 2 + 1,), dtype=complex)
-    low = half[..., : kc + 1]
-    for i in np.ndindex(cube.shape[:-n]):
-        low[...] = 0.0
-        scatter_cube(cube[i], half)
+    from_cube = arr.shape[-n:] != half.shape
+    for i in np.ndindex(arr.shape[:-n]):
+        kb = int(support[i])
+        if kb < 0:
+            out[i] = 0.0
+            continue
+        if from_cube:
+            scatter_cube(arr[i], half)
+        else:
+            for rows in itertools.product(_cube_rows(dims, kb), repeat=n - 1):
+                box = rows + (slice(0, kb + 1),)
+                half[box] = arr[i][box]
+        low = half[..., : kb + 1]
         for axis in range(n - 1):
-            for rows in itertools.product(_cube_rows(dims, kc), repeat=n - 2 - axis):
+            for rows in itertools.product(_cube_rows(dims, kb), repeat=n - 2 - axis):
                 lines = low[(slice(None),) * (axis + 1) + rows]
-                sfft.ifft(lines, axis=axis, norm=norm, overwrite_x=True, workers=1)
-        out[i] = sfft.irfft(half, n=dims, axis=-1, norm=norm, workers=1)
+                _pocketfft.c2c(lines, (axis,), False, inorm, lines, 1)
+        _pocketfft.c2r(half, (n - 1,), dims, False, inorm, out[i], 1)
+        low[...] = 0.0
     return out
 
 
@@ -123,12 +192,15 @@ def _rfftn_cube(arr: np.ndarray, n: int, norm: str | None, out: np.ndarray) -> n
     field, each leading axis is transformed only on the lines whose earlier
     leading indices lie in the cube's rows and whose k_last <= kc."""
     dims, kc = arr.shape[-1], out.shape[-1] - 1
+    inorm = _inorm(norm, forward=True)
+    half = np.empty(arr.shape[-n:-1] + (dims // 2 + 1,), dtype=complex)
+    low = half[..., : kc + 1]
     for i in np.ndindex(arr.shape[:-n]):
-        half = sfft.rfft(arr[i], axis=-1, norm=norm, workers=1)
-        low = half[..., : kc + 1]
+        _pocketfft.r2c(arr[i], (n - 1,), True, inorm, half, 1)
         for axis in range(n - 1):
             for rows in itertools.product(_cube_rows(dims, kc), repeat=axis):
-                sfft.fft(low[rows], axis=axis, norm=norm, overwrite_x=True, workers=1)
+                lines = low[rows]
+                _pocketfft.c2c(lines, (axis,), True, inorm, lines, 1)
         gather_cube(half, out[i])
     return out
 
@@ -145,8 +217,9 @@ def _cube_shape(n: int, kc: int) -> tuple:
 
 
 def _cube_rows(dims: int, kc: int) -> tuple:
-    """The two slabs of the cube on a leading axis: k = 0 .. kc and -kc .. -1."""
-    return (slice(0, kc + 1), slice(dims - kc, None))
+    """The slabs of the cube on a leading axis: k = 0 .. kc and, for kc > 0,
+    -kc .. -1."""
+    return (slice(0, kc + 1), slice(dims - kc, None)) if kc > 0 else (slice(0, 1),)
 
 
 @functools.lru_cache(maxsize=32)

@@ -2,6 +2,7 @@
 
 import os
 import struct
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -132,6 +133,23 @@ def test_analyze_rejects_crafted_snapshot(tmp_path, capsys, small_state):
         assert rc == 2
         assert len(err.strip().splitlines()) == 1
         assert err.startswith(f"error: {run_dir / snapshot_name(0)}: state drift: {field}")
+
+
+def test_read_snapshot_rejects_non_finite_payload(tmp_path, capsys, small_state):
+    path = tmp_path / snapshot_name(0)
+    write_snapshot(path, small_state)
+    data = bytearray(path.read_bytes())
+    data[-8:] = struct.pack("<d", np.nan)  # the last sample of b
+    path.write_bytes(bytes(data))
+    with pytest.raises(ValueError) as info:
+        read_snapshot(path)
+    assert str(info.value).startswith(f"{path}: non-finite state: b has ")
+    (tmp_path / "config.txt").write_text("grid.dims = 16\n")
+    rc = main(["analyze", "--run", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith(f"error: {path}: non-finite state: b has ")
 
 
 def test_snapshot_names_sorted(tmp_path, small_state):
@@ -276,6 +294,33 @@ def test_uniqueness_subcommand(tmp_path, capsys):
     assert rc == 0
     assert "minimal passing C_nu_mu" in captured.out
     assert "holds" in captured.out
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_uniqueness_rejects_non_finite_perturb(tmp_path, capsys, monkeypatch, value):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(cli, "run", no_run)
+    conf = tmp_path / "u.conf"
+    conf.write_text("grid.dims = 16\nsolver.tmax = 0.004\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["uniqueness", "--config", str(conf), "--perturb", value])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == f"error: --perturb: must be a finite number, got {float(value)!r}\n"
+
+
+def test_scaling_rejects_empty_band(tmp_path, capsys):
+    # lambda = 4 on 16^3: the band dealias_cutoff(16) / 4 - 1 = 0.25 holds no mode
+    conf = tmp_path / "s.conf"
+    conf.write_text("grid.dims = 16\nsolver.tmax = 0.004\n")
+    rc = main(["scaling", "--mode", "mhd", "--lambda", "4", "--config", str(conf)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("error: --lambda: 4 ") and "grid.dims = 16" in err
 
 
 def test_cli_error_exit_code(tmp_path, capsys):

@@ -391,6 +391,21 @@ def test_compute_rhs_rejects_content_outside_dealias_cube():
         compute_rhs(State(SpectralField(g, u), st.b, 0.0), PhysicalParams(0.05, 0.05, 0.1))
 
 
+def test_entry_checks_reject_non_finite_state():
+    # NaN passes the divergence and support checks (nan > tol is False)
+    g = Grid(3, 16)
+    st = make_initial("random_band", g, 67, (1.0, 1.0), SOB)
+    params = PhysicalParams(0.05, 0.05, 0.1)
+    cfg = SolverConfig(params, SOB, 1e-3, 1e-3)
+    for value in (np.nan, np.inf):
+        b = st.b.coeffs.copy()
+        b[1, 2, 3, 1] = value
+        bad = State(st.u, SpectralField(g, b), 0.0)
+        for call in (lambda: run(bad, cfg), lambda: compute_rhs(bad, params)):
+            with pytest.raises(StateDriftError, match=r"^non-finite state: b has 1 non-finite coefficients at t=0\.0$"):
+                call()
+
+
 def test_step_reads_only_the_dealias_cube():
     # a tail below the 1e-12 entry tolerance is dropped, not carried: the
     # step of the tailed state equals that of the truncated one bit for bit

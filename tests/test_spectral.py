@@ -32,6 +32,7 @@ from hallmhd.spectral import (
     to_physical,
     to_spectral,
 )
+from hallmhd import spectral
 from hallmhd.random_fields import _hermitian_symmetrize, random_band_field
 from hallmhd.solver import _taylor_green_like, divergence_drift
 
@@ -87,6 +88,22 @@ def test_hermitian_symmetrize_is_projection(grid):
     # symmetrized coefficients give real physical values
     phys = np.fft.ifftn(once[0] * grid.npoints, axes=(0, 1, 2))
     assert np.abs(phys.imag).max() < 1e-10 * max(1.0, np.abs(phys.real).max())
+
+
+@pytest.mark.parametrize("n, dims", [(2, 16), (3, 16), (3, 32)])
+def test_random_band_field_matches_full_lattice_draw(n, dims):
+    # the full-lattice construction: mask the whole draw, symmetrize, slice
+    g = Grid(n, dims)
+    freq = np.fft.fftfreq(dims, 1.0 / dims)
+    kmag = np.sqrt(sum(np.meshgrid(*[freq**2] * n, indexing="ij")))
+    for seed, band, m, div in ((1, 3.5, 3, True), (2, dims / 3, 3, False), (3, 2.0, 1, False),
+                               (4, 100.0, 3, True), (5, 0.5, 3, True)):
+        rng = np.random.default_rng(seed)
+        raw = rng.standard_normal((m, *g.shape)) + 1j * rng.standard_normal((m, *g.shape))
+        full = _hermitian_symmetrize(raw * ((kmag > 0) & (kmag <= band)), n)
+        ref = SpectralField(g, full[..., : dims // 2 + 1])
+        ref = leray_project(ref) if div else ref
+        assert np.array_equal(random_band_field(g, seed, band, m, div).coeffs, ref.coeffs)
 
 
 def test_derivatives_exact_on_trig(grid):
@@ -358,6 +375,47 @@ def test_cube_transforms_bit_identical_to_full(n, dims, p, norm):
     assert rfftn_batch(vals, n, norm, out) is out
     ref = gather_cube(sfft.rfftn(vals, axes=axes, norm=norm), np.empty_like(out))
     assert np.array_equal(out, ref)
+
+
+def _box_field(g, rng, kb):
+    """One random half spectrum supported on the box |k_i| <= kb."""
+    c = rng.standard_normal(g.half_shape) + 1j * rng.standard_normal(g.half_shape)
+    return c * (np.abs(g.k) <= kb).all(axis=0)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("dims", [16, 32, 64])
+@pytest.mark.parametrize("norm", [None, "forward"])
+def test_irfftn_batch_bit_identical_on_measured_supports(n, dims, norm, monkeypatch):
+    g = Grid(n, dims)
+    kc = g.cube_shape[-1] - 1
+    axes = tuple(range(-n, 0))
+    rng = np.random.default_rng(dims + n)
+    # zero fields and supports kb = 0, 1, 3 and kc, all inside the dealias cube
+    inside = np.stack([np.zeros(g.half_shape, dtype=complex)]
+                      + [_box_field(g, rng, kb) for kb in (0, 1, kc, 3)]
+                      + [np.zeros(g.half_shape, dtype=complex)])
+    pruned = []
+    real_pruned = spectral._irfftn_pruned
+
+    def spy(arr, *args):
+        pruned.append(arr.shape)
+        return real_pruned(arr, *args)
+
+    monkeypatch.setattr(spectral, "_irfftn_pruned", spy)
+    assert np.array_equal(irfftn_batch(inside, n, g.shape, norm), sfft.irfftn(inside, s=g.shape, axes=axes, norm=norm))
+    assert pruned == ([inside.shape] if dims >= spectral._PRUNED_FROM[n] else [])
+    # a non-contiguous view of the same batch
+    spaced = np.zeros((2 * len(inside), *g.half_shape), dtype=complex)
+    spaced[::2] = inside
+    assert np.array_equal(irfftn_batch(spaced[::2], n, g.shape, norm), sfft.irfftn(inside, s=g.shape, axes=axes, norm=norm))
+    # one mode just outside the cube, on a leading axis or on k_last, sends the batch to the full path
+    for mode in ((kc + 1,) + (0,) * (n - 1), (0,) * (n - 1) + (kc + 1,)):
+        wide = inside.copy()
+        wide[(2, *mode)] = 1e-300
+        pruned.clear()
+        assert np.array_equal(irfftn_batch(wide, n, g.shape, norm), sfft.irfftn(wide, s=g.shape, axes=axes, norm=norm))
+        assert pruned == []
 
 
 @pytest.mark.parametrize("n", [2, 3])
