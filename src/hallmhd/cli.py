@@ -132,8 +132,15 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ValueError, which main reports on one line (exit 2)."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hmhd",
         description="Pseudo-spectral Hall-MHD solver and verification toolkit",
     )
@@ -167,8 +174,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ValueError, OSError, BlowUpError) as exc:
         print(f"error: {exc}", file=sys.stderr)

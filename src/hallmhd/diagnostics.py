@@ -29,8 +29,8 @@ import numpy as np
 from .littlewood_paley import SobolevParams, shell_sums, sobolev_weights
 from .solver import PhysicalParams, SolverConfig, State, run
 from .spectral import (
-    Grid, SpectralField, _outside_cube, cross_into, dealias_cutoff, dealiased_product, gather_cube,
-    gradient, lp_norm, power, scatter_cube,
+    Grid, SpectralField, _outside_cube, cross_into, curl_into, dealias_cutoff, dealiased_product,
+    gather_cube, gradient, lp_norm, power, scatter_cube,
 )
 
 
@@ -85,8 +85,7 @@ def flux_terms(state: State, params: PhysicalParams, sob: SobolevParams) -> Flux
     hats = dealiased_product(g, np.concatenate([u, b, *grads]), products)
     # the products live on the cube, so the fluxes need u, b and curl b only there
     k, cu, cb = (gather_cube(f, np.empty(f.shape[:1] + g.cube_shape, f.dtype)) for f in (g.k, u, b))
-    cj = cross_into(np.empty_like(cb), k, cb, np.empty_like(cb[0]))
-    cj *= 1j
+    cj = curl_into(np.empty_like(cb), k, cb, np.empty_like(cb[0]))
     # Re(hat_k . conj f_k) of each product and the field its flux tests it against
     tested = zip(np.split(hats, 5), (cu, cu, cb, cb, cj))
     dots = np.stack([(h.real * f.real + h.imag * f.imag).sum(axis=0) for h, f in tested])

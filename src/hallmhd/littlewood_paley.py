@@ -98,10 +98,7 @@ def resolved_band(grid: Grid) -> float:
 
 
 def _shell_multiplier(grid: Grid, q: int) -> np.ndarray:
-    key = ("shell", q)
-    if key not in grid._cache:
-        grid._cache[key] = phi_q(grid.kmag, q)
-    return grid._cache[key]
+    return grid._cached(("shell", q), lambda: phi_q(grid.kmag, q))
 
 
 def project_shell(f: SpectralField, q: int) -> SpectralField:
@@ -201,7 +198,7 @@ def direct_sobolev_norm(f: SpectralField, s: float) -> float:
     """Multiplier H^s norm (sum (1+|k|^2)^s |f_k|^2)^{1/2}; shell-free cross-check."""
     g = f.grid
     w = (1.0 + g.ksq) ** s * g.hermitian_weight
-    return float(np.sqrt((2.0 * np.pi) ** g.n * np.sum(w * np.abs(f.coeffs) ** 2)))
+    return float(np.sqrt((2.0 * np.pi) ** g.n * np.sum(w * power(f.coeffs))))
 
 
 def bernstein_ratio(f_q: SpectralField, q: int, p_from, p_to) -> float:

@@ -6,9 +6,9 @@ Snapshot layout (little-endian):
     | time f64 | u components then b components as f64 physical-space arrays
     in axis-major (C) order.
 
-read(write(x)) is bit-exact.  read_snapshot checks the state's entry
-invariants: u and b divergence-free to 1e-8 and supported inside the 2/3
-dealias cube to 1e-12 of their largest amplitude.  CSVs print every float
+read(write(x)) is bit-exact.  read_snapshot checks the solver's entry
+invariants (solver._check_state): u and b finite, divergence-free, inside the
+2/3 dealias cube and Hermitian on the k_last = 0 plane.  CSVs print every float
 with 17 significant digits; files are written atomically (temp file + rename).
 """
 

@@ -8,7 +8,8 @@ six pointwise products per right-hand side from spectral.dealiased_product:
 12 fields to physical space and 6 back (18 FFT fields; 9 in hall_only).  The
 curl form equals the divergence form only for divergence-free states inside
 the 2/3 dealias cube, so make_initial cuts its data to that cube and the
-dealiased scheme keeps it there.
+dealiased scheme keeps it there; run and compute_rhs check these invariants,
+with finiteness and a Hermitian k_last = 0 plane, on entry (_check_state).
 
 Time stepping is integrating-factor RK4: diffusion is propagated exactly by
 exp(-nu |k|^2 dt) / exp(-mu |k|^2 dt) and the (dealiased) quadratic terms are
@@ -25,7 +26,8 @@ the cube of the products.  step and compute_rhs read only the cube of their
 input, and their output is exactly zero outside it.  The stages write into
 the buffers of one _Workspace, which run allocates per call and drops on
 return (a lone step or compute_rhs builds its own), through out=, in-place
-ufuncs and spectral.cross_into, in the order of the plain expressions.  Modes:
+ufuncs, spectral.cross_into and spectral.curl_into, the one curl, in the
+order of the plain expressions.  Modes:
 
   full      - the complete system,
   mhd       - Hall coefficient forced to zero,
@@ -46,9 +48,11 @@ from .spectral import (
     Grid,
     SpectralField,
     _expanded,
+    _hermitian_defect,
     _outside_cube,
     advect,
     cross_into,
+    curl_into,
     dealias,
     dealias_cutoff,
     dealiased_product,
@@ -132,39 +136,40 @@ def divergence_drift(f: SpectralField) -> float:
     return lp_norm(divergence(f), 2) / max(1.0, lp_norm(f, 2))
 
 
-def _check_state(state: State) -> None:
-    """The entry invariants of a state, in order: finite coefficients,
-    divergence-free to 1e-8 and supported inside the 2/3 dealias cube to 1e-12
-    of its largest amplitude; StateDriftError names the first field that
-    breaks one.  The finiteness test comes first because NaN passes the other
-    two (every comparison with NaN is False)."""
-    for name, f in (("u", state.u), ("b", state.b)):
+def _check_state(state: State, tol: float = 1.0e-8, rel: float = 1.0e-12) -> None:
+    """The entry invariants, each checked on u and then b before the next:
+    finite coefficients (first, as NaN passes every comparison), divergence-
+    free to tol, and, to rel of the field's largest amplitude, supported inside
+    the 2/3 dealias cube and Hermitian on the k_last = 0 plane, as a real field
+    is.  StateDriftError names the first field that breaks one."""
+    fields = (("u", state.u), ("b", state.b))
+    for name, f in fields:
         bad = f.coeffs.size - np.count_nonzero(np.isfinite(f.coeffs))
         if bad:
             raise StateDriftError(f"non-finite state: {name} has {bad} non-finite coefficients at t={state.t}")
-    _check_divergence(state)
-    _check_support(state)
-
-
-def _check_divergence(state: State, tol: float = 1.0e-8) -> None:
-    for name, f in (("u", state.u), ("b", state.b)):
+    for name, f in fields:
         drift = divergence_drift(f)
         if drift > tol:
             raise StateDriftError(
                 f"state drift: div {name} = {drift:.3e} exceeds {tol:.1e} at t={state.t}"
             )
-
-
-def _check_support(state: State, rel: float = 1.0e-12) -> None:
-    """Reject content outside the 2/3 dealias cube, where the curl-form
-    nonlinearity no longer equals the divergence form."""
     cutoff = dealias_cutoff(state.grid.dims)
-    for name, f in (("u", state.u), ("b", state.b)):
-        tail = _outside_cube(f, cutoff)
+    peaks = []
+    for name, f in fields:
+        mag = np.abs(f.coeffs)
+        peaks.append(mag.max(initial=0.0))
+        tail = _outside_cube(f, cutoff, mag, peaks[-1])
         if tail > rel:
             raise StateDriftError(
                 f"state drift: {name} has {tail:.3e} of its largest amplitude outside "
                 f"the 2/3 dealias cube (allowed {rel:.0e}) at t={state.t}"
+            )
+    for (name, f), peak in zip(fields, peaks):
+        defect = _hermitian_defect(f) / peak if peak > 0 else 0.0
+        if defect > rel:
+            raise StateDriftError(
+                f"state drift: {name} is not Hermitian: |f_k - conj f_-k| reaches {defect:.3e} "
+                f"of its largest amplitude on the k_last = 0 plane (allowed {rel:.0e}) at t={state.t}"
             )
 
 
@@ -232,8 +237,7 @@ def _nonlinear(
     (u, b), (du, db), (_, w, _, j) = x, out, spec
     fields = spec.reshape((12, *spec.shape[2:]))
     # du[0] is scratch until the results are written
-    cross_into(j, k, b, du[0])
-    j *= 1j
+    curl_into(j, k, b, du[0])
     spec[2] = b
     if mode == "hall_only":
         # j x b from the physical (b, j)
@@ -241,13 +245,11 @@ def _nonlinear(
             grid, fields[6:], lambda phys: cross_into(prods[:3], phys[3:], phys[:3], prods[3]), hats[:3]
         )
         du[...] = 0.0
-        cross_into(db, k, jxb, w[0])
-        db *= 1j
+        curl_into(db, k, jxb, w[0])
         db *= -eta
         return
 
-    cross_into(w, k, u, du[0])
-    w *= 1j
+    curl_into(w, k, u, du[0])
     spec[0] = u
 
     def products(phys):
@@ -268,17 +270,15 @@ def _nonlinear(
     cross_into(w, hats[:3], k, j[0])
     cross_into(du, k, w, j[0])
     du *= work.inv_ksq
-    cross_into(db, k, hats[3:], j[0])
-    db *= 1j
+    curl_into(db, k, hats[3:], j[0])
 
 
 def compute_rhs(state: State, params: PhysicalParams, mode: str = "full"):
     """Full right-hand sides (du/dt, db/dt) including diffusion.
 
     Only the 2/3 dealias cube of the state is read, and the result is exactly
-    zero outside it.  Raises StateDriftError if the input is not finite, not
-    divergence-free to 1e-8 or has more than 1e-12 of its largest amplitude
-    outside the cube.
+    zero outside it.  Raises StateDriftError if the input breaks an entry
+    invariant (finite, divergence-free, inside the cube, Hermitian).
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -403,9 +403,9 @@ def run(initial: State, config: SolverConfig, sinks=()) -> tuple[State, RunLog]:
     psi(t) > blowup_factor * psi(0) is checked at every snapshot and every
     GUARD_EVERY steps; when it trips the run halts after logging psi and
     calling the sinks.  A tmax that is not a whole number of dt steps is
-    rounded to one, with a RuntimeWarning.  The initial state must be finite,
-    divergence-free and supported inside the 2/3 dealias cube (to 1e-12 of
-    its largest amplitude); otherwise StateDriftError names the field.
+    rounded to one, with a RuntimeWarning.  An initial state that breaks an
+    entry invariant (finite, divergence-free, inside the 2/3 dealias cube,
+    Hermitian) raises StateDriftError naming the field.
     """
     _check_state(initial)
     sob = config.sobolev

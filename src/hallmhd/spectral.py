@@ -8,18 +8,21 @@ at k = 0.  A sum over the whole lattice (Parseval) counts every interior
 k_last plane twice, for k and -k, through grid.hermitian_weight; power is
 the one |f_k|^2.  All differential operators are exact Fourier multipliers:
 gradient is the one ik (x) f, the gradient tensor of any m-component field,
-and cross_into is the one cross-product kernel.  Every product goes through
-dealiased_product, the one home of the transform pair, its normalization and
-the 2/3 rule, which keeps the cube |k_i| <= dealias_cutoff(dims) = dims // 3;
-gather_cube and scatter_cube copy that cube to and from a compact array, and
-_outside_cube measures a field's content outside such a cube.  The batched
-transforms take either layout and are bit-identical to scipy's full ones.
-Compact cubes go field by field with one worker, skipping the lines that are
-zero outside the cube; so do half spectra that are exactly zero outside it on
-grids where that is measured faster, each field on its own support box
-(irfftn_batch).  Other half spectra go through scipy's multi-axis transform
-with HMHD_THREADS workers.  The field-by-field passes call scipy's pocketfft
-binding directly, the one private scipy import.
+cross_into is the one cross-product kernel and curl_into, i k x f through
+it, the one curl.  Every product goes through dealiased_product, the one home
+of the transform pair, its normalization and the 2/3 rule, which keeps the
+cube |k_i| <= dealias_cutoff(dims) = dims // 3; gather_cube and scatter_cube
+copy that cube to and from a compact array, and _outside_cube measures a
+field's content outside such a cube.  The k_last = 0 plane holds both k and
+-k, so a real field has f_-k = conj f_k there; _hermitian_defect measures how
+far a half spectrum is from that.  The batched transforms take either layout
+and are bit-identical to scipy's full ones.  Compact cubes go field by field
+with one worker, skipping the lines that are zero outside the cube; so do half
+spectra that are exactly zero outside it on grids where that is measured
+faster, each field on its own support box (irfftn_batch).  Other half spectra
+go through scipy's multi-axis transform with HMHD_THREADS workers.  The
+field-by-field passes call scipy's pocketfft binding directly, the one private
+scipy import.
 
 2D grids carry 3-component fields that depend on (x, y) only ("2.5D"), so
 curl and cross products remain well defined at 2D cost.
@@ -260,14 +263,25 @@ def scatter_cube(comp: np.ndarray, full: np.ndarray) -> np.ndarray:
     return full
 
 
-def _outside_cube(f: SpectralField, cutoff: int) -> float:
+def _outside_cube(f: SpectralField, cutoff: int, mag: np.ndarray | None = None, peak: float = 0.0) -> float:
     """Largest |coefficient| with some |k_i| > cutoff, relative to the largest
-    of all (0 for a zero field)."""
-    mag = np.abs(f.coeffs)
-    peak = mag.max(initial=0.0)
+    of all (0 for a zero field).  A caller holding mag = np.abs(f.coeffs) and
+    its largest entry peak passes both, and mag is overwritten."""
+    if mag is None:
+        mag = np.abs(f.coeffs)
+        peak = mag.max(initial=0.0)
     # zero the cube |k_i| <= cutoff; what is left lies outside it
     scatter_cube(np.zeros((f.m, *_cube_shape(f.grid.n, cutoff))), mag)
     return float(mag.max() / peak) if peak > 0 else 0.0
+
+
+def _hermitian_defect(f: SpectralField) -> float:
+    """Largest |f_k - conj f_-k| on the k_last = 0 plane, which holds both k
+    and -k: 0 for the half spectrum of a real field."""
+    plane = f.coeffs[..., 0]
+    neg = (-np.arange(f.grid.dims)) % f.grid.dims
+    mirror = plane[(slice(None), *np.ix_(*[neg] * (f.grid.n - 1)))]
+    return float(np.abs(plane - np.conj(mirror)).max(initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -466,6 +480,13 @@ def cross_into(out: np.ndarray, a: np.ndarray, b: np.ndarray, tmp: np.ndarray) -
     return out
 
 
+def curl_into(out: np.ndarray, k: np.ndarray, f: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """out = i k x f, the curl multiplier, by cross_into; returns out."""
+    cross_into(out, k, f, tmp)
+    out *= 1j
+    return out
+
+
 def dealiased_product(grid: Grid, spec: np.ndarray, product, out: np.ndarray | None = None) -> np.ndarray:
     """The 2/3 dealias cube, shape (p, *grid.cube_shape), of pointwise products.
 
@@ -514,9 +535,7 @@ def curl(v: SpectralField) -> SpectralField:
     if v.m != 3:
         raise ValueError("curl expects a 3-component field")
     c = v.coeffs
-    out = cross_into(np.empty_like(c), v.grid.k, c, np.empty_like(c[0]))
-    out *= 1j
-    return SpectralField(v.grid, out)
+    return SpectralField(v.grid, curl_into(np.empty_like(c), v.grid.k, c, np.empty_like(c[0])))
 
 
 def laplacian(f: SpectralField) -> SpectralField:
@@ -602,7 +621,7 @@ def lp_norm(f: SpectralField, p) -> float:
     g = f.grid
     if p == 2:
         vol = (2.0 * np.pi) ** g.n
-        return float(np.sqrt(vol * np.sum(np.abs(f.coeffs) ** 2 * g.hermitian_weight)))
+        return float(np.sqrt(vol * np.sum(power(f.coeffs) * g.hermitian_weight)))
     sup = p in (np.inf, float("inf"), "inf")
     if not (sup or p == 1):
         raise ValueError(f"unsupported norm order {p!r}; use 1, 2 or inf")

@@ -14,13 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .littlewood_paley import SobolevParams, dyadic_sobolev_norm
-from .solver import PhysicalParams, State
+from .solver import PhysicalParams, State, divergence_drift
 from .spectral import (
     SpectralField,
     advect,
     cross,
     curl,
-    divergence,
     gradient,
     inner_product,
     laplacian,
@@ -45,8 +44,8 @@ def difference_rhs(
     U = u1 - u2 and B = b1 - b2.
     """
     for name, f in (("U", U), ("B", B), ("u1", u1), ("b1", b1), ("u2", u2), ("b2", b2)):
-        drift = lp_norm(divergence(f), 2)
-        if drift > 1e-8 * max(1.0, lp_norm(f, 2)):
+        drift = divergence_drift(f)
+        if drift > 1e-8:
             raise ValueError(f"divergence drift in {name}: {drift:.3e}")
 
     dU = leray_project(

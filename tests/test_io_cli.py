@@ -407,6 +407,67 @@ def test_simulate_rejects_state_outside_dealias_cube(tmp_path, capsys, monkeypat
     assert err.startswith("error: state drift: u has 1.000e+00 of its largest amplitude outside")
 
 
+def test_simulate_rejects_non_hermitian_state(tmp_path, capsys, monkeypatch):
+    initial_state = RunConfig.initial_state
+
+    def skewed(self):
+        st = initial_state(self)
+        # i/2 at k = (1, 2, 0) and at -k: an anti-Hermitian, divergence-free
+        # mode inside the 2/3 cube at 16^3
+        st.b.coeffs[2, 1, 2, 0] += 0.5j
+        st.b.coeffs[2, -1, -2, 0] += 0.5j
+        return st
+
+    monkeypatch.setattr(RunConfig, "initial_state", skewed)
+    conf = tmp_path / "run.conf"
+    conf.write_text("grid.dims = 16\n")
+    rc = main(["simulate", "--config", str(conf), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("error: state drift: b is not Hermitian: ")
+
+
+def test_uniqueness_rejects_option_like_perturb(tmp_path, capsys, monkeypatch):
+    # argparse reads "-inf" as an option, so --perturb has no value
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(cli, "run", no_run)
+    conf = tmp_path / "u.conf"
+    conf.write_text("grid.dims = 16\nsolver.tmax = 0.004\n")
+    rc = main(["uniqueness", "--config", str(conf), "--perturb", "-inf"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("error: ") and "--perturb" in err
+
+
+@pytest.mark.parametrize(
+    "argv, word",
+    [
+        ([], "command"),
+        (["bogus"], "bogus"),
+        (["simulate", "--config", "c"], "--out"),
+        (["scaling", "--mode", "mhd", "--lambda", "3", "--config", "c"], "--lambda"),
+    ],
+)
+def test_cli_usage_errors_one_line(capsys, argv, word):
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+    assert captured.err.startswith("error: hmhd") and word in captured.err
+
+
+def test_cli_help_exits_zero(capsys):
+    for argv in (["--help"], ["uniqueness", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "usage: hmhd" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
 def test_cli_rejects_bad_thread_count(tmp_path, capsys, monkeypatch, value):
     monkeypatch.setenv("HMHD_THREADS", value)

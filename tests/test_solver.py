@@ -406,6 +406,70 @@ def test_entry_checks_reject_non_finite_state():
                 call()
 
 
+def _anti_hermitian(f, amplitude):
+    # i amplitude added at k = (1, 2, 0) and at -k, both on the k_last = 0
+    # plane, so f_k - conj f_-k gains 2i amplitude; z-polarized and inside the
+    # 2/3 cube, the mode is divergence-free and only the Hermitian check objects
+    c = f.coeffs.copy()
+    c[2, 1, 2, 0] += 1j * amplitude
+    c[2, -1, -2, 0] += 1j * amplitude
+    return SpectralField(f.grid, c)
+
+
+def test_entry_checks_reject_non_hermitian_state():
+    g = Grid(3, 16)
+    st = make_initial("random_band", g, 67, (1.0, 1.0), SOB)
+    params = PhysicalParams(0.05, 0.05, 0.1)
+    cfg = SolverConfig(params, SOB, 1e-3, 1e-3)
+    scale = np.abs(st.b.coeffs).max()
+    for amplitude, ok in ((1e-14 * scale, True), (1e-11 * scale, False)):
+        bad = State(st.u, _anti_hermitian(st.b, amplitude), 0.0)
+        for call in (lambda: run(bad, cfg), lambda: compute_rhs(bad, params)):
+            if ok:
+                call()
+            else:
+                with pytest.raises(StateDriftError, match=r"^state drift: b is not Hermitian: .* on the k_last = 0 plane"):
+                    call()
+
+
+@pytest.mark.parametrize("n, dims", [(3, 16), (3, 32), (2, 32), (2, 64)])
+@pytest.mark.parametrize("kind", ["random_band", "taylor_green_like", "beltrami"])
+def test_real_states_hermitian_to_roundoff(n, dims, kind):
+    # made, stepped and round-tripped states sit far below the 1e-12 tolerance
+    g = Grid(n, dims)
+    st = make_initial(kind, g, 11, (0.0 if kind == "beltrami" else 1.0, 1.0), SOB)
+    cfg = SolverConfig(PhysicalParams(0.05, 0.05, 0.1), SOB, 1e-3, 1.0)
+    stepped = step(step(st, cfg), cfg)
+    for f in (st.u, st.b, stepped.u, stepped.b, to_spectral(g, to_physical(stepped.b))):
+        assert spectral._hermitian_defect(f) <= 1e-14 * np.abs(f.coeffs).max()
+
+
+def test_entry_checks_report_the_earlier_invariant_first():
+    # each invariant is checked on u and then b before the next one, so a
+    # state breaking two reports the earlier invariant, in whichever field
+    g = Grid(3, 16)
+    st = make_initial("random_band", g, 67, (1.0, 1.0), SOB)
+    params = PhysicalParams(0.05, 0.05, 0.1)
+    cfg = SolverConfig(params, SOB, 1e-3, 1e-3)
+
+    def outside(f):
+        c = f.coeffs.copy()
+        c[0, 0, 0, 7] = np.abs(c).max()  # k = (0, 0, 7), x-polarized: divergence-free
+        return SpectralField(g, c)
+
+    nan_b = st.b.coeffs.copy()
+    nan_b[1, 2, 3, 1] = np.nan
+    cases = [
+        (outside(st.u), SpectralField(g, nan_b), r"^non-finite state: b has 1 "),
+        (_anti_hermitian(st.u, np.abs(st.u.coeffs).max()), outside(st.b), r"^state drift: b has .* outside the 2/3 dealias cube"),
+    ]
+    for u, b, message in cases:
+        bad = State(u, b, 0.0)
+        for call in (lambda: run(bad, cfg), lambda: compute_rhs(bad, params)):
+            with pytest.raises(StateDriftError, match=message):
+                call()
+
+
 def test_step_reads_only_the_dealias_cube():
     # a tail below the 1e-12 entry tolerance is dropped, not carried: the
     # step of the tailed state equals that of the truncated one bit for bit
