@@ -67,13 +67,8 @@ def _cmd_scaling(args) -> int:
             f"--lambda: {args.lam} leaves no modes on grid.dims = {grid.dims}: the band "
             f"dealias_cutoff / lambda - 1 = {limit:.3g} is below 1; use a larger grid.dims"
         )
-    band = min(cfg["init.band"] or limit, limit)
-    from .solver import make_initial
-
-    initial = make_initial(
-        cfg["init.kind"], grid, cfg["init.seed"],
-        (cfg["init.target_u"], cfg["init.target_b"]), cfg.sobolev(), band=band,
-    )
+    cfg.values["init.band"] = min(cfg["init.band"] or limit, limit)
+    initial = cfg.initial_state()
     mode = "mhd" if args.mode == "mhd" else "hall_only"
     residual = scaling_check(mode, args.lam, initial, cfg.solver_config())
     print(f"scaling residual (mode={mode}, lambda={args.lam}): {residual:.17g}")

@@ -7,12 +7,14 @@ The config format is plain text, one dotted key per line:
     params.nu = 0.05
     ...
 
-'#' starts a comment.  Unknown keys and malformed lines are rejected with a
-field-level message; Sobolev admissibility is enforced at load time.
+'#' starts a comment.  Unknown keys, malformed lines and out-of-range values
+are rejected at load time with a field-level message, as is a Sobolev pair
+that is not admissible.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .littlewood_paley import SobolevParams
@@ -44,6 +46,24 @@ _DEFAULTS = {
     "sweep.size": 20,
     "sweep.seed": 1234,
 }
+
+
+# value constraints checked at load: (keys, test, the rule the message states)
+_RULES = (
+    (("sweep.size",), lambda x: x >= 1, "at least 1"),
+    (("init.seed", "sweep.seed"), lambda x: x >= 0, "non-negative"),
+    (("init.band",), lambda x: x >= 0, "non-negative (0 means the grid's resolved band)"),
+    (
+        ("init.target_u", "init.target_b", "calibration.C_nu_mu"),
+        lambda x: math.isfinite(x) and x >= 0,
+        "finite and non-negative",
+    ),
+    (
+        ("calibration.C", "calibration.gamma_low"),
+        lambda x: math.isfinite(x) and x > 0,
+        "finite and positive",
+    ),
+)
 
 
 @dataclass
@@ -101,6 +121,16 @@ class RunConfig:
             )
         if self.values["init.kind"] not in ("beltrami", "taylor_green_like", "random_band"):
             raise ValueError(f"init.kind: unknown kind {self.values['init.kind']!r}")
+        for keys, ok, rule in _RULES:
+            for key in keys:
+                if not ok(self.values[key]):
+                    raise ValueError(f"{key}: must be {rule}, got {self.values[key]!r}")
+        low, high = self.values["calibration.gamma_low"], self.values["calibration.gamma_high"]
+        if not (math.isfinite(high) and high >= low):
+            raise ValueError(
+                f"calibration.gamma_high: must be finite and at least "
+                f"calibration.gamma_low = {low!r}, got {high!r}"
+            )
 
     def to_text(self) -> str:
         lines = []

@@ -22,7 +22,7 @@ that closes the identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .littlewood_paley import SobolevParams, shell_sums, sobolev_weights
 from .solver import PhysicalParams, SolverConfig, State, run
 from .spectral import (
     Grid, SpectralField, _outside_cube, cross_into, curl_into, dealias_cutoff, dealiased_product,
-    gather_cube, gradient, lp_norm, power, scatter_cube,
+    gather_cube, gradient, lp_norm, parseval, power, scatter_cube,
 )
 
 
@@ -101,33 +101,31 @@ def flux_terms(state: State, params: PhysicalParams, sob: SobolevParams) -> Flux
     )
 
 
+def _law_residual(ts, E, D, *fluxes) -> np.ndarray:
+    """|dE/dt + D + fluxes| / max(D, 1e-300) per sample, the residual of the
+    energy law dE/dt + D + fluxes = 0 relative to its dissipation D.  Time
+    derivatives use centered differences (one-sided at the endpoints).  The
+    series may be lists: the sample count is checked before any array is
+    built, so an empty trace gets that message too."""
+    if len(ts) < 3:
+        raise ValueError("need at least 3 samples for a centered time-difference")
+    D = np.asarray(D)
+    return np.abs(sum(fluxes, np.gradient(E, ts, edge_order=2) + D)) / np.maximum(D, 1e-300)
+
+
 def balance_residuals(
     energies: list[ShellEnergyRecord], fluxes: list[FluxRecord], params: PhysicalParams
 ):
     """Normalized residuals of the two shell energy identities along a trace
-    of precomputed records, one shell-energy and one flux record per sample.
-
-    Time derivatives use centered differences (one-sided at the endpoints);
-    residuals are normalized by the dissipation magnitude.
-    """
-    if len(energies) < 3:
-        raise ValueError("need at least 3 samples for a centered time-difference")
-    ts = np.array([r.t for r in energies])
-    Eu = np.array([r.e_u.sum() for r in energies])
-    Eb = np.array([r.e_b.sum() for r in energies])
-    Du = np.array([r.d_u.sum() for r in energies])
-    Db = np.array([r.d_b.sum() for r in energies])
-
-    dEu = np.gradient(Eu, ts, edge_order=2)
-    dEb = np.gradient(Eb, ts, edge_order=2)
-    res_u = np.empty(len(energies))
-    res_b = np.empty(len(energies))
-    for i, f in enumerate(fluxes):
-        diss_u = params.nu * Du[i]
-        diss_b = params.mu * Db[i]
-        res_u[i] = abs(0.5 * dEu[i] + diss_u + f.I1 + f.I2) / max(diss_u, 1e-300)
-        res_b[i] = abs(0.5 * dEb[i] + diss_b + f.I3 + f.I4 + f.I5) / max(diss_b, 1e-300)
-    return ts, res_u, res_b
+    of precomputed records, one shell-energy and one flux record per sample
+    (see _law_residual)."""
+    ts = [r.t for r in energies]
+    E_u = [0.5 * r.e_u.sum() for r in energies]
+    E_b = [0.5 * r.e_b.sum() for r in energies]
+    D_u = [params.nu * r.d_u.sum() for r in energies]
+    D_b = [params.mu * r.d_b.sum() for r in energies]
+    I1, I2, I3, I4, I5 = ([getattr(f, f"I{i}") for f in fluxes] for i in range(1, 6))
+    return np.array(ts), _law_residual(ts, E_u, D_u, I1, I2), _law_residual(ts, E_b, D_b, I3, I4, I5)
 
 
 def energy_balance_residual(
@@ -146,23 +144,16 @@ def total_energy_residual(states: list[State], params: PhysicalParams) -> np.nda
 
     The Hall term does no work and the magnetic cross terms cancel, so the
     plain energy law holds regardless of eta.  Residual is relative to the
-    dissipation magnitude; centered differences in time, one-sided endpoints.
+    dissipation magnitude (see _law_residual).
     """
-    if len(states) < 3:
-        raise ValueError("need at least 3 samples for a centered time-difference")
-    ts = np.array([st.t for st in states])
-    E = np.array(
-        [0.5 * (lp_norm(st.u, 2) ** 2 + lp_norm(st.b, 2) ** 2) for st in states]
-    )
     def grad_sq(f):
-        g = f.grid
-        return (2.0 * np.pi) ** g.n * float((g.ksq * power(f.coeffs) * g.hermitian_weight).sum())
+        return parseval(f.grid, f.grid.ksq * power(f.coeffs))
 
-    D = np.array(
-        [params.nu * grad_sq(st.u) + params.mu * grad_sq(st.b) for st in states]
+    return _law_residual(
+        [st.t for st in states],
+        [0.5 * (lp_norm(st.u, 2) ** 2 + lp_norm(st.b, 2) ** 2) for st in states],
+        [params.nu * grad_sq(st.u) + params.mu * grad_sq(st.b) for st in states],
     )
-    dE = np.gradient(E, ts, edge_order=2)
-    return np.abs(dE + D) / np.maximum(D, 1e-300)
 
 
 @dataclass
@@ -245,12 +236,11 @@ def scale_field(
 
 
 def restrict_field(f: SpectralField, coarse) -> SpectralField:
-    """Copy the modes resolvable on a coarser grid; higher modes are dropped."""
+    """Copy the modes |k_i| <= coarse.kmax onto a coarser grid; higher modes,
+    the coarse grid's Nyquist modes among them, are dropped."""
     if coarse.dims > f.grid.dims or coarse.n != f.grid.n:
         raise ValueError("restrict_field expects a coarser grid of the same dimension")
-    k1 = np.fft.fftfreq(coarse.dims, 1.0 / coarse.dims).astype(int)
-    ix = np.ix_(*[k1 % f.grid.dims] * (coarse.n - 1), np.arange(coarse.dims // 2 + 1))
-    return SpectralField(coarse, f.coeffs[(slice(None), *ix)])
+    return scale_field(f, 1, 1.0, coarse)
 
 
 def _band_limit_ok(f: SpectralField, lam: int) -> bool:
@@ -274,6 +264,11 @@ def scaling_check(
         raise ValueError("lambda must be 2 or 4")
     if mode not in ("mhd", "hall_only"):
         raise ValueError("scaling modes are 'mhd' and 'hall_only'")
+    if initial.grid.dims // lam < 16:
+        raise ValueError(
+            f"lambda = {lam} needs grid.dims >= {16 * lam}, as the base run's grid has "
+            f"grid.dims / lambda points per axis; got grid.dims = {initial.grid.dims}"
+        )
     for f in (initial.u, initial.b):
         if not _band_limit_ok(f, lam):
             raise ValueError("insufficient band-limiting for the requested lambda")
@@ -293,10 +288,7 @@ def scaling_check(
         params, config.sobolev, config.dt, config.tmax, mode=mode,
         snapshot_every=10**9,
     )
-    scaled_cfg = SolverConfig(
-        params, config.sobolev, config.dt / lam**2, config.tmax / lam**2,
-        mode=mode, snapshot_every=10**9,
-    )
+    scaled_cfg = replace(base_cfg, dt=config.dt / lam**2, tmax=config.tmax / lam**2)
 
     base_u = restrict_field(initial.u, coarse)
     if mode == "hall_only":

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import Grid, SpectralField, dealias_cutoff, gradient, lp_norm, power
+from .spectral import Grid, SpectralField, dealias_cutoff, gradient, lp_norm, parseval, power
 
 
 @dataclass(frozen=True)
@@ -197,8 +197,7 @@ def besov_norm(f: SpectralField, s: float, p=2) -> float:
 def direct_sobolev_norm(f: SpectralField, s: float) -> float:
     """Multiplier H^s norm (sum (1+|k|^2)^s |f_k|^2)^{1/2}; shell-free cross-check."""
     g = f.grid
-    w = (1.0 + g.ksq) ** s * g.hermitian_weight
-    return float(np.sqrt((2.0 * np.pi) ** g.n * np.sum(w * power(f.coeffs))))
+    return float(np.sqrt(parseval(g, (1.0 + g.ksq) ** s * power(f.coeffs))))
 
 
 def bernstein_ratio(f_q: SpectralField, q: int, p_from, p_to) -> float:

@@ -77,19 +77,25 @@ def read_snapshot(path) -> State:
         data = fh.read()
     if data[:4] != MAGIC:
         raise ValueError(f"{path}: bad magic {data[:4]!r}")
-    (version,) = struct.unpack_from("<I", data, 4)
-    if version != VERSION:
-        raise ValueError(f"{path}: unsupported format version {version}")
-    (n,) = struct.unpack_from("<I", data, 8)
-    dims = struct.unpack_from(f"<{n}I", data, 12)
-    off = 12 + 4 * n
-    (m,) = struct.unpack_from("<I", data, off)
-    off += 4
-    (t,) = struct.unpack_from("<d", data, off)
-    off += 8
+    try:
+        (version,) = struct.unpack_from("<I", data, 4)
+        if version != VERSION:
+            raise ValueError(f"{path}: unsupported format version {version}")
+        (n,) = struct.unpack_from("<I", data, 8)
+        dims = struct.unpack_from(f"<{n}I", data, 12)
+        off = 12 + 4 * n
+        (m,) = struct.unpack_from("<I", data, off)
+        off += 4
+        (t,) = struct.unpack_from("<d", data, off)
+        off += 8
+    except struct.error:
+        raise ValueError(f"{path}: truncated header ({len(data)} bytes)") from None
     if len(set(dims)) != 1:
         raise ValueError(f"{path}: unequal axis resolutions {dims}")
-    grid = _grid(n, dims[0])
+    try:
+        grid = _grid(n, dims[0])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     count = m * grid.npoints
     payload = np.frombuffer(data, dtype="<f8", offset=off)
     if payload.size != 2 * count:

@@ -4,9 +4,10 @@ Fields live on the torus [0, 2pi)^n (n = 2 or 3) and are real, so each is
 stored as its real-FFT half spectrum: complex Fourier amplitudes on the modes
 with k_last = 0 .. dims/2, the amplitude at -k being the conjugate of the one
 at k.  Amplitudes are normalized so that a constant field c has coefficient c
-at k = 0.  A sum over the whole lattice (Parseval) counts every interior
-k_last plane twice, for k and -k, through grid.hermitian_weight; power is
-the one |f_k|^2.  All differential operators are exact Fourier multipliers:
+at k = 0.  parseval is the one sum over the whole lattice: it counts every
+interior k_last plane twice, for k and -k, through grid.hermitian_weight, as
+only the shell sums also do; power is the one |f_k|^2.  All differential
+operators are exact Fourier multipliers:
 gradient is the one ik (x) f, the gradient tensor of any m-component field,
 cross_into is the one cross-product kernel and curl_into, i k x f through
 it, the one curl.  Every product goes through dealiased_product, the one home
@@ -299,10 +300,10 @@ class Grid:
 
     def __post_init__(self):
         if self.n not in (2, 3):
-            raise ValueError(f"spatial dimension must be 2 or 3, got {self.n}")
+            raise ValueError(f"grid.n: spatial dimension must be 2 or 3, got {self.n}")
         d = self.dims
         if d < 16 or (d & (d - 1)) != 0:
-            raise ValueError(f"dims must be a power of two >= 16, got {d}")
+            raise ValueError(f"grid.dims: must be a power of two >= 16, got {d}")
 
     @property
     def shape(self) -> tuple:
@@ -603,12 +604,16 @@ def advect(u: SpectralField, v: SpectralField) -> SpectralField:
     return _expanded(g, dealiased_product(g, spec, product))
 
 
+def parseval(grid: Grid, spectrum: np.ndarray) -> float:
+    """(2 pi)^n sum_k spectrum over the whole lattice and any leading axes, for
+    a half-layout spectrum even in k: Parseval's integral over the torus."""
+    return float((2.0 * np.pi) ** grid.n * np.sum(spectrum * grid.hermitian_weight))
+
+
 def inner_product(f: SpectralField, g: SpectralField) -> float:
     """L2 inner product over the torus via Parseval."""
     _check_compat(f, g)
-    vol = (2.0 * np.pi) ** f.grid.n
-    dot = (f.coeffs * np.conj(g.coeffs)).real
-    return float(vol * np.sum(dot * f.grid.hermitian_weight))
+    return parseval(f.grid, (f.coeffs * np.conj(g.coeffs)).real)
 
 
 def lp_norm(f: SpectralField, p) -> float:
@@ -620,8 +625,7 @@ def lp_norm(f: SpectralField, p) -> float:
     """
     g = f.grid
     if p == 2:
-        vol = (2.0 * np.pi) ** g.n
-        return float(np.sqrt(vol * np.sum(power(f.coeffs) * g.hermitian_weight)))
+        return float(np.sqrt(parseval(g, power(f.coeffs))))
     sup = p in (np.inf, float("inf"), "inf")
     if not (sup or p == 1):
         raise ValueError(f"unsupported norm order {p!r}; use 1, 2 or inf")

@@ -86,17 +86,12 @@ def cancellation_check(
         denom = _abs_integral(integrand, g)
         return abs(numer) / denom if denom > 0 else 0.0
 
-    t1 = advect(u2, U)
-    r1 = ratio(inner_product(t1, U), _dot_phys(t1, U))
-
-    t2 = advect(u2, B)
-    r2 = ratio(inner_product(t2, B), _dot_phys(t2, B))
-
-    t3 = cross(curl(B), b1)
-    # curl form: int curl(w) . B = int w . curl B
-    r3 = ratio(
-        inner_product(t3, curl(B)),
-        _dot_phys(t3, curl(B)),
+    cB = curl(B)
+    # (term, field it is tested against); the third in curl form:
+    # int curl(w) . B = int w . curl B
+    r1, r2, r3 = (
+        ratio(inner_product(t, f), _dot_phys(t, f))
+        for t, f in ((advect(u2, U), U), (advect(u2, B), B), (cross(cB, b1), cB))
     )
 
     t4a = advect(b2, B)
@@ -191,15 +186,11 @@ def flux_bound_residuals(
 
     Returns (value, bound) pairs; each |value| must not exceed its bound.
     """
-    pairs = []
-    t = advect(B, b1)
-    pairs.append((inner_product(t, U), lp_norm(B, 2) * _grad_l2(U) * lp_norm(b1, np.inf)))
-    t = advect(U, u1)
-    pairs.append((inner_product(t, U), lp_norm(U, 2) * _grad_l2(U) * lp_norm(u1, np.inf)))
-    t = advect(B, u1)
-    pairs.append((inner_product(t, B), lp_norm(B, 2) * _grad_l2(B) * lp_norm(u1, np.inf)))
-    t = advect(U, b1)
-    pairs.append((inner_product(t, B), lp_norm(U, 2) * _grad_l2(B) * lp_norm(b1, np.inf)))
+    # transport: |int ((a . grad) c) . x| <= ||a||_2 ||grad x||_2 ||c||_inf, by parts
+    pairs = [
+        (inner_product(advect(a, c), x), lp_norm(a, 2) * _grad_l2(x) * lp_norm(c, np.inf))
+        for a, c, x in ((B, b1, U), (U, u1, U), (B, u1, B), (U, b1, B))
+    ]
     w = cross(curl(b2), B)
     pairs.append(
         (

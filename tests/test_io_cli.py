@@ -332,24 +332,87 @@ def test_cli_error_exit_code(tmp_path, capsys):
     assert "error:" in captured.err
 
 
+def _snapshot_fault(path, state, fault):
+    """Write state's snapshot to path, broken as the fault names."""
+    write_snapshot(path, state)
+    data = bytearray(path.read_bytes())
+    if fault == "snapshot truncated":
+        path.write_bytes(bytes(data[:-16]))
+    elif fault == "snapshot cut in its header":
+        path.write_bytes(bytes(data[:30]))
+    elif fault == "snapshot of a wrong version":
+        struct.pack_into("<I", data, 4, 99)
+        path.write_bytes(bytes(data))
+    elif fault == "snapshot drifted":
+        x = state.grid.coordinates()[0]
+        divergent = to_spectral(state.grid, np.stack([np.sin(x), 0 * x, 0 * x]))
+        write_snapshot(path, State(state.u, divergent, 0.0))
+    else:
+        raise AssertionError(f"unknown fault {fault!r}")
+
+
 @pytest.mark.parametrize(
     "line, field",
     [
+        # a config line, through every subcommand that loads a config
         ("solver.snapshot_every = 0", "solver.snapshot_every"),
         ("params.nu = nan", "params.nu"),
         ("solver.tmax = -1", "solver.tmax"),
         ("solver.tmax = 0.0025", "solver.tmax"),
         ("solver.mode = warp", "solver.mode"),
         ("solver.scheme = euler", "solver.scheme"),
+        ("sweep.size = 0", "sweep.size"),
+        ("init.seed = -5", "init.seed"),
+        ("sweep.seed = -5", "sweep.seed"),
+        ("init.target_u = -1", "init.target_u"),
+        ("init.target_u = nan", "init.target_u"),
+        ("init.band = -2", "init.band"),
+        ("calibration.C = inf", "calibration.C"),
+        ("calibration.C_nu_mu = -1", "calibration.C_nu_mu"),
+        ("calibration.gamma_low = -1", "calibration.gamma_low"),
+        ("calibration.gamma_high = 0.5", "calibration.gamma_high"),
+        ("grid.dims = 12", "grid.dims"),
+        ("grid.n = 4", "grid.n"),
+        # "commands: fault", met after a clean load by the subcommands named
+        ("analyze: snapshot truncated", "snap_00000000.hmhd"),
+        ("analyze: snapshot cut in its header", "snap_00000000.hmhd"),
+        ("analyze: snapshot of a wrong version", "snap_00000000.hmhd"),
+        ("analyze: snapshot drifted", "snap_00000000.hmhd"),
+        ("simulate analyze: --out below a regular file", "file/out"),
+        ("simulate uniqueness: params.eta = 1e300", "numerical blow-up"),
     ],
 )
-def test_cli_rejects_invalid_value(tmp_path, capsys, line, field):
-    conf = tmp_path / "bad.conf"
-    conf.write_text(f"grid.dims = 16\n{line}\n")
-    rc = main(["simulate", "--config", str(conf), "--out", str(tmp_path / "o")])
-    err = capsys.readouterr().err
-    assert rc == 2
-    assert field in err and len(err.strip().splitlines()) == 1
+def test_cli_rejects_invalid_value(tmp_path, capsys, small_state, line, field):
+    commands, _, fault = line.rpartition(": ")
+    run_dir, out = tmp_path / "run", tmp_path / "out"
+    run_dir.mkdir()
+    conf = run_dir / "config.txt"
+    conf.write_text("grid.dims = 16\n" + (f"{fault}\n" if " = " in fault else ""))
+    if fault.startswith("snapshot "):
+        _snapshot_fault(run_dir / snapshot_name(0), small_state, fault)
+    if fault.startswith("--out "):
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "out"
+    argvs = {
+        "simulate": ["simulate", "--config", str(conf), "--out", str(out)],
+        "verify": ["verify", "--config", str(conf)],
+        "scaling": ["scaling", "--mode", "hall", "--lambda", "2", "--config", str(conf)],
+        "uniqueness": ["uniqueness", "--perturb", "0.01", "--config", str(conf)],
+        "analyze": ["analyze", "--run", str(run_dir), "--out", str(out)],
+    }
+    for command in commands.split() or argvs:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(argvs[command])
+        # a warning prints to stderr when raised, before main's error line
+        lines = [str(w.message) for w in caught] + capsys.readouterr().err.splitlines()
+        assert rc == 2, command
+        assert lines[-1].startswith("error: ") and field in lines[-1], (command, lines)
+        if field == "numerical blow-up":
+            # the advisory CFL warning may come first, but no NumPy warning
+            assert not any("encountered" in ln for ln in lines), (command, lines)
+        else:
+            assert len(lines) == 1, (command, lines)
 
 
 def test_cli_reports_blowup_without_traceback(tmp_path, capsys, monkeypatch):

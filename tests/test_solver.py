@@ -212,13 +212,24 @@ def test_outside_cube_matches_mask_definition(n, dims, lam):
     assert solver._outside_cube(inside, kc // lam) == 0.0
 
 
-def test_ifrk4_factor_cache_keeps_latest():
+def test_steps_on_a_shared_grid_match_a_fresh_grid():
+    # no run-specific factor may outlive its step on a Grid that steps with
+    # other dt or other diffusivities (read_snapshot shares one Grid per size)
     g = Grid(3, 16)
     st = make_initial("random_band", g, 66, (1.0, 1.0), SOB)
     params = PhysicalParams(0.05, 0.05, 0.1)
-    first = step(st, SolverConfig(params, SOB, 1e-3, 1.0))
-    step(first, SolverConfig(params, SOB, 2e-3, 1.0))
-    assert [key for key in g._cache if "ifrk4" in key] == ["ifrk4"]
+    configs = [
+        SolverConfig(params, SOB, 1e-3, 1.0),
+        SolverConfig(params, SOB, 2e-3, 1.0),
+        SolverConfig(PhysicalParams(0.02, 0.08, 0.1), SOB, 2e-3, 1.0),
+        SolverConfig(params, SOB, 1e-3, 1.0),
+    ]
+    for cfg in configs:
+        shared = step(st, cfg)
+        fresh_grid = Grid(3, 16)
+        fresh = step(State(*(SpectralField(fresh_grid, f.coeffs) for f in (st.u, st.b))), cfg)
+        assert np.array_equal(shared.u.coeffs, fresh.u.coeffs)
+        assert np.array_equal(shared.b.coeffs, fresh.b.coeffs)
 
 
 # Reference for bit identity: the expression-form half-spectrum kernel and
