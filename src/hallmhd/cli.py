@@ -11,7 +11,7 @@ import numpy as np
 from .config import RunConfig, load_config
 from .diagnostics import existence_time, scaling_check
 from .snapshots import list_snapshots, snapshot_name, write_diagnostics, write_snapshot
-from .solver import BlowUpError, State, run
+from .solver import BlowUpError, State, integrated_params, run
 from .spectral import SpectralField, dealias_cutoff
 from .uniqueness import gronwall_check
 from .verification import run_verification
@@ -25,6 +25,7 @@ def _cmd_simulate(args) -> int:
 
     initial = cfg.initial_state()
     solver_cfg = cfg.solver_config()
+    params = integrated_params(solver_cfg.params, solver_cfg.mode)
 
     def sink(step, state):
         write_snapshot(os.path.join(args.out, snapshot_name(step)), state)
@@ -34,9 +35,9 @@ def _cmd_simulate(args) -> int:
     except BlowUpError:
         # keep the evidence: the CSVs of the snapshots written before the blow-up
         if list_snapshots(args.out):
-            write_diagnostics(args.out, cfg.physical_params(), cfg.sobolev())
+            write_diagnostics(args.out, params, cfg.sobolev())
         raise
-    write_diagnostics(args.out, cfg.physical_params(), cfg.sobolev())
+    write_diagnostics(args.out, params, cfg.sobolev())
     print(f"final time t={final.t:.17g}")
     if log.halted:
         print(f"halted early: {log.halt_reason}")
@@ -93,9 +94,9 @@ def _cmd_uniqueness(args) -> int:
 
     C = cfg["calibration.C"]
     C_nu_mu = cfg["calibration.C_nu_mu"]
-    probe = gronwall_check(trace1, trace2, cfg.sobolev(), C, max(C_nu_mu, 1.0))
     if C_nu_mu <= 0:
-        C_nu_mu = probe.minimal_C_nu_mu
+        # the minimal constant does not depend on the one checked
+        C_nu_mu = gronwall_check(trace1, trace2, cfg.sobolev(), C, 1.0).minimal_C_nu_mu
     result = gronwall_check(trace1, trace2, cfg.sobolev(), C, C_nu_mu)
     print(f"difference energy at t=0: {result.energy[0]:.17g}")
     print(f"difference energy at t={result.t[-1]:.17g}: {result.energy[-1]:.17g}")
@@ -108,9 +109,8 @@ def _cmd_analyze(args) -> int:
     cfg = load_config(os.path.join(args.run, "config.txt"))
     out = args.out or args.run
     os.makedirs(out, exist_ok=True)
-    energies, _, ru, rb = write_diagnostics(
-        args.run, cfg.physical_params(), cfg.sobolev(), out_dir=out
-    )
+    params = integrated_params(cfg.physical_params(), cfg["solver.mode"])
+    energies, _, ru, rb = write_diagnostics(args.run, params, cfg.sobolev(), out_dir=out)
     # psi0 = ||u0||_{H^s}^2 + ||b0||_{H^r}^2, the dyadic sums of the first record
     psi0 = float(energies[0].e_u.sum() + energies[0].e_b.sum())
     horizon = energies[-1].t

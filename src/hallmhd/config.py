@@ -8,8 +8,8 @@ The config format is plain text, one dotted key per line:
     ...
 
 '#' starts a comment.  Unknown keys, malformed lines and out-of-range values
-are rejected at load time with a field-level message, as is a Sobolev pair
-that is not admissible.
+are rejected at load time with a field-level message, as are a Sobolev pair
+that is not admissible and a nonzero init.target_u in solver.mode = hall_only.
 """
 
 from __future__ import annotations
@@ -54,10 +54,12 @@ _RULES = (
     (("init.seed", "sweep.seed"), lambda x: x >= 0, "non-negative"),
     (("init.band",), lambda x: x >= 0, "non-negative (0 means the grid's resolved band)"),
     (
-        ("init.target_u", "init.target_b", "calibration.C_nu_mu"),
-        lambda x: math.isfinite(x) and x >= 0,
-        "finite and non-negative",
+        # the flux diagnostics are cubic in the data: larger targets overflow them
+        ("init.target_u", "init.target_b"),
+        lambda x: 0 <= x <= 1e100,
+        "between 0 and 1e100",
     ),
+    (("calibration.C_nu_mu",), lambda x: math.isfinite(x) and x >= 0, "finite and non-negative"),
     (
         ("calibration.C", "calibration.gamma_low"),
         lambda x: math.isfinite(x) and x > 0,
@@ -125,6 +127,11 @@ class RunConfig:
             for key in keys:
                 if not ok(self.values[key]):
                     raise ValueError(f"{key}: must be {rule}, got {self.values[key]!r}")
+        if self.values["solver.mode"] == "hall_only" and self.values["init.target_u"] != 0:
+            raise ValueError(
+                f"init.target_u: must be 0 with solver.mode = hall_only, which holds u at 0, "
+                f"got {self.values['init.target_u']!r}"
+            )
         low, high = self.values["calibration.gamma_low"], self.values["calibration.gamma_high"]
         if not (math.isfinite(high) and high >= low):
             raise ValueError(

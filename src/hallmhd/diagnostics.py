@@ -253,8 +253,9 @@ def scaling_check(
 ) -> float:
     """Residual of the parabolic rescaling symmetry at scale factor lam.
 
-    mode "mhd": u, b both scale with weight lam and eta is forced to zero.
-    mode "hall_only": b scales with weight 1 under the Hall equation.
+    mode "mhd": u, b both scale with weight lam under the mhd physics (eta = 0).
+    mode "hall_only": b scales with weight 1 under the Hall equation, with
+    config.params.eta, and u = 0.  config's own mode is not read.
     The base problem runs on a dims/lam grid to tmax; the rescaled data runs
     on the full grid to tmax / lam^2 with dt / lam^2.  The coarse grid makes
     the two discrete flows correspond mode for mode (matched dealias cutoffs
@@ -276,18 +277,8 @@ def scaling_check(
     fine = initial.grid
     coarse = Grid(fine.n, fine.dims // lam)
 
-    p = config.params
-    if mode == "mhd":
-        params = PhysicalParams(p.nu, p.mu, 0.0)
-        u_w, b_w = float(lam), float(lam)
-    else:
-        params = PhysicalParams(p.nu, p.mu, p.eta)
-        u_w, b_w = 0.0, 1.0
-
-    base_cfg = SolverConfig(
-        params, config.sobolev, config.dt, config.tmax, mode=mode,
-        snapshot_every=10**9,
-    )
+    u_w, b_w = (float(lam), float(lam)) if mode == "mhd" else (0.0, 1.0)
+    base_cfg = replace(config, mode=mode, snapshot_every=10**9)
     scaled_cfg = replace(base_cfg, dt=config.dt / lam**2, tmax=config.tmax / lam**2)
 
     base_u = restrict_field(initial.u, coarse)

@@ -6,9 +6,10 @@ Snapshot layout (little-endian):
     | time f64 | u components then b components as f64 physical-space arrays
     in axis-major (C) order.
 
-read(write(x)) is bit-exact.  read_snapshot checks the solver's entry
-invariants (solver._check_state): u and b finite, divergence-free, inside the
-2/3 dealias cube and Hermitian on the k_last = 0 plane.  CSVs print every float
+read(write(x)) is bit-exact.  read_snapshot checks the header (3 components
+per field, a finite time) and the solver's entry invariants
+(solver._check_state): u and b finite, divergence-free, inside the 2/3
+dealias cube and Hermitian on the k_last = 0 plane.  CSVs print every float
 with 17 significant digits; files are written atomically (temp file + rename).
 """
 
@@ -92,6 +93,10 @@ def read_snapshot(path) -> State:
         raise ValueError(f"{path}: truncated header ({len(data)} bytes)") from None
     if len(set(dims)) != 1:
         raise ValueError(f"{path}: unequal axis resolutions {dims}")
+    if m != 3:
+        raise ValueError(f"{path}: {m} components per field, expected 3")
+    if not np.isfinite(t):
+        raise ValueError(f"{path}: non-finite time {t!r}")
     try:
         grid = _grid(n, dims[0])
     except ValueError as exc:

@@ -27,18 +27,20 @@ input, and their output is exactly zero outside it.  The stages write into
 the buffers of one _Workspace, which run allocates per call and drops on
 return (a lone step or compute_rhs builds its own), through out=, in-place
 ufuncs, spectral.cross_into and spectral.curl_into, the one curl, in the
-order of the plain expressions.  Modes:
+order of the plain expressions.  Modes, each decided in integrated_params
+and the last entry invariant of _check_state:
 
   full      - the complete system,
-  mhd       - Hall coefficient forced to zero,
-  hall_only - magnetic equation alone with u = 0 and its transport dropped.
+  mhd       - the complete system with eta = 0,
+  hall_only - u held at 0 (it must enter as 0); b moves by the Hall and
+              diffusion terms alone.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -131,17 +133,26 @@ class SolverConfig:
             raise ValueError(f"solver.scheme: unknown scheme {self.scheme!r}")
 
 
+def integrated_params(params: PhysicalParams, mode: str) -> PhysicalParams:
+    """The coefficients a run in mode integrates: params with eta = 0 in mhd,
+    params as given otherwise (hall_only keeps eta; its u is held at 0)."""
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    return replace(params, eta=0.0) if mode == "mhd" else params
+
+
 def divergence_drift(f: SpectralField) -> float:
     """L2 norm of div f, relative to the field scale (absolute for small fields)."""
     return lp_norm(divergence(f), 2) / max(1.0, lp_norm(f, 2))
 
 
-def _check_state(state: State, tol: float = 1.0e-8, rel: float = 1.0e-12) -> None:
+def _check_state(state: State, mode: str = "full", tol: float = 1.0e-8, rel: float = 1.0e-12) -> None:
     """The entry invariants, each checked on u and then b before the next:
     finite coefficients (first, as NaN passes every comparison), divergence-
     free to tol, and, to rel of the field's largest amplitude, supported inside
     the 2/3 dealias cube and Hermitian on the k_last = 0 plane, as a real field
-    is.  StateDriftError names the first field that breaks one."""
+    is; last, u = 0 exactly in hall_only, which holds u there.
+    StateDriftError names the first field that breaks one."""
     fields = (("u", state.u), ("b", state.b))
     for name, f in fields:
         bad = f.coeffs.size - np.count_nonzero(np.isfinite(f.coeffs))
@@ -171,6 +182,11 @@ def _check_state(state: State, tol: float = 1.0e-8, rel: float = 1.0e-12) -> Non
                 f"state drift: {name} is not Hermitian: |f_k - conj f_-k| reaches {defect:.3e} "
                 f"of its largest amplitude on the k_last = 0 plane (allowed {rel:.0e}) at t={state.t}"
             )
+    if mode == "hall_only" and state.u.coeffs.any():
+        raise StateDriftError(
+            f"state drift: u must be zero in hall_only mode, which holds it there, but has "
+            f"{np.count_nonzero(state.u.coeffs)} nonzero coefficients at t={state.t}"
+        )
 
 
 class _Workspace:
@@ -222,7 +238,8 @@ def _nonlinear(
     out: np.ndarray,
 ) -> None:
     """Nonlinear right-hand sides (no diffusion) on the compact dealias cube:
-    x = (u, b) and out = (du, db) have shape (2, 3, *cube_shape).
+    x = (u, b) and out = (du, db) have shape (2, 3, *cube_shape); params are
+    those the mode integrates (integrated_params).
 
     Momentum in rotational form P(u x w + j x b) with w = curl u, j = curl b;
     induction and Hall together as curl((u - eta j) x b).  Both equal the
@@ -231,8 +248,7 @@ def _nonlinear(
     transforms their cubes, forms the products in work.prods and returns
     their cube in work.hats (12 fields in and 6 out; 6 and 3 in hall_only).
     """
-    k = work.k
-    eta = 0.0 if mode == "mhd" else params.eta
+    k, eta = work.k, params.eta
     spec, prods, hats = work.spec, work.prods, work.hats
     (u, b), (du, db), (_, w, _, j) = x, out, spec
     fields = spec.reshape((12, *spec.shape[2:]))
@@ -278,19 +294,17 @@ def compute_rhs(state: State, params: PhysicalParams, mode: str = "full"):
 
     Only the 2/3 dealias cube of the state is read, and the result is exactly
     zero outside it.  Raises StateDriftError if the input breaks an entry
-    invariant (finite, divergence-free, inside the cube, Hermitian).
+    invariant (finite, divergence-free, inside the cube, Hermitian, u = 0 in
+    hall_only).
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    _check_state(state)
+    params = integrated_params(params, mode)
+    _check_state(state, mode)
     g = state.grid
     work = _Workspace(g)
     x = work.load(state)
     nl = work.slopes[0]
     _nonlinear(x, g, params, mode, work, nl)
     nl -= _diffusivity(params, g.n) * work.ksq * x
-    if mode == "hall_only":
-        nl[0] = 0.0
     return _expanded(g, nl[0]), _expanded(g, nl[1])
 
 
@@ -310,10 +324,11 @@ def step(state: State, config: SolverConfig, work: _Workspace | None = None) -> 
     exactly zero outside it.  All four stages and the combine run in place on
     the compact (u, b) stacks of work (a fresh workspace if none is given);
     the result shares no memory with work.  A step that overflows raises
-    BlowUpError, with no NumPy warning.
+    BlowUpError, with no NumPy warning.  The entry invariants are run's and
+    compute_rhs's to check.
     """
     g = state.grid
-    p = config.params
+    p = integrated_params(config.params, config.mode)
     dt = config.dt
     if work is None:
         work = _Workspace(g)
@@ -399,11 +414,12 @@ def run(initial: State, config: SolverConfig, sinks=()) -> tuple[State, RunLog]:
     psi(t) > blowup_factor * psi(0) is checked at every snapshot and every
     GUARD_EVERY steps; when it trips the run halts after logging psi and
     calling the sinks.  A tmax that is not a whole number of dt steps is
-    rounded to one, with a RuntimeWarning.  An initial state that breaks an
-    entry invariant (finite, divergence-free, inside the 2/3 dealias cube,
-    Hermitian) raises StateDriftError naming the field.
+    rounded to one, with a RuntimeWarning; a dt above the advisory CFL bound
+    of the mode's physics warns too.  An initial state that breaks an entry
+    invariant (finite, divergence-free, inside the 2/3 dealias cube,
+    Hermitian, u = 0 in hall_only) raises StateDriftError naming the field.
     """
-    _check_state(initial)
+    _check_state(initial, config.mode)
     sob = config.sobolev
     log = RunLog()
 
@@ -423,7 +439,7 @@ def run(initial: State, config: SolverConfig, sinks=()) -> tuple[State, RunLog]:
             f"the run ends at t={initial.t + n_steps * config.dt!r}",
             RuntimeWarning,
         )
-    if cfl_advisory_dt(initial, config.params) < config.dt:
+    if cfl_advisory_dt(initial, integrated_params(config.params, config.mode)) < config.dt:
         warnings.warn(f"dt={config.dt} exceeds the advisory CFL bound", RuntimeWarning)
 
     state = initial

@@ -16,14 +16,15 @@ cube |k_i| <= dealias_cutoff(dims) = dims // 3; gather_cube and scatter_cube
 copy that cube to and from a compact array, and _outside_cube measures a
 field's content outside such a cube.  The k_last = 0 plane holds both k and
 -k, so a real field has f_-k = conj f_k there; _hermitian_defect measures how
-far a half spectrum is from that.  The batched transforms take either layout
-and are bit-identical to scipy's full ones.  Compact cubes go field by field
-with one worker, skipping the lines that are zero outside the cube; so do half
-spectra that are exactly zero outside it on grids where that is measured
-faster, each field on its own support box (irfftn_batch).  Other half spectra
-go through scipy's multi-axis transform with HMHD_THREADS workers.  The
-field-by-field passes call scipy's pocketfft binding directly, the one private
-scipy import.
+far a half spectrum is from that.  The batched transforms are forward-
+normalized (scipy's norm="forward": the forward one divides by the number of
+points, the inverse is unscaled), take either layout and are bit-identical to
+scipy's full ones.  Compact cubes go field by field with one worker, skipping
+the lines that are zero outside the cube; so do half spectra that are exactly
+zero outside it on grids where that is measured faster, each field on its own
+support box (irfftn_batch).  Other half spectra go through scipy's multi-axis
+transform with HMHD_THREADS workers.  The field-by-field passes call scipy's
+pocketfft binding directly, the one private scipy import.
 
 2D grids carry 3-component fields that depend on (x, y) only ("2.5D"), so
 curl and cross products remain well defined at 2D cost.
@@ -55,9 +56,9 @@ def _workers() -> int:
     return workers
 
 
-def rfftn_batch(arr: np.ndarray, n: int, norm: str | None = None, out: np.ndarray | None = None) -> np.ndarray:
-    """Forward real FFT over the last n axes (half spectrum on the last axis);
-    norm as in scipy.fft ("forward" divides by the number of points).
+def rfftn_batch(arr: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Forward real FFT over the last n axes (half spectrum on the last axis),
+    divided by the number of points: scipy.fft's norm="forward".
 
     Given out, with the trailing shape of the 2/3 dealias cube of arr's grid,
     only the cube of each field is formed, one field at a time, and written
@@ -66,16 +67,16 @@ def rfftn_batch(arr: np.ndarray, n: int, norm: str | None = None, out: np.ndarra
     """
     workers = _workers()
     if out is None:
-        return sfft.rfftn(arr, axes=tuple(range(-n, 0)), norm=norm, workers=workers)
+        return sfft.rfftn(arr, axes=tuple(range(-n, 0)), norm="forward", workers=workers)
     expected = arr.shape[:-n] + _cube_shape(n, dealias_cutoff(arr.shape[-1]))
     if out.shape != expected:
         raise ValueError(f"rfftn_batch: out has shape {out.shape}, expected the dealias cubes {expected}")
-    return _rfftn_cube(arr, n, norm, out)
+    return _rfftn_cube(arr, n, out)
 
 
-def irfftn_batch(arr: np.ndarray, n: int, shape: tuple, norm: str | None = None) -> np.ndarray:
-    """Inverse real FFT over the last n axes back to the given spatial shape;
-    norm as in scipy.fft ("forward" leaves the inverse unscaled).
+def irfftn_batch(arr: np.ndarray, n: int, shape: tuple) -> np.ndarray:
+    """Inverse real FFT over the last n axes back to the given spatial shape,
+    unscaled, the inverse of rfftn_batch: scipy.fft's norm="forward".
 
     arr holds half spectra (trailing shape that of shape's half spectrum) or
     dealias cubes (that of its 2/3 cube, see gather_cube).  Three routes, all
@@ -100,10 +101,10 @@ def irfftn_batch(arr: np.ndarray, n: int, shape: tuple, norm: str | None = None)
         if dims >= _PRUNED_FROM[n] and not arr[..., kc + 1].any():
             support = _support(arr, n)
             if support.max(initial=-1) <= kc:
-                return _irfftn_pruned(arr, n, shape, norm, support)
-        return sfft.irfftn(arr, s=shape, axes=tuple(range(-n, 0)), norm=norm, workers=workers)
+                return _irfftn_pruned(arr, n, shape, support)
+        return sfft.irfftn(arr, s=shape, axes=tuple(range(-n, 0)), norm="forward", workers=workers)
     if arr.shape[-n:] == cube:
-        return _irfftn_pruned(arr, n, shape, norm, np.full(arr.shape[:-n], kc))
+        return _irfftn_pruned(arr, n, shape, np.full(arr.shape[:-n], kc))
     raise ValueError(
         f"irfftn_batch: trailing shape {arr.shape[-n:]} is neither the half spectrum "
         f"{half} nor the dealias cube {cube} of grid {shape}"
@@ -143,22 +144,16 @@ def _support(arr: np.ndarray, n: int) -> np.ndarray:
 # not all zero: its multi-axis inverse transforms the leading axes in order,
 # then the last axis complex-to-real; its forward runs real-to-complex on the
 # last axis, then the leading axes in order.  Each line sees the same 1-D
-# pocketfft transform, and norm applied per pass is exact for power-of-two
-# lengths, so both paths are bit-identical to the full ones.  The passes call
-# pocketfft directly with the axes, direction and normalization code scipy.fft
-# passes it, which saves scipy's per-call dispatch.  Fields go one at a time,
-# so the working set is one field's half spectrum, with one worker.
-_NORM_CODE = {None: 0, "backward": 0, "ortho": 1, "forward": 2}
+# pocketfft transform, and the 1/N applied per forward pass is exact for
+# power-of-two lengths, so both paths are bit-identical to the full ones.  The
+# passes call pocketfft directly with the axes, direction and normalization
+# code scipy.fft passes it for norm="forward", which saves scipy's per-call
+# dispatch.  Fields go one at a time, so the working set is one field's half
+# spectrum, with one worker.
+_DIVIDE_BY_N, _UNSCALED = 2, 0  # pocketfft's codes for norm="forward"
 
 
-def _inorm(norm: str | None, forward: bool) -> int:
-    """pocketfft's normalization code for scipy's norm in one direction."""
-    if norm not in _NORM_CODE:
-        raise ValueError(f"invalid norm {norm!r}; use None, 'backward', 'ortho' or 'forward'")
-    return _NORM_CODE[norm] if forward else 2 - _NORM_CODE[norm]
-
-
-def _irfftn_pruned(arr: np.ndarray, n: int, shape: tuple, norm: str | None, support: np.ndarray) -> np.ndarray:
+def _irfftn_pruned(arr: np.ndarray, n: int, shape: tuple, support: np.ndarray) -> np.ndarray:
     """irfftn of stacked half spectra or dealias cubes, per field on the box
     |k_i| <= kb of its support kb: the box goes into a zeroed half spectrum
     and each leading axis is transformed only on the lines whose later leading
@@ -166,7 +161,6 @@ def _irfftn_pruned(arr: np.ndarray, n: int, shape: tuple, norm: str | None, supp
     planes stay zero for the final complex-to-real pass.  A field with
     kb = -1 is zero."""
     dims = shape[-1]
-    inorm = _inorm(norm, forward=False)
     out = np.empty(arr.shape[:-n] + shape)
     half = np.zeros(shape[:-1] + (dims // 2 + 1,), dtype=complex)
     from_cube = arr.shape[-n:] != half.shape
@@ -185,26 +179,25 @@ def _irfftn_pruned(arr: np.ndarray, n: int, shape: tuple, norm: str | None, supp
         for axis in range(n - 1):
             for rows in itertools.product(_cube_rows(dims, kb), repeat=n - 2 - axis):
                 lines = low[(slice(None),) * (axis + 1) + rows]
-                _pocketfft.c2c(lines, (axis,), False, inorm, lines, 1)
-        _pocketfft.c2r(half, (n - 1,), dims, False, inorm, out[i], 1)
+                _pocketfft.c2c(lines, (axis,), False, _UNSCALED, lines, 1)
+        _pocketfft.c2r(half, (n - 1,), dims, False, _UNSCALED, out[i], 1)
         low[...] = 0.0
     return out
 
 
-def _rfftn_cube(arr: np.ndarray, n: int, norm: str | None, out: np.ndarray) -> np.ndarray:
+def _rfftn_cube(arr: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:
     """rfftn of stacked real fields cut to their dealias cubes in out: per
     field, each leading axis is transformed only on the lines whose earlier
     leading indices lie in the cube's rows and whose k_last <= kc."""
     dims, kc = arr.shape[-1], out.shape[-1] - 1
-    inorm = _inorm(norm, forward=True)
     half = np.empty(arr.shape[-n:-1] + (dims // 2 + 1,), dtype=complex)
     low = half[..., : kc + 1]
     for i in np.ndindex(arr.shape[:-n]):
-        _pocketfft.r2c(arr[i], (n - 1,), True, inorm, half, 1)
+        _pocketfft.r2c(arr[i], (n - 1,), True, _DIVIDE_BY_N, half, 1)
         for axis in range(n - 1):
             for rows in itertools.product(_cube_rows(dims, kc), repeat=axis):
                 lines = low[rows]
-                _pocketfft.c2c(lines, (axis,), True, inorm, lines, 1)
+                _pocketfft.c2c(lines, (axis,), True, _DIVIDE_BY_N, lines, 1)
         gather_cube(half, out[i])
     return out
 
@@ -458,7 +451,7 @@ def _check_compat(f: SpectralField, g: SpectralField, same_m: bool = True):
 
 def to_physical(f: SpectralField) -> np.ndarray:
     """Real physical-space values, shape (m, *grid.shape)."""
-    return irfftn_batch(f.coeffs, f.grid.n, f.grid.shape, "forward")
+    return irfftn_batch(f.coeffs, f.grid.n, f.grid.shape)
 
 
 def to_spectral(grid: Grid, values: np.ndarray) -> SpectralField:
@@ -468,7 +461,7 @@ def to_spectral(grid: Grid, values: np.ndarray) -> SpectralField:
         values = values[None]
     if values.shape[1:] != grid.shape:
         raise ValueError(f"value shape {values.shape} inconsistent with grid {grid.shape}")
-    return SpectralField(grid, rfftn_batch(values, grid.n, "forward"))
+    return SpectralField(grid, rfftn_batch(values, grid.n))
 
 
 def cross_into(out: np.ndarray, a: np.ndarray, b: np.ndarray, tmp: np.ndarray) -> np.ndarray:
@@ -494,13 +487,13 @@ def dealiased_product(grid: Grid, spec: np.ndarray, product, out: np.ndarray | N
     spec, the stacked input half spectra or dealias cubes, goes to physical
     space in one inverse batch; product maps those values to the stacked real
     products (it may use its argument as scratch), whose cubes come back in one
-    forward batch.  Both use norm="forward", exact as npoints is a power of
-    two.  out receives the cube.
+    forward batch.  The transforms are forward-normalized, exact as npoints is
+    a power of two.  out receives the cube.
     """
-    prods = product(irfftn_batch(spec, grid.n, grid.shape, "forward"))
+    prods = product(irfftn_batch(spec, grid.n, grid.shape))
     if out is None:
         out = np.empty(prods.shape[: -grid.n] + grid.cube_shape, dtype=complex)
-    return rfftn_batch(prods, grid.n, "forward", out)
+    return rfftn_batch(prods, grid.n, out)
 
 
 def _expanded(grid: Grid, comp: np.ndarray) -> SpectralField:

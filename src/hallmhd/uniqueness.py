@@ -134,7 +134,8 @@ def gronwall_check(
 
     g(tau) = ||u1||_{H^{s+1}}^2 + ||grad b2||_{H^{s+1-eps}}^2, integrated by the
     trapezoid rule on the stored trace.  Also reports the minimal C_nu_mu that
-    would pass with the given C.
+    would pass with the given C: the largest ratio log(energy / energy(0)) /
+    exponent, rounded up until this comparison accepts it (inf if none does).
     """
     if len(run1) != len(run2):
         raise ValueError("mismatched trace lengths")
@@ -158,21 +159,28 @@ def gronwall_check(
     )
     integral = np.concatenate([[0.0], np.cumsum(0.5 * (g[1:] + g[:-1]) * np.diff(ts))])
     exponent_scale = integral + C * ts
-    # cap the exponent: beyond ~700 the envelope is infinite anyway
-    factor = np.exp(np.minimum(C_nu_mu * exponent_scale, 700.0))
 
-    if energy[0] == 0.0:
-        passed = bool(np.all(energy == 0.0))
-    else:
-        passed = bool(np.all(energy <= energy[0] * factor + 1e-300))
+    def envelope(c):
+        # cap the exponent: beyond ~700 the envelope is infinite anyway
+        factor = np.exp(np.minimum(c * exponent_scale, 700.0))
+        if energy[0] == 0.0:
+            return factor, bool(np.all(energy == 0.0))
+        return factor, bool(np.all(energy <= energy[0] * factor + 1e-300))
+
+    factor, passed = envelope(C_nu_mu)
     minimal = 0.0
     if energy[0] > 0:
         with np.errstate(divide="ignore", invalid="ignore"):
             need = np.log(energy[1:] / energy[0]) / exponent_scale[1:]
         need = need[np.isfinite(need)]
-        if len(need):
-            minimal = float(max(0.0, need.max()))
-    return DifferenceTrace(ts, energy, factor, passed, minimal)
+        ratio = float(max(0.0, need.max())) if len(need) else 0.0
+        # the ratio rounds either way: raise it by a doubling number of ulps
+        # until the comparison accepts it, which ends at inf if nothing does
+        minimal, ulps = ratio, 1.0
+        while np.isfinite(minimal) and not envelope(minimal)[1]:
+            minimal = ratio + ulps * np.spacing(ratio)
+            ulps *= 2.0
+    return DifferenceTrace(ts, energy, factor, passed, float(minimal))
 
 
 def flux_bound_residuals(

@@ -23,7 +23,7 @@ from hallmhd.snapshots import (
     write_snapshot,
 )
 from hallmhd.solver import BlowUpError
-from hallmhd.spectral import _workers, lp_norm, to_physical, to_spectral
+from hallmhd.spectral import SpectralField, _workers, lp_norm, to_physical, to_spectral
 
 SOB = SobolevParams(1.0, 1.75, 0.25)
 
@@ -236,6 +236,29 @@ def test_simulate_then_analyze_bit_identical(tmp_path, capsys, monkeypatch):
     assert "max energy-balance residual" in captured.out
 
 
+def test_mhd_csvs_do_not_depend_on_eta(tmp_path, capsys):
+    # mhd integrates eta = 0, so params.eta must not reach the CSVs either:
+    # I5 is 0 and both files match those of the same run with params.eta = 0
+    files, stdout = [], []
+    for eta in (1.0, 0.0):
+        conf = tmp_path / f"eta{eta}.conf"
+        conf.write_text(
+            "grid.dims = 16\nsolver.tmax = 0.01\nsolver.snapshot_every = 2\n"
+            f"solver.mode = mhd\nparams.eta = {eta}\n"
+        )
+        out = tmp_path / f"eta{eta}"
+        assert main(["simulate", "--config", str(conf), "--out", str(out)]) == 0
+        redo = tmp_path / f"redo{eta}"
+        assert main(["analyze", "--run", str(out), "--out", str(redo)]) == 0
+        stdout.append(capsys.readouterr().out)
+        for d in (out, redo):
+            files.append([(d / name).read_bytes() for name in (SHELL_CSV, FLUX_CSV)])
+    assert all(f == files[0] for f in files)
+    rows = files[0][1].decode().splitlines()[1:]
+    assert [float(row.split(",")[5]) for row in rows] == [0.0] * 6
+    assert stdout[0] == stdout[1] and "max energy-balance residual" in stdout[0]
+
+
 def test_csv_schema(tmp_path):
     conf = tmp_path / "run.conf"
     conf.write_text("grid.dims = 16\nsolver.tmax = 0.002\nsolver.snapshot_every = 1\n")
@@ -343,6 +366,11 @@ def _snapshot_fault(path, state, fault):
     elif fault == "snapshot of a wrong version":
         struct.pack_into("<I", data, 4, 99)
         path.write_bytes(bytes(data))
+    elif fault == "snapshot of 1-component fields":
+        u, b = (SpectralField(state.grid, f.coeffs[:1]) for f in (state.u, state.b))
+        write_snapshot(path, State(u, b, 0.0))
+    elif fault == "snapshot at a NaN time":
+        write_snapshot(path, State(state.u, state.b, float("nan")))
     elif fault == "snapshot drifted":
         x = state.grid.coordinates()[0]
         divergent = to_spectral(state.grid, np.stack([np.sin(x), 0 * x, 0 * x]))
@@ -373,11 +401,16 @@ def _snapshot_fault(path, state, fault):
         ("calibration.gamma_high = 0.5", "calibration.gamma_high"),
         ("grid.dims = 12", "grid.dims"),
         ("grid.n = 4", "grid.n"),
+        # hall_only holds u at 0, and the default init.target_u is 1
+        ("solver.mode = hall_only", "init.target_u"),
+        ("init.target_u = 1e300", "init.target_u"),
         # "commands: fault", met after a clean load by the subcommands named
         ("analyze: snapshot truncated", "snap_00000000.hmhd"),
         ("analyze: snapshot cut in its header", "snap_00000000.hmhd"),
         ("analyze: snapshot of a wrong version", "snap_00000000.hmhd"),
         ("analyze: snapshot drifted", "snap_00000000.hmhd"),
+        ("analyze: snapshot of 1-component fields", "snap_00000000.hmhd"),
+        ("analyze: snapshot at a NaN time", "snap_00000000.hmhd"),
         ("simulate analyze: --out below a regular file", "file/out"),
         ("simulate uniqueness: params.eta = 1e300", "numerical blow-up"),
     ],

@@ -1,8 +1,11 @@
 """Solver: right-hand side against an independent np.fft oracle, integrator
 order, exact solutions, guards, and run bookkeeping."""
 
+import warnings
+
 import numpy as np
 import pytest
+from scipy import fft as sfft
 
 from hallmhd import (
     Grid,
@@ -32,10 +35,8 @@ from hallmhd.spectral import (
     dealias_cutoff,
     divergence,
     gradient,
-    irfftn_batch,
     leray_project,
     lp_norm,
-    rfftn_batch,
     to_physical,
     to_spectral,
 )
@@ -248,18 +249,19 @@ def _ref_cross(a, b):
 
 def _ref_nonlinear(u, b, g, params, mode):
     n, npts, k = g.n, g.npoints, g.k
+    axes = tuple(range(-n, 0))
     eta = 0.0 if mode == "mhd" else params.eta
     j = 1j * _ref_cross(k, b)
     if mode == "hall_only":
-        pb, pj = np.split(irfftn_batch(np.concatenate([b, j]) * npts, n, g.shape), 2)
-        jxb = rfftn_batch(_ref_cross(pj, pb), n) * (g.dealias_mask / npts)
+        pb, pj = np.split(sfft.irfftn(np.concatenate([b, j]) * npts, s=g.shape, axes=axes), 2)
+        jxb = sfft.rfftn(_ref_cross(pj, pb), axes=axes) * (g.dealias_mask / npts)
         return np.zeros_like(u), -eta * (1j * _ref_cross(k, jxb))
     stack = np.concatenate([u, 1j * _ref_cross(k, u), b, j]) * npts
-    pu, pw, pb, pj = np.split(irfftn_batch(stack, n, g.shape), 4)
+    pu, pw, pb, pj = np.split(sfft.irfftn(stack, s=g.shape, axes=axes), 4)
     prods = np.concatenate(
         [_ref_cross(pu, pw) + _ref_cross(pj, pb), _ref_cross(pu - eta * pj, pb)]
     )
-    hats = rfftn_batch(prods, n) * (g.dealias_mask / npts)
+    hats = sfft.rfftn(prods, axes=axes) * (g.dealias_mask / npts)
     nu = _ref_cross(k, _ref_cross(hats[:3], k)) * g.inv_ksq
     return nu, 1j * _ref_cross(k, hats[3:])
 
@@ -415,6 +417,49 @@ def test_entry_checks_reject_non_finite_state():
         for call in (lambda: run(bad, cfg), lambda: compute_rhs(bad, params)):
             with pytest.raises(StateDriftError, match=r"^non-finite state: b has 1 non-finite coefficients at t=0\.0$"):
                 call()
+
+
+def test_entry_checks_reject_velocity_in_hall_only():
+    # hall_only holds u at 0, so u must enter as exactly 0
+    g = Grid(3, 16)
+    st = make_initial("random_band", g, 67, (1.0, 1.0), SOB)
+    params = PhysicalParams(0.05, 0.05, 0.1)
+    cfg = SolverConfig(params, SOB, 1e-3, 1e-3, mode="hall_only")
+    u = np.zeros_like(st.u.coeffs)
+    u[0, 0, 0, 1] = 1e-300  # one tiny x-polarized mode at k = (0, 0, 1): divergence-free
+    for bad, count in ((st, np.count_nonzero(st.u.coeffs)), (State(SpectralField(g, u), st.b, 0.0), 1)):
+        for call in (lambda: run(bad, cfg), lambda: compute_rhs(bad, params, "hall_only")):
+            with pytest.raises(StateDriftError, match=rf"^state drift: u must be zero in hall_only mode, .* has {count} nonzero"):
+                call()
+    # the same states enter the other modes
+    for mode in ("full", "mhd"):
+        compute_rhs(st, params, mode)
+
+
+def test_integrated_params_resolve_each_mode():
+    params = PhysicalParams(0.05, 0.07, 0.3)
+    assert solver.integrated_params(params, "full") is params
+    assert solver.integrated_params(params, "hall_only") is params
+    assert solver.integrated_params(params, "mhd") == PhysicalParams(0.05, 0.07, 0.0)
+
+
+def test_mhd_ignores_eta_in_step_rhs_and_cfl_advisory():
+    # mhd is the full system with eta = 0: eta = 10 must change nothing, not
+    # even the advisory CFL bound, which eta tightens in full
+    g = Grid(3, 16)
+    st = make_initial("random_band", g, 61, (1.0, 1.0), SOB)
+    with_eta, without = PhysicalParams(0.05, 0.05, 10.0), PhysicalParams(0.05, 0.05, 0.0)
+    for a, b in zip(compute_rhs(st, with_eta, "mhd"), compute_rhs(st, without, "full")):
+        assert np.array_equal(a.coeffs, b.coeffs)
+    dt = 0.5 * cfl_advisory_dt(st, without)
+    assert cfl_advisory_dt(st, with_eta) < dt  # the eta bound would warn
+    mhd, full = (step(st, SolverConfig(p, SOB, dt, dt, mode=m)) for p, m in ((with_eta, "mhd"), (without, "full")))
+    assert np.array_equal(mhd.u.coeffs, full.u.coeffs) and np.array_equal(mhd.b.coeffs, full.b.coeffs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run(st, SolverConfig(with_eta, SOB, dt, dt, mode="mhd"))
+    with pytest.warns(RuntimeWarning, match="advisory CFL"):
+        run(st, SolverConfig(with_eta, SOB, dt, dt))
 
 
 def _anti_hermitian(f, amplitude):

@@ -298,12 +298,12 @@ def test_dealias_idempotent(grid):
 
 
 def _ref_dealiased(prod, grid):
-    return rfftn_batch(prod, grid.n) * (grid.dealias_mask / grid.npoints)
+    return sfft.rfftn(prod, axes=tuple(range(-grid.n, 0))) * (grid.dealias_mask / grid.npoints)
 
 
 def _ref_cross(u, v):
     g = u.grid
-    phys = irfftn_batch(np.concatenate([u.coeffs, v.coeffs]) * g.npoints, g.n, g.shape)
+    phys = sfft.irfftn(np.concatenate([u.coeffs, v.coeffs]) * g.npoints, s=g.shape, axes=tuple(range(-g.n, 0)))
     prod = np.cross(phys[:3], phys[3:], axisa=0, axisb=0, axisc=0)
     return _ref_dealiased(prod, g)
 
@@ -312,7 +312,7 @@ def _ref_advect(u, v):
     g, m = u.grid, v.m
     gradv = 1j * g.k[:, None] * v.coeffs
     stacked = np.concatenate([u.coeffs, gradv.reshape((3 * m,) + g.half_shape)])
-    phys = irfftn_batch(stacked * g.npoints, g.n, g.shape)
+    phys = sfft.irfftn(stacked * g.npoints, s=g.shape, axes=tuple(range(-g.n, 0)))
     pgrad = phys[3:].reshape((3, m) + g.shape)
     return _ref_dealiased(np.einsum("j...,jm...->m...", phys[:3], pgrad), g)
 
@@ -356,7 +356,19 @@ def test_products_bit_identical_to_inline_transforms(n, dims):
     assert np.array_equal(dealias(u).coeffs, u.coeffs * g.dealias_mask)
 
 
-# The cube paths of the batched transforms against scipy's full transforms.
+# The batched transforms, forward-normalized, against scipy's full transforms
+# in the normalization norm, rescaled to the forward one: npoints is a power
+# of two, so the rescaling is exact and both references match bit for bit.
+
+
+def _ref_irfftn(spec, g, norm):
+    scale = g.npoints if norm is None else 1
+    return sfft.irfftn(spec * scale, s=g.shape, axes=tuple(range(-g.n, 0)), norm=norm)
+
+
+def _ref_rfftn(vals, g, norm):
+    scale = 1 / g.npoints if norm is None else 1
+    return sfft.rfftn(vals, axes=tuple(range(-g.n, 0)), norm=norm) * scale
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -365,15 +377,14 @@ def test_products_bit_identical_to_inline_transforms(n, dims):
 @pytest.mark.parametrize("norm", [None, "forward"])
 def test_cube_transforms_bit_identical_to_full(n, dims, p, norm):
     g = Grid(n, dims)
-    axes = tuple(range(-n, 0))
     rng = np.random.default_rng(dims + n + p)
     cubes = rng.standard_normal((p, *g.cube_shape)) + 1j * rng.standard_normal((p, *g.cube_shape))
     full = scatter_cube(cubes, np.zeros((p, *g.half_shape), dtype=complex))
-    assert np.array_equal(irfftn_batch(cubes, n, g.shape, norm), sfft.irfftn(full, s=g.shape, axes=axes, norm=norm))
+    assert np.array_equal(irfftn_batch(cubes, n, g.shape), _ref_irfftn(full, g, norm))
     vals = rng.standard_normal((p, *g.shape))
     out = np.empty((p, *g.cube_shape), dtype=complex)
-    assert rfftn_batch(vals, n, norm, out) is out
-    ref = gather_cube(sfft.rfftn(vals, axes=axes, norm=norm), np.empty_like(out))
+    assert rfftn_batch(vals, n, out) is out
+    ref = gather_cube(_ref_rfftn(vals, g, norm), np.empty_like(out))
     assert np.array_equal(out, ref)
 
 
@@ -389,7 +400,6 @@ def _box_field(g, rng, kb):
 def test_irfftn_batch_bit_identical_on_measured_supports(n, dims, norm, monkeypatch):
     g = Grid(n, dims)
     kc = g.cube_shape[-1] - 1
-    axes = tuple(range(-n, 0))
     rng = np.random.default_rng(dims + n)
     # zero fields and supports kb = 0, 1, 3 and kc, all inside the dealias cube
     inside = np.stack([np.zeros(g.half_shape, dtype=complex)]
@@ -403,18 +413,18 @@ def test_irfftn_batch_bit_identical_on_measured_supports(n, dims, norm, monkeypa
         return real_pruned(arr, *args)
 
     monkeypatch.setattr(spectral, "_irfftn_pruned", spy)
-    assert np.array_equal(irfftn_batch(inside, n, g.shape, norm), sfft.irfftn(inside, s=g.shape, axes=axes, norm=norm))
+    assert np.array_equal(irfftn_batch(inside, n, g.shape), _ref_irfftn(inside, g, norm))
     assert pruned == ([inside.shape] if dims >= spectral._PRUNED_FROM[n] else [])
     # a non-contiguous view of the same batch
     spaced = np.zeros((2 * len(inside), *g.half_shape), dtype=complex)
     spaced[::2] = inside
-    assert np.array_equal(irfftn_batch(spaced[::2], n, g.shape, norm), sfft.irfftn(inside, s=g.shape, axes=axes, norm=norm))
+    assert np.array_equal(irfftn_batch(spaced[::2], n, g.shape), _ref_irfftn(inside, g, norm))
     # one mode just outside the cube, on a leading axis or on k_last, sends the batch to the full path
     for mode in ((kc + 1,) + (0,) * (n - 1), (0,) * (n - 1) + (kc + 1,)):
         wide = inside.copy()
         wide[(2, *mode)] = 1e-300
         pruned.clear()
-        assert np.array_equal(irfftn_batch(wide, n, g.shape, norm), sfft.irfftn(wide, s=g.shape, axes=axes, norm=norm))
+        assert np.array_equal(irfftn_batch(wide, n, g.shape), _ref_irfftn(wide, g, norm))
         assert pruned == []
 
 
@@ -439,10 +449,10 @@ def test_batched_transforms_reject_other_shapes(grid, monkeypatch):
     with pytest.raises(ValueError, match=r"neither the half spectrum \(16, 16, 9\) nor the dealias cube \(11, 11, 6\)"):
         irfftn_batch(np.zeros((2, 11, 11, 9), dtype=complex), 3, grid.shape)
     with pytest.raises(ValueError, match="expected the dealias cubes"):
-        rfftn_batch(np.zeros((2, *grid.shape)), 3, None, np.empty((1, *grid.cube_shape), dtype=complex))
+        rfftn_batch(np.zeros((2, *grid.shape)), 3, np.empty((1, *grid.cube_shape), dtype=complex))
     # the cube paths read HMHD_THREADS too, so a bad value fails the same way
     monkeypatch.setenv("HMHD_THREADS", "0")
     with pytest.raises(ValueError, match="HMHD_THREADS"):
         irfftn_batch(np.zeros((1, *grid.cube_shape), dtype=complex), 3, grid.shape)
     with pytest.raises(ValueError, match="HMHD_THREADS"):
-        rfftn_batch(np.zeros((1, *grid.shape)), 3, None, np.empty((1, *grid.cube_shape), dtype=complex))
+        rfftn_batch(np.zeros((1, *grid.shape)), 3, np.empty((1, *grid.cube_shape), dtype=complex))

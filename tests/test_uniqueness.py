@@ -148,6 +148,23 @@ def test_gronwall_perturbed_run(grid):
         assert not gronwall_check(t1, t2, SOB, 1.0, 0.0).passed
 
 
+def test_gronwall_passes_at_its_reported_minimal():
+    # a growing pair whose plain ratio log(energy / energy(0)) / exponent
+    # rounds below what the comparison accepts
+    g = Grid(3, 16)
+    st = make_initial("random_band", g, 3, (80.0, 80.0), SOB)
+    pert = State(*(SpectralField(g, f.coeffs * (1.0 + 1e-6)) for f in (st.u, st.b)), 0.0)
+    cfg = SolverConfig(PhysicalParams(0.005, 0.005, 0.1), SOB, 1e-3, 0.02)
+    t1, t2 = [], []
+    run(st, cfg, sinks=[lambda i, s: t1.append(s.copy())])
+    run(pert, cfg, sinks=[lambda i, s: t2.append(s.copy())])
+    minimal = gronwall_check(t1, t2, SOB, 1.0, 1.0).minimal_C_nu_mu
+    trace = gronwall_check(t1, t2, SOB, 1.0, minimal)
+    assert trace.energy[-1] > trace.energy[0] and minimal > 0
+    assert trace.passed and trace.minimal_C_nu_mu == minimal
+    assert not gronwall_check(t1, t2, SOB, 1.0, minimal * (1 - 1e-9)).passed
+
+
 def test_gronwall_mismatched_traces(grid):
     t1, t2 = _paired_runs(grid, 0.0)
     with pytest.raises(ValueError, match="trace lengths"):
