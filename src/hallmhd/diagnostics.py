@@ -11,9 +11,14 @@ phi_q(|k|)^2 Re(F_k . conj f_k), so shell energies and dissipations contract
 |f_k|^2 and |k|^2 |f_k|^2 against the shell multipliers and no shell is ever
 materialized.  The fluxes are one call of spectral.dealiased_product, the
 home of the transform pair, its normalization and the 2/3 rule: the 24
-half-spectrum fields u, b, grad u, grad b in (j = curl b is formed pointwise
-from grad b), the dealias cubes of the 15 of u.grad u, b.grad b, u.grad b,
-b.grad u and j x b back, dotted against the cubes of u, b and curl b.  These
+fields u, b, grad u, grad b in (j = curl b is formed pointwise from grad b),
+the dealias cubes of the 15 of u.grad u, b.grad b, u.grad b, b.grad u and
+j x b back, dotted against the cubes of u, b and curl b.  A state exactly
+zero outside the cube, as every state from run or read_snapshot is, hands in
+the 24 as dealias cubes, its gradients formed on the cube, on the grids where
+irfftn_batch prunes half spectra (spectral._PRUNED_FROM; the cube route
+measured slower on 16^2 and 32^2, see BENCH_15.json); other states hand in
+half spectra.  The two routes agree bit for bit.  These
 are the divergence-form products of the energy identities, not the curl
 forms the solver steps with.  I5 pairs j x b with i k x b_k, since
 curl commutes with Delta_q, and carries the Hall coefficient with the sign
@@ -29,8 +34,8 @@ import numpy as np
 from .littlewood_paley import SobolevParams, shell_sums, sobolev_weights
 from .solver import PhysicalParams, SolverConfig, State, run
 from .spectral import (
-    Grid, SpectralField, _outside_cube, cross_into, curl_into, dealias_cutoff, dealiased_product,
-    gather_cube, gradient, lp_norm, parseval, power, scatter_cube,
+    _PRUNED_FROM, Grid, SpectralField, _outside_cube, _support, cross_into, curl_into, dealias_cutoff,
+    dealiased_product, gather_cube, gradient_into, lp_norm, parseval, power, scatter_cube,
 )
 
 
@@ -68,7 +73,16 @@ def shell_energies(state: State, sob: SobolevParams) -> ShellEnergyRecord:
 def flux_terms(state: State, params: PhysicalParams, sob: SobolevParams) -> FluxRecord:
     g = state.grid
     u, b = state.u.coeffs, state.b.coeffs
-    grads = [gradient(f).coeffs for f in (state.u, state.b)]
+    # the products live on the cube, so the fluxes need u, b and curl b only there
+    k, cu, cb = (gather_cube(f, np.empty(f.shape[:1] + g.cube_shape, f.dtype)) for f in (g.k, u, b))
+    # a state exactly zero outside the cube, as every state run or read_snapshot
+    # yields, goes in as its cubes, where irfftn_batch prunes half spectra
+    kc = dealias_cutoff(g.dims)
+    if g.dims >= _PRUNED_FROM[g.n] and max(_support(f, g.n).max() for f in (u, b)) <= kc:
+        kf, fields = k, (cu, cb)
+    else:
+        kf, fields = g.k, (u, b)
+    grads = [gradient_into(np.empty((3, *f.shape), complex), kf, f).reshape((9, *f.shape[1:])) for f in fields]
 
     def products(phys):
         pu, pb = phys[:3], phys[3:6]
@@ -82,9 +96,7 @@ def flux_terms(state: State, params: PhysicalParams, sob: SobolevParams) -> Flux
         cross_into(prods[12:], pj, pb, phys[0])
         return prods
 
-    hats = dealiased_product(g, np.concatenate([u, b, *grads]), products)
-    # the products live on the cube, so the fluxes need u, b and curl b only there
-    k, cu, cb = (gather_cube(f, np.empty(f.shape[:1] + g.cube_shape, f.dtype)) for f in (g.k, u, b))
+    hats = dealiased_product(g, np.concatenate([*fields, *grads]), products)
     cj = curl_into(np.empty_like(cb), k, cb, np.empty_like(cb[0]))
     # Re(hat_k . conj f_k) of each product and the field its flux tests it against
     tested = zip(np.split(hats, 5), (cu, cu, cb, cb, cj))

@@ -8,8 +8,13 @@ Snapshot layout (little-endian):
 
 read(write(x)) is bit-exact.  read_snapshot checks the header (3 components
 per field, a finite time) and the solver's entry invariants
-(solver._check_state): u and b finite, divergence-free, inside the 2/3
-dealias cube and Hermitian on the k_last = 0 plane.  CSVs print every float
+(solver._check_state) on the whole forward transform of the stored samples:
+u and b finite, divergence-free, inside the 2/3 dealias cube and Hermitian on
+the k_last = 0 plane.  It then cuts u and b to the cube (spectral.dealias),
+dropping the transform's roundoff tail, so a read state is exactly zero
+outside the cube, as every state run yields; the stored samples stay attached,
+so writing it back gives the same bytes.  write_diagnostics takes snapshot
+times that strictly increase in file-name order.  CSVs print every float
 with 17 significant digits; files are written atomically (temp file + rename).
 """
 
@@ -25,7 +30,7 @@ import numpy as np
 from .diagnostics import balance_residuals, flux_terms, shell_energies
 from .littlewood_paley import SobolevParams
 from .solver import PhysicalParams, State, StateDriftError, _check_state
-from .spectral import Grid, SpectralField, to_physical, to_spectral
+from .spectral import Grid, SpectralField, dealias, to_physical, to_spectral
 
 MAGIC = b"HMHD"
 VERSION = 1
@@ -110,16 +115,17 @@ def read_snapshot(path) -> State:
     shape = (m,) + grid.shape
     pu = payload[:count].reshape(shape)
     pb = payload[count:].reshape(shape)
-    u = to_spectral(grid, pu)
-    b = to_spectral(grid, pb)
-    u._phys_payload = (u.coeffs.copy(), pu)
-    b._phys_payload = (b.coeffs.copy(), pb)
-    state = State(u, b, t)
+    u, b = to_spectral(grid, pu), to_spectral(grid, pb)
     try:
-        _check_state(state)
+        _check_state(State(u, b, t))
     except StateDriftError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    return state
+    # the check saw the whole transform; what it let pass outside the cube is
+    # FFT roundoff of the stored samples, cut as run's states have none
+    u, b = dealias(u), dealias(b)
+    u._phys_payload = (u.coeffs.copy(), pu)
+    b._phys_payload = (b.coeffs.copy(), pb)
+    return State(u, b, t)
 
 
 def snapshot_name(step: int) -> str:
@@ -145,12 +151,21 @@ def write_diagnostics(
     (energies, fluxes, residual_u, residual_b); the residuals are nan when
     fewer than 3 snapshots exist.  Deterministic: running this twice over the
     same snapshots produces bit-identical files, which is also how
-    simulate-time CSVs are generated.
+    simulate-time CSVs are generated.  The time derivatives of the residuals
+    need snapshot times that strictly increase in file-name order; a time
+    that does not raises a ValueError naming both files before any CSV is
+    written.
     """
     out_dir = out_dir or run_dir
     energies, fluxes = [], []
-    for path in list_snapshots(run_dir):
+    paths = list_snapshots(run_dir)
+    for i, path in enumerate(paths):
         state = read_snapshot(path)
+        if i and not state.t > energies[-1].t:
+            raise ValueError(
+                f"{path}: time t={_fmt(state.t)} does not follow t={_fmt(energies[-1].t)} "
+                f"of the snapshot before it, {paths[i - 1]}"
+            )
         energies.append(shell_energies(state, sob))
         fluxes.append(flux_terms(state, params, sob))
     if not energies:

@@ -142,8 +142,17 @@ def integrated_params(params: PhysicalParams, mode: str) -> PhysicalParams:
 
 
 def divergence_drift(f: SpectralField) -> float:
-    """L2 norm of div f, relative to the field scale (absolute for small fields)."""
-    return lp_norm(divergence(f), 2) / max(1.0, lp_norm(f, 2))
+    """L2 norm of div f, relative to the field scale (absolute for small fields).
+    A field with a real or imaginary part of 1 or more is first divided by a
+    power of two 2**e above them all, which leaves the ratio as it is, so that
+    no finite field overflows the norms (inf / inf would be a NaN drift, which
+    passes every tolerance)."""
+    c = f.coeffs
+    top = max(max(p.max(initial=0.0), -p.min(initial=0.0)) for p in (c.real, c.imag))
+    e = max(int(np.frexp(top)[1]), 0)
+    if e:
+        f = SpectralField(f.grid, c * 2.0**-e)
+    return lp_norm(divergence(f), 2) / max(2.0**-e, lp_norm(f, 2))
 
 
 def _check_state(state: State, mode: str = "full", tol: float = 1.0e-8, rel: float = 1.0e-12) -> None:

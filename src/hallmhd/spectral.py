@@ -8,7 +8,8 @@ at k = 0.  parseval is the one sum over the whole lattice: it counts every
 interior k_last plane twice, for k and -k, through grid.hermitian_weight, as
 only the shell sums also do; power is the one |f_k|^2.  All differential
 operators are exact Fourier multipliers:
-gradient is the one ik (x) f, the gradient tensor of any m-component field,
+gradient_into is the one ik (x) f, on the half spectrum or the dealias cube,
+and gradient its field form, the gradient tensor of any m-component field;
 cross_into is the one cross-product kernel and curl_into, i k x f through
 it, the one curl.  Every product goes through dealiased_product, the one home
 of the transform pair, its normalization and the 2/3 rule, which keeps the
@@ -114,7 +115,8 @@ def irfftn_batch(arr: np.ndarray, n: int, shape: tuple) -> np.ndarray:
 # Smallest dims, per n, from which the pruned route beats scipy's full inverse
 # with one worker on 12 half spectra that fill the dealias cube, support
 # measurement included (timing table in BENCH_11.json; the gain grows with
-# dims).  On smaller grids half spectra keep the full path.
+# dims).  On smaller grids half spectra keep the full path.  flux_terms hands
+# in-cube states over as cubes from the same dims (BENCH_15.json).
 _PRUNED_FROM = {2: 64, 3: 32}
 
 
@@ -502,12 +504,20 @@ def _expanded(grid: Grid, comp: np.ndarray) -> SpectralField:
     return SpectralField(grid, scatter_cube(comp, full))
 
 
+def gradient_into(out: np.ndarray, k: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """out = i k (x) f, the gradient multiplier: out[j, c] = i k_j f_c for the
+    stacked m components f, on any layout k and f share (the half spectrum or
+    the dealias cube); out has shape (3, m, *f.shape[1:]).  Returns out."""
+    return np.multiply(1j * k[:, None], f, out=out)
+
+
 def gradient(f: SpectralField) -> SpectralField:
     """Gradient tensor of an m-component field: the ik multiplier, 3m components
     ordered (j, m), component j*m + c being d_j f_c (d_z = 0 in 2D); for a
     scalar field, the gradient vector."""
     g = f.grid
-    return SpectralField(g, (1j * g.k[:, None] * f.coeffs).reshape((3 * f.m,) + g.half_shape))
+    out = np.empty((3, f.m) + g.half_shape, dtype=complex)
+    return SpectralField(g, gradient_into(out, g.k, f.coeffs).reshape((3 * f.m,) + g.half_shape))
 
 
 def power(coeffs: np.ndarray) -> np.ndarray:

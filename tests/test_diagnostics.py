@@ -13,6 +13,7 @@ from hallmhd import (
     make_initial,
     run,
 )
+from hallmhd import diagnostics
 from hallmhd.diagnostics import (
     calibrate_growth,
     energy_balance_residual,
@@ -41,6 +42,7 @@ from hallmhd.spectral import (
     advect,
     cross,
     curl,
+    dealiased_product,
     lp_norm,
     to_physical,
     to_spectral,
@@ -191,6 +193,37 @@ def test_flux_terms_bit_identical_to_inline_transforms(n, dims):
         rec = flux_terms(st, PARAMS, SOB)
         ref = _ref_flux_terms(st, PARAMS, SOB)
         assert (rec.I1, rec.I2, rec.I3, rec.I4, rec.I5) == ref
+
+
+def _product_inputs(monkeypatch, st):
+    """The shapes of the inputs flux_terms hands dealiased_product for st."""
+    shapes = []
+
+    def recording(grid, spec, product, out=None):
+        shapes.append(spec.shape)
+        return dealiased_product(grid, spec, product, out)
+
+    monkeypatch.setattr(diagnostics, "dealiased_product", recording)
+    flux_terms(st, PARAMS, SOB)
+    return shapes
+
+
+@pytest.mark.parametrize("n, dims", [(3, 32), (2, 64)])
+def test_flux_terms_takes_cubes_for_in_cube_states(monkeypatch, tmp_path, n, dims):
+    g = Grid(n, dims)
+    made = make_initial("random_band", g, 78, (1.0, 1.0), SOB)
+    write_snapshot(tmp_path / "s.hmhd", made)
+    for st in (made, read_snapshot(tmp_path / "s.hmhd")):
+        assert _product_inputs(monkeypatch, st) == [(24, *g.cube_shape)]
+
+
+@pytest.mark.parametrize("n, dims", [(3, 32), (2, 64)])
+def test_flux_terms_takes_half_spectra_for_wide_band_states(monkeypatch, n, dims):
+    # the wide-band b of test_flux_terms_bit_identical_to_inline_transforms
+    g = Grid(n, dims)
+    inside = make_initial("random_band", g, 78, (1.0, 1.0), SOB)
+    b = random_band_field(g, 79, g.kmax)
+    assert _product_inputs(monkeypatch, State(inside.u, b, 0.0)) == [(24, *g.half_shape)]
 
 
 def test_flux_terms_zero_state(grid):

@@ -49,6 +49,24 @@ def test_snapshot_roundtrip_bit_exact(tmp_path, small_state):
     assert np.abs(to_physical(back.u) - to_physical(st.u)).max() < 1e-13
 
 
+@pytest.mark.parametrize("n, dims", [(3, 16), (3, 32), (2, 64)])
+def test_read_snapshot_cuts_to_the_dealias_cube(tmp_path, n, dims):
+    g = Grid(n, dims)
+    st = make_initial("random_band", g, 5, (1.0, 1.0), SOB)
+    p1, p2 = tmp_path / "a.hmhd", tmp_path / "b.hmhd"
+    write_snapshot(p1, st)
+    back = read_snapshot(p1)
+    outside = ~g.dealias_mask
+    for f, stored in ((back.u, to_physical(st.u)), (back.b, to_physical(st.b))):
+        full = to_spectral(g, stored).coeffs
+        # the transform of the stored samples has a roundoff tail; the read state none
+        assert full[:, outside].any()
+        assert not f.coeffs[:, outside].any()
+        assert np.array_equal(f.coeffs[:, g.dealias_mask], full[:, g.dealias_mask])
+    write_snapshot(p2, back)
+    assert p1.read_bytes() == p2.read_bytes()
+
+
 def test_read_snapshot_interns_grid(tmp_path, small_state):
     write_snapshot(tmp_path / "a.hmhd", small_state)
     write_snapshot(tmp_path / "b.hmhd", small_state)
@@ -150,6 +168,23 @@ def test_read_snapshot_rejects_non_finite_payload(tmp_path, capsys, small_state)
     assert rc == 2
     assert len(err.strip().splitlines()) == 1
     assert err.startswith(f"error: {path}: non-finite state: b has ")
+
+
+def test_analyze_rejects_snapshot_times_that_do_not_increase(tmp_path, capsys, small_state):
+    run_dir, out = tmp_path / "run", tmp_path / "out"
+    run_dir.mkdir()
+    (run_dir / "config.txt").write_text("grid.dims = 16\n")
+    for step, t in ((0, 0.0), (5, 0.25), (6, 0.25), (10, 0.5)):
+        write_snapshot(run_dir / snapshot_name(step), State(small_state.u, small_state.b, t))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["analyze", "--run", str(run_dir), "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {run_dir / snapshot_name(6)}: time t=0.25 does not follow t=0.25 "
+        f"of the snapshot before it, {run_dir / snapshot_name(5)}"
+    ]
+    assert not (out / SHELL_CSV).exists() and not (out / FLUX_CSV).exists()
 
 
 def test_snapshot_names_sorted(tmp_path, small_state):
@@ -371,6 +406,9 @@ def _snapshot_fault(path, state, fault):
         write_snapshot(path, State(u, b, 0.0))
     elif fault == "snapshot at a NaN time":
         write_snapshot(path, State(state.u, state.b, float("nan")))
+    elif fault == "snapshot repeated":
+        # the next snapshot holds the same time, so the times do not increase
+        path.with_name(snapshot_name(1)).write_bytes(bytes(data))
     elif fault == "snapshot drifted":
         x = state.grid.coordinates()[0]
         divergent = to_spectral(state.grid, np.stack([np.sin(x), 0 * x, 0 * x]))
@@ -411,6 +449,7 @@ def _snapshot_fault(path, state, fault):
         ("analyze: snapshot drifted", "snap_00000000.hmhd"),
         ("analyze: snapshot of 1-component fields", "snap_00000000.hmhd"),
         ("analyze: snapshot at a NaN time", "snap_00000000.hmhd"),
+        ("analyze: snapshot repeated", "snap_00000001.hmhd"),
         ("simulate analyze: --out below a regular file", "file/out"),
         ("simulate uniqueness: params.eta = 1e300", "numerical blow-up"),
     ],

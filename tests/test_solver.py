@@ -377,6 +377,23 @@ def test_divergence_drift_metric():
     assert divergence_drift(bad) > 0.1
 
 
+def test_entry_checks_judge_the_divergence_of_huge_fields():
+    # at 1e300 the L2 norms of f and div f overflow, and inf / inf is a NaN
+    # drift, which passes every tolerance; the drift must not depend on scale
+    g = Grid(3, 16)
+    x = g.coordinates()[0]
+    zero = np.zeros_like(x)
+    u = SpectralField.zero(g, 3)
+    divergent = to_spectral(g, 1e300 * np.stack([np.sin(x), zero, zero]))
+    solenoidal = to_spectral(g, 1e300 * np.stack([zero, np.sin(x), np.cos(x)]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert divergence_drift(divergent) == divergence_drift(divergent * 1e-300) == 1.0
+        with pytest.raises(StateDriftError, match=r"^state drift: div b = 1\.000e\+00 exceeds"):
+            solver._check_state(State(u, divergent, 0.0))
+        solver._check_state(State(u, solenoidal, 0.0))
+
+
 def test_run_rejects_content_outside_dealias_cube():
     g = Grid(3, 16)
     st = make_initial("random_band", g, 67, (1.0, 1.0), SOB)
