@@ -19,6 +19,13 @@ from .verification import run_verification
 
 def _cmd_simulate(args) -> int:
     cfg = load_config(args.config)
+    # one run per directory: write_diagnostics reads every snapshot there
+    found = list_snapshots(args.out) if os.path.isdir(args.out) else []
+    if found:
+        raise ValueError(
+            f"--out: {args.out} already holds {len(found)} snapshot(s) of an earlier run; "
+            "choose a new or empty directory"
+        )
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "config.txt"), "w", encoding="utf-8") as fh:
         fh.write(cfg.to_text())

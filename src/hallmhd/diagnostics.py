@@ -15,10 +15,8 @@ fields u, b, grad u, grad b in (j = curl b is formed pointwise from grad b),
 the dealias cubes of the 15 of u.grad u, b.grad b, u.grad b, b.grad u and
 j x b back, dotted against the cubes of u, b and curl b.  A state exactly
 zero outside the cube, as every state from run or read_snapshot is, hands in
-the 24 as dealias cubes, its gradients formed on the cube, on the grids where
-irfftn_batch prunes half spectra (spectral._PRUNED_FROM; the cube route
-measured slower on 16^2 and 32^2, see BENCH_15.json); other states hand in
-half spectra.  The two routes agree bit for bit.  These
+the 24 as dealias cubes, its gradients formed on the cube; other states hand
+in half spectra.  The two routes agree bit for bit.  These
 are the divergence-form products of the energy identities, not the curl
 forms the solver steps with.  I5 pairs j x b with i k x b_k, since
 curl commutes with Delta_q, and carries the Hall coefficient with the sign
@@ -34,7 +32,7 @@ import numpy as np
 from .littlewood_paley import SobolevParams, shell_sums, sobolev_weights
 from .solver import PhysicalParams, SolverConfig, State, run
 from .spectral import (
-    _PRUNED_FROM, Grid, SpectralField, _outside_cube, _support, cross_into, curl_into, dealias_cutoff,
+    Grid, SpectralField, _outside_cube, _support, cross_into, curl_into, dealias_cutoff,
     dealiased_product, gather_cube, gradient_into, lp_norm, parseval, power, scatter_cube,
 )
 
@@ -76,9 +74,8 @@ def flux_terms(state: State, params: PhysicalParams, sob: SobolevParams) -> Flux
     # the products live on the cube, so the fluxes need u, b and curl b only there
     k, cu, cb = (gather_cube(f, np.empty(f.shape[:1] + g.cube_shape, f.dtype)) for f in (g.k, u, b))
     # a state exactly zero outside the cube, as every state run or read_snapshot
-    # yields, goes in as its cubes, where irfftn_batch prunes half spectra
-    kc = dealias_cutoff(g.dims)
-    if g.dims >= _PRUNED_FROM[g.n] and max(_support(f, g.n).max() for f in (u, b)) <= kc:
+    # yields, goes in as its cubes
+    if max(_support(f, g.n).max() for f in (u, b)) <= dealias_cutoff(g.dims):
         kf, fields = k, (cu, cb)
     else:
         kf, fields = g.k, (u, b)

@@ -6,16 +6,18 @@ Snapshot layout (little-endian):
     | time f64 | u components then b components as f64 physical-space arrays
     in axis-major (C) order.
 
-read(write(x)) is bit-exact.  read_snapshot checks the header (3 components
-per field, a finite time) and the solver's entry invariants
-(solver._check_state) on the whole forward transform of the stored samples:
-u and b finite, divergence-free, inside the 2/3 dealias cube and Hermitian on
-the k_last = 0 plane.  It then cuts u and b to the cube (spectral.dealias),
-dropping the transform's roundoff tail, so a read state is exactly zero
-outside the cube, as every state run yields; the stored samples stay attached,
-so writing it back gives the same bytes.  write_diagnostics takes snapshot
-times that strictly increase in file-name order.  CSVs print every float
-with 17 significant digits; files are written atomically (temp file + rename).
+The exact round trip is on the file: writing a read snapshot reproduces its
+bytes, while the coefficients of read(write(x)) match x's only to FFT
+roundoff.  read_snapshot checks the header (3 components per field, a finite
+time) and the solver's entry invariants (solver._check_state) on the whole
+forward transform of the stored samples: u and b finite, divergence-free,
+inside the 2/3 dealias cube and Hermitian on the k_last = 0 plane.  It then
+cuts u and b to the cube (spectral.dealias), dropping the transform's
+roundoff tail, so a read state is exactly zero outside the cube, as every
+state run yields; the stored samples stay attached, so writing it back gives
+the same bytes.  write_diagnostics takes snapshots of one grid whose times
+strictly increase in file-name order.  CSVs print every float with 17
+significant digits; files are written atomically (temp file + rename).
 """
 
 from __future__ import annotations
@@ -152,8 +154,9 @@ def write_diagnostics(
     fewer than 3 snapshots exist.  Deterministic: running this twice over the
     same snapshots produces bit-identical files, which is also how
     simulate-time CSVs are generated.  The time derivatives of the residuals
-    need snapshot times that strictly increase in file-name order; a time
-    that does not raises a ValueError naming both files before any CSV is
+    need snapshots of one grid whose times strictly increase in file-name
+    order; a grid other than the first snapshot's, or a time that does not
+    increase, raises a ValueError naming both files before any CSV is
     written.
     """
     out_dir = out_dir or run_dir
@@ -161,7 +164,14 @@ def write_diagnostics(
     paths = list_snapshots(run_dir)
     for i, path in enumerate(paths):
         state = read_snapshot(path)
-        if i and not state.t > energies[-1].t:
+        if not i:
+            grid = state.grid
+        elif state.grid.shape != grid.shape:
+            raise ValueError(
+                f"{path}: grid {state.grid.shape} differs from the grid {grid.shape} "
+                f"of the first snapshot, {paths[0]}"
+            )
+        elif not state.t > energies[-1].t:
             raise ValueError(
                 f"{path}: time t={_fmt(state.t)} does not follow t={_fmt(energies[-1].t)} "
                 f"of the snapshot before it, {paths[i - 1]}"

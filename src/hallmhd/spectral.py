@@ -22,10 +22,10 @@ normalized (scipy's norm="forward": the forward one divides by the number of
 points, the inverse is unscaled), take either layout and are bit-identical to
 scipy's full ones.  Compact cubes go field by field with one worker, skipping
 the lines that are zero outside the cube; so do half spectra that are exactly
-zero outside it on grids where that is measured faster, each field on its own
-support box (irfftn_batch).  Other half spectra go through scipy's multi-axis
-transform with HMHD_THREADS workers.  The field-by-field passes call scipy's
-pocketfft binding directly, the one private scipy import.
+zero outside it, each field on its own support box (irfftn_batch).  Other
+half spectra go through scipy's multi-axis transform with HMHD_THREADS
+workers.  The field-by-field passes call scipy's pocketfft binding directly,
+the one private scipy import.
 
 2D grids carry 3-component fields that depend on (x, y) only ("2.5D"), so
 curl and cross products remain well defined at 2D cost.
@@ -84,9 +84,8 @@ def irfftn_batch(arr: np.ndarray, n: int, shape: tuple) -> np.ndarray:
     np.array_equal to scipy's full transform (of scatter_cube into zeros, for
     cubes), the first two field by field with one worker (see _irfftn_pruned):
       - cubes, on the fixed box of the cube;
-      - half spectra whose every nonzero coefficient lies in the cube, on a
-        grid of at least _PRUNED_FROM[n] points per axis: each field on its
-        own support box (_support), a zero field written as zeros;
+      - half spectra whose every nonzero coefficient lies in the cube: each
+        field on its own support box (_support), a zero field written as zeros;
       - other half spectra, through scipy's multi-axis transform with
         HMHD_THREADS workers.
     Any other shape raises.
@@ -99,7 +98,7 @@ def irfftn_batch(arr: np.ndarray, n: int, shape: tuple) -> np.ndarray:
     cube = _cube_shape(n, kc)
     if arr.shape[-n:] == half:
         # a nonzero k_last = kc + 1 plane settles it without the measurement
-        if dims >= _PRUNED_FROM[n] and not arr[..., kc + 1].any():
+        if not arr[..., kc + 1].any():
             support = _support(arr, n)
             if support.max(initial=-1) <= kc:
                 return _irfftn_pruned(arr, n, shape, support)
@@ -110,14 +109,6 @@ def irfftn_batch(arr: np.ndarray, n: int, shape: tuple) -> np.ndarray:
         f"irfftn_batch: trailing shape {arr.shape[-n:]} is neither the half spectrum "
         f"{half} nor the dealias cube {cube} of grid {shape}"
     )
-
-
-# Smallest dims, per n, from which the pruned route beats scipy's full inverse
-# with one worker on 12 half spectra that fill the dealias cube, support
-# measurement included (timing table in BENCH_11.json; the gain grows with
-# dims).  On smaller grids half spectra keep the full path.  flux_terms hands
-# in-cube states over as cubes from the same dims (BENCH_15.json).
-_PRUNED_FROM = {2: 64, 3: 32}
 
 
 def _support(arr: np.ndarray, n: int) -> np.ndarray:

@@ -208,7 +208,7 @@ def _product_inputs(monkeypatch, st):
     return shapes
 
 
-@pytest.mark.parametrize("n, dims", [(3, 32), (2, 64)])
+@pytest.mark.parametrize("n, dims", [(2, 16), (2, 32), (3, 16), (3, 32), (2, 64)])
 def test_flux_terms_takes_cubes_for_in_cube_states(monkeypatch, tmp_path, n, dims):
     g = Grid(n, dims)
     made = make_initial("random_band", g, 78, (1.0, 1.0), SOB)

@@ -271,6 +271,29 @@ def test_simulate_then_analyze_bit_identical(tmp_path, capsys, monkeypatch):
     assert "max energy-balance residual" in captured.out
 
 
+def test_simulate_refuses_a_reused_out(tmp_path, capsys, monkeypatch):
+    conf = tmp_path / "run.conf"
+    conf.write_text("grid.dims = 16\nsolver.tmax = 0.004\nsolver.snapshot_every = 2\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(conf), "--out", str(out)]) == 0
+    first = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    # a second run, on another grid, into the same directory
+    monkeypatch.setattr(cli, "run", no_run)
+    other = tmp_path / "other.conf"
+    other.write_text("grid.dims = 32\nsolver.tmax = 0.002\n")
+    assert main(["simulate", "--config", str(other), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: --out: {out} already holds 3 snapshot(s) of an earlier run; "
+        "choose a new or empty directory"
+    ]
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == first
+
+
 def test_mhd_csvs_do_not_depend_on_eta(tmp_path, capsys):
     # mhd integrates eta = 0, so params.eta must not reach the CSVs either:
     # I5 is 0 and both files match those of the same run with params.eta = 0
@@ -409,6 +432,10 @@ def _snapshot_fault(path, state, fault):
     elif fault == "snapshot repeated":
         # the next snapshot holds the same time, so the times do not increase
         path.with_name(snapshot_name(1)).write_bytes(bytes(data))
+    elif fault == "snapshot followed by one on another grid":
+        g = Grid(3, 32)
+        zero = SpectralField.zero(g, 3)
+        write_snapshot(path.with_name(snapshot_name(1)), State(zero, zero, 1.0))
     elif fault == "snapshot drifted":
         x = state.grid.coordinates()[0]
         divergent = to_spectral(state.grid, np.stack([np.sin(x), 0 * x, 0 * x]))
@@ -450,7 +477,10 @@ def _snapshot_fault(path, state, fault):
         ("analyze: snapshot of 1-component fields", "snap_00000000.hmhd"),
         ("analyze: snapshot at a NaN time", "snap_00000000.hmhd"),
         ("analyze: snapshot repeated", "snap_00000001.hmhd"),
+        ("analyze: snapshot followed by one on another grid",
+         "snap_00000001.hmhd: grid (32, 32, 32) differs from the grid (16, 16, 16)"),
         ("simulate analyze: --out below a regular file", "file/out"),
+        ("simulate: --out holding a snapshot", "already holds 1 snapshot"),
         ("simulate uniqueness: params.eta = 1e300", "numerical blow-up"),
     ],
 )
@@ -462,9 +492,12 @@ def test_cli_rejects_invalid_value(tmp_path, capsys, small_state, line, field):
     conf.write_text("grid.dims = 16\n" + (f"{fault}\n" if " = " in fault else ""))
     if fault.startswith("snapshot "):
         _snapshot_fault(run_dir / snapshot_name(0), small_state, fault)
-    if fault.startswith("--out "):
+    if fault == "--out below a regular file":
         (tmp_path / "file").write_text("")
         out = tmp_path / "file" / "out"
+    elif fault == "--out holding a snapshot":
+        out.mkdir()
+        write_snapshot(out / snapshot_name(0), small_state)
     argvs = {
         "simulate": ["simulate", "--config", str(conf), "--out", str(out)],
         "verify": ["verify", "--config", str(conf)],

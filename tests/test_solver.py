@@ -339,7 +339,7 @@ def test_run_bit_identical_and_sink_states_not_overwritten(monkeypatch):
         assert np.array_equal(got.b.coeffs, ref.b.coeffs)
         assert got.t == ref.t
     assert kept[-1][1] is final
-    assert set(g._cache) <= keys_before | {"ifrk4"}
+    assert set(g._cache) <= keys_before
 
 
 def test_step_leaves_its_input_alone():
