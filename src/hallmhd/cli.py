@@ -11,7 +11,7 @@ import numpy as np
 from .config import RunConfig, load_config
 from .diagnostics import existence_time, scaling_check
 from .snapshots import list_snapshots, snapshot_name, write_diagnostics, write_snapshot
-from .solver import BlowUpError, State, integrated_params, run
+from .solver import BlowUpError, State, run
 from .spectral import SpectralField, dealias_cutoff
 from .uniqueness import gronwall_check
 from .verification import run_verification
@@ -31,20 +31,18 @@ def _cmd_simulate(args) -> int:
         fh.write(cfg.to_text())
 
     initial = cfg.initial_state()
-    solver_cfg = cfg.solver_config()
-    params = integrated_params(solver_cfg.params, solver_cfg.mode)
 
     def sink(step, state):
         write_snapshot(os.path.join(args.out, snapshot_name(step)), state)
 
     try:
-        final, log = run(initial, solver_cfg, sinks=[sink])
+        final, log = run(initial, cfg.solver_config(), sinks=[sink])
     except BlowUpError:
         # keep the evidence: the CSVs of the snapshots written before the blow-up
         if list_snapshots(args.out):
-            write_diagnostics(args.out, params, cfg.sobolev())
+            write_diagnostics(args.out, cfg)
         raise
-    write_diagnostics(args.out, params, cfg.sobolev())
+    write_diagnostics(args.out, cfg)
     print(f"final time t={final.t:.17g}")
     if log.halted:
         print(f"halted early: {log.halt_reason}")
@@ -114,10 +112,7 @@ def _cmd_uniqueness(args) -> int:
 
 def _cmd_analyze(args) -> int:
     cfg = load_config(os.path.join(args.run, "config.txt"))
-    out = args.out or args.run
-    os.makedirs(out, exist_ok=True)
-    params = integrated_params(cfg.physical_params(), cfg["solver.mode"])
-    energies, _, ru, rb = write_diagnostics(args.run, params, cfg.sobolev(), out_dir=out)
+    energies, _, ru, rb = write_diagnostics(args.run, cfg, out_dir=args.out)
     # psi0 = ||u0||_{H^s}^2 + ||b0||_{H^r}^2, the dyadic sums of the first record
     psi0 = float(energies[0].e_u.sum() + energies[0].e_b.sum())
     horizon = energies[-1].t

@@ -31,7 +31,6 @@ _DEFAULTS = {
     "sobolev.eps": 0.25,
     "solver.dt": 1e-3,
     "solver.tmax": 0.05,
-    "solver.scheme": "ifrk4",
     "solver.mode": "full",
     "solver.snapshot_every": 10,
     "init.kind": "random_band",
@@ -94,7 +93,6 @@ class RunConfig:
             sobolev=self.sobolev(),
             dt=v["solver.dt"],
             tmax=v["solver.tmax"],
-            scheme=v["solver.scheme"],
             mode=v["solver.mode"],
             snapshot_every=v["solver.snapshot_every"],
         )

@@ -15,9 +15,10 @@ inside the 2/3 dealias cube and Hermitian on the k_last = 0 plane.  It then
 cuts u and b to the cube (spectral.dealias), dropping the transform's
 roundoff tail, so a read state is exactly zero outside the cube, as every
 state run yields; the stored samples stay attached, so writing it back gives
-the same bytes.  write_diagnostics takes snapshots of one grid whose times
-strictly increase in file-name order.  CSVs print every float with 17
-significant digits; files are written atomically (temp file + rename).
+the same bytes.  write_diagnostics takes its physics, Sobolev pair and grid
+from the run's config and snapshots on that grid whose times strictly
+increase in file-name order.  CSVs print every float with 17 significant
+digits; files are written atomically (temp file + rename).
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ import tempfile
 
 import numpy as np
 
+from .config import RunConfig
 from .diagnostics import balance_residuals, flux_terms, shell_energies
-from .littlewood_paley import SobolevParams
-from .solver import PhysicalParams, State, StateDriftError, _check_state
+from .solver import State, StateDriftError, _check_state, integrated_params
 from .spectral import Grid, SpectralField, dealias, to_physical, to_spectral
 
 MAGIC = b"HMHD"
@@ -143,10 +144,10 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def write_diagnostics(
-    run_dir, params: PhysicalParams, sob: SobolevParams, out_dir=None
-):
-    """Compute the shell-energy and flux CSVs from the stored snapshots.
+def write_diagnostics(run_dir, cfg: RunConfig, out_dir=None):
+    """Compute the shell-energy and flux CSVs from the stored snapshots of the
+    run whose config is cfg, in the physics it integrated
+    (solver.integrated_params) and its Sobolev pair.
 
     Streams the snapshots: each is read, reduced to its shell-energy and flux
     records, and dropped before the next is read.  Returns
@@ -154,24 +155,22 @@ def write_diagnostics(
     fewer than 3 snapshots exist.  Deterministic: running this twice over the
     same snapshots produces bit-identical files, which is also how
     simulate-time CSVs are generated.  The time derivatives of the residuals
-    need snapshots of one grid whose times strictly increase in file-name
-    order; a grid other than the first snapshot's, or a time that does not
-    increase, raises a ValueError naming both files before any CSV is
-    written.
+    need snapshots on cfg's grid whose times strictly increase in file-name
+    order; another grid, or a time that does not increase, raises a one-line
+    ValueError naming the file before out_dir (default run_dir) is made.
     """
-    out_dir = out_dir or run_dir
+    params = integrated_params(cfg.physical_params(), cfg["solver.mode"])
+    sob, grid = cfg.sobolev(), cfg.grid()
     energies, fluxes = [], []
     paths = list_snapshots(run_dir)
     for i, path in enumerate(paths):
         state = read_snapshot(path)
-        if not i:
-            grid = state.grid
-        elif state.grid.shape != grid.shape:
+        if state.grid.shape != grid.shape:
             raise ValueError(
                 f"{path}: grid {state.grid.shape} differs from the grid {grid.shape} "
-                f"of the first snapshot, {paths[0]}"
+                "of the run's config"
             )
-        elif not state.t > energies[-1].t:
+        if i and not state.t > energies[-1].t:
             raise ValueError(
                 f"{path}: time t={_fmt(state.t)} does not follow t={_fmt(energies[-1].t)} "
                 f"of the snapshot before it, {paths[i - 1]}"
@@ -180,6 +179,8 @@ def write_diagnostics(
         fluxes.append(flux_terms(state, params, sob))
     if not energies:
         raise ValueError(f"no snapshots found in {run_dir}")
+    out_dir = out_dir or run_dir
+    os.makedirs(out_dir, exist_ok=True)
 
     shell_lines = ["t,q,e_u,e_b,d_u,d_b"]
     for rec in energies:

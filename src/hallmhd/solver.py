@@ -113,7 +113,6 @@ class SolverConfig:
     sobolev: SobolevParams
     dt: float
     tmax: float
-    scheme: str = "ifrk4"
     mode: str = "full"
     snapshot_every: int = 10
     blowup_factor: float = 1.0e6
@@ -129,8 +128,6 @@ class SolverConfig:
             )
         if self.mode not in MODES:
             raise ValueError(f"solver.mode: must be one of {MODES}, got {self.mode!r}")
-        if self.scheme != "ifrk4":
-            raise ValueError(f"solver.scheme: unknown scheme {self.scheme!r}")
 
 
 def integrated_params(params: PhysicalParams, mode: str) -> PhysicalParams:

@@ -4,14 +4,15 @@ import os
 import struct
 import warnings
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hallmhd import Grid, PhysicalParams, SobolevParams, SolverConfig, State, make_initial, run
+from hallmhd import Grid, SobolevParams, SolverConfig, State, make_initial, run
 from hallmhd import cli, snapshots
 from hallmhd.cli import main
-from hallmhd.config import RunConfig, load_config, parse_config
+from hallmhd.config import _DEFAULTS, RunConfig, load_config, parse_config
 from hallmhd.snapshots import (
     FLUX_CSV,
     MAGIC,
@@ -185,6 +186,7 @@ def test_analyze_rejects_snapshot_times_that_do_not_increase(tmp_path, capsys, s
         f"of the snapshot before it, {run_dir / snapshot_name(5)}"
     ]
     assert not (out / SHELL_CSV).exists() and not (out / FLUX_CSV).exists()
+    assert not out.exists()
 
 
 def test_snapshot_names_sorted(tmp_path, small_state):
@@ -205,6 +207,12 @@ def test_config_defaults_and_roundtrip():
     assert cfg["solver.mode"] == "full"
     again = parse_config(cfg.to_text())
     assert again.values == cfg.values
+
+
+def test_readme_config_block_is_the_defaults():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    assert parse_config(block).values == _DEFAULTS
 
 
 def test_config_overrides_and_comments():
@@ -432,6 +440,9 @@ def _snapshot_fault(path, state, fault):
     elif fault == "snapshot repeated":
         # the next snapshot holds the same time, so the times do not increase
         path.with_name(snapshot_name(1)).write_bytes(bytes(data))
+    elif fault == "snapshot on another grid than the config's":
+        zero = SpectralField.zero(Grid(3, 32), 3)
+        write_snapshot(path, State(zero, zero, 0.0))
     elif fault == "snapshot followed by one on another grid":
         g = Grid(3, 32)
         zero = SpectralField.zero(g, 3)
@@ -477,6 +488,9 @@ def _snapshot_fault(path, state, fault):
         ("analyze: snapshot of 1-component fields", "snap_00000000.hmhd"),
         ("analyze: snapshot at a NaN time", "snap_00000000.hmhd"),
         ("analyze: snapshot repeated", "snap_00000001.hmhd"),
+        ("analyze: snapshot on another grid than the config's",
+         "snap_00000000.hmhd: grid (32, 32, 32) differs from the grid (16, 16, 16) "
+         "of the run's config"),
         ("analyze: snapshot followed by one on another grid",
          "snap_00000001.hmhd: grid (32, 32, 32) differs from the grid (16, 16, 16)"),
         ("simulate analyze: --out below a regular file", "file/out"),
@@ -493,6 +507,8 @@ def test_cli_rejects_invalid_value(tmp_path, capsys, small_state, line, field):
     if fault.startswith("snapshot "):
         _snapshot_fault(run_dir / snapshot_name(0), small_state, fault)
     if fault == "--out below a regular file":
+        # a valid run, so that analyze reaches its --out
+        write_snapshot(run_dir / snapshot_name(0), small_state)
         (tmp_path / "file").write_text("")
         out = tmp_path / "file" / "out"
     elif fault == "--out holding a snapshot":
@@ -518,6 +534,9 @@ def test_cli_rejects_invalid_value(tmp_path, capsys, small_state, line, field):
             assert not any("encountered" in ln for ln in lines), (command, lines)
         else:
             assert len(lines) == 1, (command, lines)
+        if fault.startswith("snapshot "):
+            # analyze makes --out only once every snapshot has passed
+            assert not out.exists(), command
 
 
 def test_cli_reports_blowup_without_traceback(tmp_path, capsys, monkeypatch):
@@ -656,4 +675,4 @@ def test_workers_env(monkeypatch):
 
 def test_write_diagnostics_empty_dir(tmp_path):
     with pytest.raises(ValueError, match="no snapshots"):
-        write_diagnostics(tmp_path, PhysicalParams(0.1, 0.1, 0.0), SOB)
+        write_diagnostics(tmp_path, RunConfig())

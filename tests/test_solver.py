@@ -794,8 +794,6 @@ def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(params, SOB, 1e-3, 1.0, mode="spooky")
     with pytest.raises(ValueError):
-        SolverConfig(params, SOB, 1e-3, 1.0, scheme="euler")
-    with pytest.raises(ValueError):
         PhysicalParams(-0.1, 0.0, 0.0)
     with pytest.raises(ValueError, match="params.eta"):
         PhysicalParams(0.1, 0.1, np.inf)
