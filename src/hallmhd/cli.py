@@ -19,6 +19,8 @@ from .verification import run_verification
 
 def _cmd_simulate(args) -> int:
     cfg = load_config(args.config)
+    # built first, so that data that cannot be made leaves no --out behind
+    initial = cfg.initial_state()
     # one run per directory: write_diagnostics reads every snapshot there
     found = list_snapshots(args.out) if os.path.isdir(args.out) else []
     if found:
@@ -29,8 +31,6 @@ def _cmd_simulate(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "config.txt"), "w", encoding="utf-8") as fh:
         fh.write(cfg.to_text())
-
-    initial = cfg.initial_state()
 
     def sink(step, state):
         write_snapshot(os.path.join(args.out, snapshot_name(step)), state)
@@ -174,8 +174,9 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (ValueError, OSError, BlowUpError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, BlowUpError, MemoryError) as exc:
+        # a bare MemoryError() has no message
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

@@ -9,7 +9,7 @@ The config format is plain text, one dotted key per line:
 
 '#' starts a comment.  Unknown keys, malformed lines and out-of-range values
 are rejected at load time with a field-level message, as are a Sobolev pair
-that is not admissible and a nonzero init.target_u in solver.mode = hall_only.
+that is not admissible and a nonzero init.target_u where u is 0.
 """
 
 from __future__ import annotations
@@ -51,7 +51,8 @@ _DEFAULTS = {
 _RULES = (
     (("sweep.size",), lambda x: x >= 1, "at least 1"),
     (("init.seed", "sweep.seed"), lambda x: x >= 0, "non-negative"),
-    (("init.band",), lambda x: x >= 0, "non-negative (0 means the grid's resolved band)"),
+    # no lattice mode has 0 < |k| < 1, so a band below 1 draws zero fields
+    (("init.band",), lambda x: x == 0 or x >= 1, "0 (the grid's resolved band) or at least 1"),
     (
         # the flux diagnostics are cubic in the data: larger targets overflow them
         ("init.target_u", "init.target_b"),
@@ -125,11 +126,12 @@ class RunConfig:
             for key in keys:
                 if not ok(self.values[key]):
                     raise ValueError(f"{key}: must be {rule}, got {self.values[key]!r}")
-        if self.values["solver.mode"] == "hall_only" and self.values["init.target_u"] != 0:
-            raise ValueError(
-                f"init.target_u: must be 0 with solver.mode = hall_only, which holds u at 0, "
-                f"got {self.values['init.target_u']!r}"
-            )
+        for key, value in (("solver.mode", "hall_only"), ("init.kind", "beltrami")):
+            if self.values[key] == value and self.values["init.target_u"] != 0:
+                raise ValueError(
+                    f"init.target_u: must be 0 with {key} = {value}, which has u = 0, "
+                    f"got {self.values['init.target_u']!r}"
+                )
         low, high = self.values["calibration.gamma_low"], self.values["calibration.gamma_high"]
         if not (math.isfinite(high) and high >= low):
             raise ValueError(

@@ -13,14 +13,13 @@ materialized.  The fluxes are one call of spectral.dealiased_product, the
 home of the transform pair, its normalization and the 2/3 rule: the 24
 fields u, b, grad u, grad b in (j = curl b is formed pointwise from grad b),
 the dealias cubes of the 15 of u.grad u, b.grad b, u.grad b, b.grad u and
-j x b back, dotted against the cubes of u, b and curl b.  A state exactly
-zero outside the cube, as every state from run or read_snapshot is, hands in
-the 24 as dealias cubes, its gradients formed on the cube; other states hand
-in half spectra.  The two routes agree bit for bit.  These
-are the divergence-form products of the energy identities, not the curl
-forms the solver steps with.  I5 pairs j x b with i k x b_k, since
-curl commutes with Delta_q, and carries the Hall coefficient with the sign
-that closes the identity.
+j x b back, dotted against the cubes of u, b and curl b.  The 24 go in as
+dealias cubes, the gradients formed on the cube: as in solver.step, only the
+2/3 dealias cube of the state is read (every state from run or read_snapshot
+is zero outside it).  These are the divergence-form products of the energy
+identities, not the curl forms the solver steps with.  I5 pairs j x b with
+i k x b_k, since curl commutes with Delta_q, and carries the Hall
+coefficient with the sign that closes the identity.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ import numpy as np
 from .littlewood_paley import SobolevParams, shell_sums, sobolev_weights
 from .solver import PhysicalParams, SolverConfig, State, run
 from .spectral import (
-    Grid, SpectralField, _outside_cube, _support, cross_into, curl_into, dealias_cutoff,
+    Grid, SpectralField, _outside_cube, cross_into, curl_into, dealias_cutoff,
     dealiased_product, gather_cube, gradient_into, lp_norm, parseval, power, scatter_cube,
 )
 
@@ -69,17 +68,12 @@ def shell_energies(state: State, sob: SobolevParams) -> ShellEnergyRecord:
 
 
 def flux_terms(state: State, params: PhysicalParams, sob: SobolevParams) -> FluxRecord:
+    """The weighted fluxes I1..I5 of the shell energy identities.  As in
+    solver.step, only the 2/3 dealias cube of the state is read."""
     g = state.grid
-    u, b = state.u.coeffs, state.b.coeffs
-    # the products live on the cube, so the fluxes need u, b and curl b only there
-    k, cu, cb = (gather_cube(f, np.empty(f.shape[:1] + g.cube_shape, f.dtype)) for f in (g.k, u, b))
-    # a state exactly zero outside the cube, as every state run or read_snapshot
-    # yields, goes in as its cubes
-    if max(_support(f, g.n).max() for f in (u, b)) <= dealias_cutoff(g.dims):
-        kf, fields = k, (cu, cb)
-    else:
-        kf, fields = g.k, (u, b)
-    grads = [gradient_into(np.empty((3, *f.shape), complex), kf, f).reshape((9, *f.shape[1:])) for f in fields]
+    k, cu, cb = (gather_cube(f, np.empty(f.shape[:1] + g.cube_shape, f.dtype))
+                 for f in (g.k, state.u.coeffs, state.b.coeffs))
+    grads = [gradient_into(np.empty((3, *f.shape), complex), k, f).reshape((9, *f.shape[1:])) for f in (cu, cb)]
 
     def products(phys):
         pu, pb = phys[:3], phys[3:6]
@@ -93,7 +87,7 @@ def flux_terms(state: State, params: PhysicalParams, sob: SobolevParams) -> Flux
         cross_into(prods[12:], pj, pb, phys[0])
         return prods
 
-    hats = dealiased_product(g, np.concatenate([*fields, *grads]), products)
+    hats = dealiased_product(g, np.concatenate([cu, cb, *grads]), products)
     cj = curl_into(np.empty_like(cb), k, cb, np.empty_like(cb[0]))
     # Re(hat_k . conj f_k) of each product and the field its flux tests it against
     tested = zip(np.split(hats, 5), (cu, cu, cb, cb, cj))

@@ -66,6 +66,10 @@ from .spectral import (
 )
 
 MODES = ("full", "mhd", "hall_only")
+DIV_TOL = 1.0e-8  # largest divergence_drift of a state on entry
+REL_TOL = 1.0e-12  # largest tail outside the cube and Hermitian defect, per largest amplitude
+HALL_CFL = 0.5  # CFL number of the Hall term in cfl_advisory_dt
+GUARD_EVERY = 100  # steps between blow-up checks and safety projections of b
 
 
 class StateDriftError(ValueError):
@@ -152,11 +156,11 @@ def divergence_drift(f: SpectralField) -> float:
     return lp_norm(divergence(f), 2) / max(2.0**-e, lp_norm(f, 2))
 
 
-def _check_state(state: State, mode: str = "full", tol: float = 1.0e-8, rel: float = 1.0e-12) -> None:
+def _check_state(state: State, mode: str = "full") -> None:
     """The entry invariants, each checked on u and then b before the next:
     finite coefficients (first, as NaN passes every comparison), divergence-
-    free to tol, and, to rel of the field's largest amplitude, supported inside
-    the 2/3 dealias cube and Hermitian on the k_last = 0 plane, as a real field
+    free to DIV_TOL, and, to REL_TOL of the largest amplitude, inside the
+    2/3 dealias cube and Hermitian on the k_last = 0 plane, as a real field
     is; last, u = 0 exactly in hall_only, which holds u there.
     StateDriftError names the first field that breaks one."""
     fields = (("u", state.u), ("b", state.b))
@@ -166,9 +170,9 @@ def _check_state(state: State, mode: str = "full", tol: float = 1.0e-8, rel: flo
             raise StateDriftError(f"non-finite state: {name} has {bad} non-finite coefficients at t={state.t}")
     for name, f in fields:
         drift = divergence_drift(f)
-        if drift > tol:
+        if drift > DIV_TOL:
             raise StateDriftError(
-                f"state drift: div {name} = {drift:.3e} exceeds {tol:.1e} at t={state.t}"
+                f"state drift: div {name} = {drift:.3e} exceeds {DIV_TOL:.1e} at t={state.t}"
             )
     cutoff = dealias_cutoff(state.grid.dims)
     peaks = []
@@ -176,17 +180,17 @@ def _check_state(state: State, mode: str = "full", tol: float = 1.0e-8, rel: flo
         mag = np.abs(f.coeffs)
         peaks.append(mag.max(initial=0.0))
         tail = _outside_cube(f, cutoff, mag, peaks[-1])
-        if tail > rel:
+        if tail > REL_TOL:
             raise StateDriftError(
                 f"state drift: {name} has {tail:.3e} of its largest amplitude outside "
-                f"the 2/3 dealias cube (allowed {rel:.0e}) at t={state.t}"
+                f"the 2/3 dealias cube (allowed {REL_TOL:.0e}) at t={state.t}"
             )
     for (name, f), peak in zip(fields, peaks):
         defect = _hermitian_defect(f) / peak if peak > 0 else 0.0
-        if defect > rel:
+        if defect > REL_TOL:
             raise StateDriftError(
                 f"state drift: {name} is not Hermitian: |f_k - conj f_-k| reaches {defect:.3e} "
-                f"of its largest amplitude on the k_last = 0 plane (allowed {rel:.0e}) at t={state.t}"
+                f"of its largest amplitude on the k_last = 0 plane (allowed {REL_TOL:.0e}) at t={state.t}"
             )
     if mode == "hall_only" and state.u.coeffs.any():
         raise StateDriftError(
@@ -377,8 +381,8 @@ def step(state: State, config: SolverConfig, work: _Workspace | None = None) -> 
     return State(_expanded(g, y[0]), _expanded(g, y[1]), t1)
 
 
-def cfl_advisory_dt(state: State, params: PhysicalParams, c: float = 0.5) -> float:
-    """Advisory bound: min(dx / ||u||_inf, c / (eta ||b||_inf kmax^2))."""
+def cfl_advisory_dt(state: State, params: PhysicalParams) -> float:
+    """Advisory bound: min(dx / ||u||_inf, HALL_CFL / (eta ||b||_inf kmax^2))."""
     g = state.grid
     dx = 2.0 * np.pi / g.dims
     bound = np.inf
@@ -388,7 +392,7 @@ def cfl_advisory_dt(state: State, params: PhysicalParams, c: float = 0.5) -> flo
     if params.eta > 0:
         bmax = lp_norm(state.b, np.inf)
         if bmax > 0:
-            bound = min(bound, c / (params.eta * bmax * g.kmax**2))
+            bound = min(bound, HALL_CFL / (params.eta * bmax * g.kmax**2))
     return bound
 
 
@@ -407,9 +411,6 @@ def whole_steps(tmax: float, dt: float) -> bool:
     """Whether tmax is a whole number of dt steps, to a relative 1e-9."""
     steps = tmax / dt
     return math.isclose(steps, round(steps), rel_tol=1e-9)
-
-
-GUARD_EVERY = 100  # steps between blow-up checks and safety projections of b
 
 
 def run(initial: State, config: SolverConfig, sinks=()) -> tuple[State, RunLog]:

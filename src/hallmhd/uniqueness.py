@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .littlewood_paley import SobolevParams, dyadic_sobolev_norm
-from .solver import PhysicalParams, State, divergence_drift
+from .solver import DIV_TOL, PhysicalParams, State, divergence_drift
 from .spectral import (
     SpectralField,
     advect,
@@ -45,7 +45,7 @@ def difference_rhs(
     """
     for name, f in (("U", U), ("B", B), ("u1", u1), ("b1", b1), ("u2", u2), ("b2", b2)):
         drift = divergence_drift(f)
-        if drift > 1e-8:
+        if drift > DIV_TOL:
             raise ValueError(f"divergence drift in {name}: {drift:.3e}")
 
     dU = leray_project(

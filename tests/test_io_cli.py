@@ -471,6 +471,8 @@ def _snapshot_fault(path, state, fault):
         ("init.target_u = -1", "init.target_u"),
         ("init.target_u = nan", "init.target_u"),
         ("init.band = -2", "init.band"),
+        # no lattice mode has 0 < |k| < 1, so the draw would be zero
+        ("init.band = 0.5", "init.band"),
         ("calibration.C = inf", "calibration.C"),
         ("calibration.C_nu_mu = -1", "calibration.C_nu_mu"),
         ("calibration.gamma_low = -1", "calibration.gamma_low"),
@@ -479,6 +481,8 @@ def _snapshot_fault(path, state, fault):
         ("grid.n = 4", "grid.n"),
         # hall_only holds u at 0, and the default init.target_u is 1
         ("solver.mode = hall_only", "init.target_u"),
+        # Beltrami data has u = 0, and the default init.target_u is 1
+        ("init.kind = beltrami", "init.target_u"),
         ("init.target_u = 1e300", "init.target_u"),
         # "commands: fault", met after a clean load by the subcommands named
         ("analyze: snapshot truncated", "snap_00000000.hmhd"),
@@ -496,6 +500,9 @@ def _snapshot_fault(path, state, fault):
         ("simulate analyze: --out below a regular file", "file/out"),
         ("simulate: --out holding a snapshot", "already holds 1 snapshot"),
         ("simulate uniqueness: params.eta = 1e300", "numerical blow-up"),
+        # the first large arrays, 3 and 6 PiB, are beyond any address space and
+        # fail at once, with no page touched
+        ("simulate verify: grid.dims = 65536", "Unable to allocate"),
     ],
 )
 def test_cli_rejects_invalid_value(tmp_path, capsys, small_state, line, field):
@@ -534,8 +541,9 @@ def test_cli_rejects_invalid_value(tmp_path, capsys, small_state, line, field):
             assert not any("encountered" in ln for ln in lines), (command, lines)
         else:
             assert len(lines) == 1, (command, lines)
-        if fault.startswith("snapshot "):
-            # analyze makes --out only once every snapshot has passed
+        if not fault.startswith("--out") and field != "numerical blow-up":
+            # simulate makes --out only once its initial state is built, and
+            # analyze only once every snapshot has passed
             assert not out.exists(), command
 
 
@@ -550,6 +558,18 @@ def test_cli_reports_blowup_without_traceback(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert rc == 2
     assert err.strip() == "error: numerical blow-up at t=0.003"
+
+
+def test_cli_reports_bare_memory_error(tmp_path, capsys, monkeypatch):
+    def out_of_memory(cfg):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "run_verification", out_of_memory)
+    conf = tmp_path / "run.conf"
+    conf.write_text("grid.dims = 16\n")
+    rc = main(["verify", "--config", str(conf)])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: MemoryError\n"
 
 
 def test_simulate_blowup_keeps_diagnostics(tmp_path, capsys, monkeypatch):
