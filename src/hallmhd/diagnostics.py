@@ -10,16 +10,25 @@ lambda_q^{2s} <Delta_q F, Delta_q f> = lambda_q^{2s} (2 pi)^n sum_k
 phi_q(|k|)^2 Re(F_k . conj f_k), so shell energies and dissipations contract
 |f_k|^2 and |k|^2 |f_k|^2 against the shell multipliers and no shell is ever
 materialized.  The fluxes are one call of spectral.dealiased_product, the
-home of the transform pair, its normalization and the 2/3 rule: the 24
-fields u, b, grad u, grad b in (j = curl b is formed pointwise from grad b),
-the dealias cubes of the 15 of u.grad u, b.grad b, u.grad b, b.grad u and
-j x b back, dotted against the cubes of u, b and curl b.  The 24 go in as
-dealias cubes, the gradients formed on the cube: as in solver.step, only the
-2/3 dealias cube of the state is read (every state from run or read_snapshot
-is zero outside it).  These are the divergence-form products of the energy
-identities, not the curl forms the solver steps with.  I5 pairs j x b with
-i k x b_k, since curl commutes with Delta_q, and carries the Hall
-coefficient with the sign that closes the identity.
+home of the transform pair, its normalization and the 2/3 rule, in
+conservative form: the dealias cubes of u and b go in (6 fields) and the
+cubes of their 21 quadratic moments come back, u (x) u and b (x) b (6
+symmetric components each) and u (x) b (9).  The five flux fields are
+assembled on the cube as i k . M:
+
+    u.grad u = div(u (x) u),      (u.grad b)_m = d_j (u_j b_m),
+    b.grad b = div(b (x) b),      (b.grad u)_m = d_j (b_j u_m),
+    j x b = div(b (x) b) - grad |b|^2/2,
+
+and dotted against the cubes of u, b and curl b.  Each equals the advective
+form of the energy identities for a divergence-free state inside the cube:
+the products of two in-cube fields alias nothing back into the cube, so the
+cube of each moment is exact and the product rule holds mode by mode (Zang,
+Appl. Numer. Math. 7, 1991).  As in solver.step, only the 2/3 dealias cube of
+the state is read, and every state from run or read_snapshot is divergence-
+free and zero outside it.  These are not the curl forms the solver steps
+with.  I5 pairs j x b with i k x b_k, since curl commutes with Delta_q, and
+carries the Hall coefficient with the sign that closes the identity.
 """
 
 from __future__ import annotations
@@ -31,9 +40,22 @@ import numpy as np
 from .littlewood_paley import SobolevParams, shell_sums, sobolev_weights
 from .solver import PhysicalParams, SolverConfig, State, run
 from .spectral import (
-    Grid, SpectralField, _outside_cube, cross_into, curl_into, dealias_cutoff,
-    dealiased_product, gather_cube, gradient_into, lp_norm, parseval, power, scatter_cube,
+    Grid, SpectralField, _outside_cube, curl_into, dealias_cutoff, dealiased_product,
+    gather_cube, lp_norm, parseval, power, scatter_cube,
 )
+
+# The 21 quadratic moments flux_terms forms, as index pairs into the stacked
+# physical u (rows 0-2) and b (rows 3-5): u_j u_m and b_j b_m for j <= m,
+# then u_j b_m.
+_UPPER = [(j, m) for j in range(3) for m in range(j, 3)]
+_MOMENTS = _UPPER + [(3 + j, 3 + m) for j, m in _UPPER] + [(j, 3 + m) for j in range(3) for m in range(3)]
+_SLOT = {pair: p for p, pair in enumerate(_MOMENTS)}
+_SLOT.update({(j, i): p for (i, j), p in list(_SLOT.items())})
+# [term, j, m]: the slot of a_j c_m, whose d_j adds to component m of
+# (a . grad) c, for (a, c) = (u, u), (b, b), (u, b) and (b, u)
+_TRANSPORT = np.array([[[_SLOT[a + j, c + m] for m in range(3)] for j in range(3)]
+                       for a, c in ((0, 0), (3, 3), (0, 3), (3, 0))])
+_B_DIAGONAL = [_SLOT[3 + j, 3 + j] for j in range(3)]
 
 
 @dataclass
@@ -68,29 +90,30 @@ def shell_energies(state: State, sob: SobolevParams) -> ShellEnergyRecord:
 
 
 def flux_terms(state: State, params: PhysicalParams, sob: SobolevParams) -> FluxRecord:
-    """The weighted fluxes I1..I5 of the shell energy identities.  As in
-    solver.step, only the 2/3 dealias cube of the state is read."""
+    """The weighted fluxes I1..I5 of the shell energy identities, in
+    conservative form: the cubes of the 21 moments of u and b, differentiated
+    on the cube (see the module docstring).  This equals the advective form
+    for divergence-free states inside the dealias cube; as in solver.step,
+    only the 2/3 dealias cube of the state is read."""
     g = state.grid
     k, cu, cb = (gather_cube(f, np.empty(f.shape[:1] + g.cube_shape, f.dtype))
                  for f in (g.k, state.u.coeffs, state.b.coeffs))
-    grads = [gradient_into(np.empty((3, *f.shape), complex), k, f).reshape((9, *f.shape[1:])) for f in (cu, cb)]
 
-    def products(phys):
-        pu, pb = phys[:3], phys[3:6]
-        du, db = phys[6:].reshape((2, 3, 3) + g.shape)
-        prods = np.empty((15,) + g.shape)
-        # (a . grad) f, with grad[j, m] = d_j f_m
-        for i, (a, grad) in enumerate(((pu, du), (pb, db), (pu, db), (pb, du))):
-            prods[3 * i : 3 * i + 3] = a[0] * grad[0] + a[1] * grad[1] + a[2] * grad[2]
-        pj = np.stack([db[1, 2] - db[2, 1], db[2, 0] - db[0, 2], db[0, 1] - db[1, 0]])
-        # pu is spent, so phys[0] is scratch
-        cross_into(prods[12:], pj, pb, phys[0])
-        return prods
+    def moments(phys):
+        out = np.empty((len(_MOMENTS),) + g.shape)
+        for p, (i, j) in enumerate(_MOMENTS):
+            np.multiply(phys[i], phys[j], out=out[p])
+        return out
 
-    hats = dealiased_product(g, np.concatenate([cu, cb, *grads]), products)
+    m = dealiased_product(g, np.concatenate([cu, cb]), moments)
+    ik = 1j * k
+    # i k_j M[j, m] summed over j, for the four transport terms
+    hats = ik[0] * m[_TRANSPORT[:, 0]] + ik[1] * m[_TRANSPORT[:, 1]] + ik[2] * m[_TRANSPORT[:, 2]]
+    # j x b = div(b (x) b) - grad |b|^2/2
+    hall = hats[1] - ik * (0.5 * m[_B_DIAGONAL].sum(axis=0))
     cj = curl_into(np.empty_like(cb), k, cb, np.empty_like(cb[0]))
     # Re(hat_k . conj f_k) of each product and the field its flux tests it against
-    tested = zip(np.split(hats, 5), (cu, cu, cb, cb, cj))
+    tested = zip((*hats, hall), (cu, cu, cb, cb, cj))
     dots = np.stack([(h.real * f.real + h.imag * f.imag).sum(axis=0) for h, f in tested])
     sums = (2.0 * np.pi) ** g.n * shell_sums(g, scatter_cube(dots, np.zeros((5, *g.half_shape))))
     ws, wr = sobolev_weights(g, sob.s), sobolev_weights(g, sob.r)

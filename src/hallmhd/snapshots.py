@@ -11,14 +11,15 @@ bytes, while the coefficients of read(write(x)) match x's only to FFT
 roundoff.  read_snapshot checks the header (3 components per field, a finite
 time) and the solver's entry invariants (solver._check_state) on the whole
 forward transform of the stored samples: u and b finite, divergence-free,
-inside the 2/3 dealias cube and Hermitian on the k_last = 0 plane.  It then
-cuts u and b to the cube (spectral.dealias), dropping the transform's
-roundoff tail, so a read state is exactly zero outside the cube, as every
-state run yields; the stored samples stay attached, so writing it back gives
-the same bytes.  write_diagnostics takes its physics, Sobolev pair and grid
-from the run's config and snapshots on that grid whose times strictly
-increase in file-name order.  CSVs print every float with 17 significant
-digits; files are written atomically (temp file + rename).
+inside the 2/3 dealias cube and Hermitian on the k_last = 0 plane, and
+u = 0 in a hall_only run's snapshot.  It then cuts u and b to the cube
+(spectral.dealias), dropping the transform's roundoff tail, so a read state
+is exactly zero outside the cube, as every state run yields; the stored
+samples stay attached, so writing it back gives the same bytes.
+write_diagnostics takes its physics, mode, Sobolev pair and grid from the
+run's config and snapshots on that grid whose times strictly increase in
+file-name order.  CSVs print every float with 17 significant digits; files
+are written atomically (temp file + rename).
 """
 
 from __future__ import annotations
@@ -79,9 +80,10 @@ def write_snapshot(path, state: State) -> None:
     _atomic_write(path, header + pu.tobytes(order="C") + pb.tobytes(order="C"))
 
 
-def read_snapshot(path) -> State:
+def read_snapshot(path, mode: str = "full") -> State:
     """Read a snapshot; a malformed file or a state that breaks the entry
-    invariants raises a one-line ValueError naming the path (and the field)."""
+    invariants of a run in mode raises a one-line ValueError naming the path
+    (and the field)."""
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:4] != MAGIC:
@@ -120,7 +122,7 @@ def read_snapshot(path) -> State:
     pb = payload[count:].reshape(shape)
     u, b = to_spectral(grid, pu), to_spectral(grid, pb)
     try:
-        _check_state(State(u, b, t))
+        _check_state(State(u, b, t), mode)
     except StateDriftError as exc:
         raise ValueError(f"{path}: {exc}") from None
     # the check saw the whole transform; what it let pass outside the cube is
@@ -156,7 +158,8 @@ def write_diagnostics(run_dir, cfg: RunConfig, out_dir=None):
     same snapshots produces bit-identical files, which is also how
     simulate-time CSVs are generated.  The time derivatives of the residuals
     need snapshots on cfg's grid whose times strictly increase in file-name
-    order; another grid, or a time that does not increase, raises a one-line
+    order, and in cfg's mode (u = 0 in hall_only); another grid, a time that
+    does not increase, or a nonzero u in a hall_only run raises a one-line
     ValueError naming the file before out_dir (default run_dir) is made.
     """
     params = integrated_params(cfg.physical_params(), cfg["solver.mode"])
@@ -164,7 +167,7 @@ def write_diagnostics(run_dir, cfg: RunConfig, out_dir=None):
     energies, fluxes = [], []
     paths = list_snapshots(run_dir)
     for i, path in enumerate(paths):
-        state = read_snapshot(path)
+        state = read_snapshot(path, cfg["solver.mode"])
         if state.grid.shape != grid.shape:
             raise ValueError(
                 f"{path}: grid {state.grid.shape} differs from the grid {grid.shape} "

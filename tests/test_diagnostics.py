@@ -37,6 +37,7 @@ from hallmhd.littlewood_paley import (
 )
 from hallmhd.random_fields import random_band_field
 from hallmhd.snapshots import read_snapshot, write_snapshot
+from hallmhd.solver import integrated_params
 from hallmhd.spectral import (
     SpectralField,
     advect,
@@ -149,8 +150,44 @@ def test_flux_terms_match_quadrature_on_more_states(kernel_state):
 
 
 def _ref_flux_terms(state, params, sob):
-    """flux_terms before dealiased_product: its own transform pair, npoints
-    scaling, mask multiply and np.cross."""
+    """flux_terms in its conservative form without dealiased_product: scipy's
+    transform pair, npoints scaling, mask multiply, the moment tensors a_j c_m
+    in full and np.cross for curl b."""
+    g = state.grid
+    n, npts, k = g.n, g.npoints, g.k
+    u, b = state.u.coeffs, state.b.coeffs
+    axes = tuple(range(-n, 0))
+
+    def moments(a, c):
+        # the dealiased spectra of a_j c_m, indexed [j, m]
+        return sfft.rfftn(a[:, None] * c[None], axes=axes) * (g.dealias_mask / npts)
+
+    def div(M):
+        # component m of i k_j M[j, m], summed over j
+        return np.stack([1j * k[0] * M[0, m] + 1j * k[1] * M[1, m] + 1j * k[2] * M[2, m] for m in range(3)])
+
+    def real_dot(a, c):
+        return (a.real * c.real + a.imag * c.imag).sum(axis=0)
+
+    phys = sfft.irfftn(np.concatenate([u, b]) * npts, s=g.shape, axes=axes)
+    pu, pb = phys[:3], phys[3:]
+    bb = moments(pb, pb)
+    hall = div(bb) - 1j * k * (0.5 * (bb[0, 0] + bb[1, 1] + bb[2, 2]))
+    curl_b = 1j * np.cross(k, b, axis=0)
+    power = np.stack(
+        [real_dot(div(moments(pu, pu)), u), real_dot(div(bb), u), real_dot(div(moments(pu, pb)), b),
+         real_dot(div(moments(pb, pu)), b), real_dot(hall, curl_b)]
+    )
+    sums = (2.0 * np.pi) ** n * shell_sums(g, power)
+    ws, wr = sobolev_weights(g, sob.s), sobolev_weights(g, sob.r)
+    return (float(ws @ sums[0]), -float(ws @ sums[1]), float(wr @ sums[2]),
+            -float(wr @ sums[3]), params.eta * float(wr @ sums[4]))
+
+
+def _ref_advective_flux_terms(state, params, sob):
+    """The fluxes in advective form, as flux_terms formed them before its
+    conservative form: u, b and their gradients to physical space, the
+    transport products a_j d_j f_m and j x b there, each product dealiased."""
     g = state.grid
     n, npts, k = g.n, g.npoints, g.k
     u, b = state.u.coeffs, state.b.coeffs
@@ -207,6 +244,19 @@ def test_flux_terms_bit_identical_to_inline_transforms(n, dims):
         assert (rec.I1, rec.I2, rec.I3, rec.I4, rec.I5) == ref
 
 
+@pytest.mark.parametrize("n, dims", [(3, 16), (3, 32), (2, 64)])
+def test_flux_terms_conservative_matches_advective_form(tmp_path, n, dims):
+    # divergence-free states inside the cube: the two forms agree to roundoff
+    g = Grid(n, dims)
+    made = make_initial("random_band", g, 78, (1.0, 1.0), SOB)
+    write_snapshot(tmp_path / "s.hmhd", made)
+    for st in (made, read_snapshot(tmp_path / "s.hmhd")):
+        rec = flux_terms(st, PARAMS, SOB)
+        got = np.array([rec.I1, rec.I2, rec.I3, rec.I4, rec.I5])
+        ref = np.array(_ref_advective_flux_terms(st, PARAMS, SOB))
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(got).max()
+
+
 def _product_inputs(monkeypatch, st):
     """The shapes of the inputs flux_terms hands dealiased_product for st."""
     shapes = []
@@ -226,13 +276,32 @@ def test_flux_terms_takes_cubes_for_in_cube_states(monkeypatch, tmp_path, n, dim
     made = make_initial("random_band", g, 78, (1.0, 1.0), SOB)
     write_snapshot(tmp_path / "s.hmhd", made)
     for st in (made, read_snapshot(tmp_path / "s.hmhd"), _wide_band_state(g, made)):
-        assert _product_inputs(monkeypatch, st) == [(24, *g.cube_shape)]
+        assert _product_inputs(monkeypatch, st) == [(6, *g.cube_shape)]
 
 
 def test_flux_terms_zero_state(grid):
     z = State(SpectralField.zero(grid, 3), SpectralField.zero(grid, 3), 0.0)
     rec = flux_terms(z, PARAMS, SOB)
     assert rec.I1 == rec.I2 == rec.I3 == rec.I4 == rec.I5 == 0.0
+
+
+@pytest.mark.parametrize("mode", ["hall_only", "mhd"])
+def test_flux_terms_vanish_where_the_mode_holds_them(mode):
+    # hall_only holds u at 0, so every moment of u is 0 and I1..I4 are +-0;
+    # mhd integrates eta = 0, so I5 is 0
+    g = Grid(3, 16)
+    st = make_initial("random_band", g, 78, (0.0 if mode == "hall_only" else 1.0, 1.0), SOB)
+    params = integrated_params(PARAMS, mode)
+    states = []
+    run(st, SolverConfig(params, SOB, 1e-3, 0.003, mode=mode, snapshot_every=1),
+        sinks=[lambda i, s: states.append(s.copy())])
+    assert len(states) == 4
+    for s in states:
+        rec = flux_terms(s, params, SOB)
+        if mode == "hall_only":
+            assert rec.I1 == rec.I2 == rec.I3 == rec.I4 == 0.0 != rec.I5
+        else:
+            assert rec.I5 == 0.0 and 0.0 not in (rec.I1, rec.I2, rec.I3, rec.I4)
 
 
 def test_balance_residual_needs_samples(grid, state):

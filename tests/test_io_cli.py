@@ -447,6 +447,10 @@ def _snapshot_fault(path, state, fault):
         g = Grid(3, 32)
         zero = SpectralField.zero(g, 3)
         write_snapshot(path.with_name(snapshot_name(1)), State(zero, zero, 1.0))
+    elif fault == "snapshot with u in a hall_only run":
+        # a config that loads clean in hall_only, and state's nonzero u
+        with open(path.parent / "config.txt", "a") as fh:
+            fh.write("solver.mode = hall_only\ninit.target_u = 0\n")
     elif fault == "snapshot drifted":
         x = state.grid.coordinates()[0]
         divergent = to_spectral(state.grid, np.stack([np.sin(x), 0 * x, 0 * x]))
@@ -489,6 +493,8 @@ def _snapshot_fault(path, state, fault):
         ("analyze: snapshot cut in its header", "snap_00000000.hmhd"),
         ("analyze: snapshot of a wrong version", "snap_00000000.hmhd"),
         ("analyze: snapshot drifted", "snap_00000000.hmhd"),
+        ("analyze: snapshot with u in a hall_only run",
+         "snap_00000000.hmhd: state drift: u must be zero in hall_only mode"),
         ("analyze: snapshot of 1-component fields", "snap_00000000.hmhd"),
         ("analyze: snapshot at a NaN time", "snap_00000000.hmhd"),
         ("analyze: snapshot repeated", "snap_00000001.hmhd"),

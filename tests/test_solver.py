@@ -176,13 +176,13 @@ def test_fft_fields_per_rhs(monkeypatch, mode, inverse, forward):
 
 
 def test_flux_terms_fft_fields(monkeypatch):
-    # one inverse batch of u, b, grad u, grad b and one forward batch of the five products
+    # one inverse batch of u and b and one forward batch of their 21 quadratic moments
     st = make_initial("random_band", Grid(3, 16), 64, (1.0, 1.0), SOB)
     tally = {}
     for name in ("irfftn_batch", "rfftn_batch"):
         _count_calls(monkeypatch, name, tally)
     flux_terms(st, PhysicalParams(0.05, 0.05, 0.1), SOB)
-    assert tally == {"irfftn_batch": [24], "rfftn_batch": [15]}
+    assert tally == {"irfftn_batch": [6], "rfftn_batch": [21]}
 
 
 def _ref_outside_cube(f, cutoff):
