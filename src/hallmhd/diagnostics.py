@@ -33,6 +33,7 @@ carries the Hall coefficient with the sign that closes the identity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -193,16 +194,28 @@ class ExistenceEstimate:
     T: float
 
 
+def _rate(C: float, gamma: float, psi0: float) -> float:
+    """C gamma psi0^gamma, the rate of the gamma term of the growth envelope,
+    whose blow-up time is its inverse; inf where the power overflows."""
+    try:
+        return C * gamma * psi0**gamma
+    except OverflowError:
+        return math.inf
+
+
+def _blowup_time(rate: float) -> float:
+    """1 / rate, the nearest float: inf where the rate underflowed to 0."""
+    return 1.0 / rate if rate else math.inf
+
+
 def existence_time(
     psi0: float, C: float, gamma_low: float, gamma_high: float
 ) -> ExistenceEstimate:
-    """T = 1/2 min over gamma in {low, high} of 1 / (C gamma psi0^gamma)."""
+    """T = 1/2 min over gamma in {low, high} of 1 / (C gamma psi0^gamma), the
+    nearest float also where the power leaves the float range (0 or inf)."""
     if psi0 <= 0 or C <= 0 or not 0 < gamma_low <= gamma_high:
         raise ValueError("require psi0 > 0, C > 0, 0 < gamma_low <= gamma_high")
-    T = 0.5 * min(
-        1.0 / (C * gamma_low * psi0**gamma_low),
-        1.0 / (C * gamma_high * psi0**gamma_high),
-    )
+    T = 0.5 * min(_blowup_time(_rate(C, gamma, psi0)) for gamma in (gamma_low, gamma_high))
     return ExistenceEstimate(C, gamma_low, gamma_high, psi0, T)
 
 
@@ -210,10 +223,13 @@ def psi_bound(t: float, est: ExistenceEstimate) -> float:
     """The two-term norm-growth envelope; defined for t below its blow-up time."""
     total = 0.0
     for gamma in (est.gamma_low, est.gamma_high):
-        tstar = 1.0 / (gamma * est.C * est.psi0**gamma)
+        rate = _rate(est.C, gamma, est.psi0)
+        tstar = _blowup_time(rate)
         if t >= tstar:
             raise ValueError(f"t={t} is past blow-up of the bound (t*={tstar})")
-        total += est.psi0 / (1.0 - gamma * est.C * est.psi0**gamma * t) ** (1.0 / gamma)
+        # a root of 0 (t* to rounding, or an underflow) makes the term inf
+        root = (1.0 - rate * t) ** (1.0 / gamma)
+        total += est.psi0 / root if root else math.inf
     return total
 
 
@@ -243,13 +259,10 @@ def calibrate_growth(times_list, psi_list, gamma: float | None = None):
     return C, float(gamma)
 
 
-def scale_field(
-    f: SpectralField, lam: int, amplitude: float, out_grid=None
-) -> SpectralField:
-    """Map f(x) to amplitude * f(lam x): mode k -> lam k, optionally onto a
-    finer grid so the image lattice is fully resolved."""
-    g = f.grid
-    gt = out_grid if out_grid is not None else g
+def scale_field(f: SpectralField, lam: int, amplitude: float, out_grid: Grid) -> SpectralField:
+    """Map f(x) to amplitude * f(lam x) on out_grid: mode k -> lam k, the
+    image modes past out_grid.kmax dropped; a finer out_grid resolves them all."""
+    g, gt = f.grid, out_grid
     kmax = gt.dims // 2 - 1
     k1 = np.fft.fftfreq(g.dims, 1.0 / g.dims).astype(int)
     k_last = np.arange(g.dims // 2 + 1)

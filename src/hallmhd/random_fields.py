@@ -4,8 +4,8 @@ The generator is NumPy's default PCG64 bit stream seeded directly with the
 integer seed; coefficients are drawn as standard complex normals on the modes
 0 < |k| <= band of the full FFT lattice in a fixed (component-major, C-order
 lattice) order, then Hermitian-symmetrized, cut to the real-FFT half spectrum
-and optionally Leray-projected.  Identical seeds give bit-identical fields on
-one platform.
+and Leray-projected: every draw is a divergence-free 3-component field.
+Identical seeds give bit-identical fields on one platform.
 """
 
 from __future__ import annotations
@@ -26,14 +26,9 @@ def _hermitian_symmetrize(coeffs: np.ndarray, n: int) -> np.ndarray:
     return 0.5 * (coeffs + np.conj(flipped))
 
 
-def random_band_field(
-    grid: Grid,
-    seed: int,
-    band: float,
-    m: int = 3,
-    divergence_free: bool = True,
-) -> SpectralField:
-    """Random field with spectral support in 0 < |k| <= band.
+def random_band_field(grid: Grid, seed: int, band: float) -> SpectralField:
+    """Divergence-free random 3-component field with spectral support in
+    0 < |k| <= band.
 
     Only the half-spectrum box |k_i| <= band can be nonzero, so the mask and
     the Hermitian symmetrization run there alone: each mode k of the box and
@@ -42,7 +37,7 @@ def random_band_field(
     to the full-lattice construction.
     """
     rng = np.random.default_rng(seed)
-    shape = (m,) + grid.shape
+    shape = (3,) + grid.shape
     re = rng.standard_normal(shape)
     im = rng.standard_normal(shape)
     freq = np.fft.fftfreq(grid.dims, 1.0 / grid.dims)
@@ -52,11 +47,6 @@ def random_band_field(
     partner = (slice(None),) + np.ix_(*[(-r) % grid.dims for r in rows])
     kmag = np.sqrt(sum(np.ix_(*[freq[r] ** 2 for r in rows])))
     mask = (kmag > 0) & (kmag <= band)
-    coeffs = np.zeros((m,) + grid.half_shape, dtype=complex)
+    coeffs = np.zeros((3,) + grid.half_shape, dtype=complex)
     coeffs[box] = 0.5 * ((re[box] + 1j * im[box]) * mask + np.conj((re[partner] + 1j * im[partner]) * mask))
-    f = SpectralField(grid, coeffs)
-    if divergence_free:
-        if m != 3:
-            raise ValueError("divergence-free draw requires m = 3")
-        f = leray_project(f)
-    return f
+    return leray_project(SpectralField(grid, coeffs))

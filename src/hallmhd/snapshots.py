@@ -8,14 +8,15 @@ Snapshot layout (little-endian):
 
 The exact round trip is on the file: writing a read snapshot reproduces its
 bytes, while the coefficients of read(write(x)) match x's only to FFT
-roundoff.  read_snapshot checks the header (3 components per field, a finite
-time) and the solver's entry invariants (solver._check_state) on the whole
-forward transform of the stored samples: u and b finite, divergence-free,
-inside the 2/3 dealias cube and Hermitian on the k_last = 0 plane, and
-u = 0 in a hall_only run's snapshot.  It then cuts u and b to the cube
-(spectral.dealias), dropping the transform's roundoff tail, so a read state
-is exactly zero outside the cube, as every state run yields; the stored
-samples stay attached, so writing it back gives the same bytes.
+roundoff.  read_snapshot reads onto the run's Grid, which every state it
+returns shares: it checks the header (that grid's dims, 3 components per
+field, a finite time) and the solver's entry invariants (solver._check_state)
+on the whole forward transform of the stored samples: u and b finite,
+divergence-free, inside the 2/3 dealias cube and Hermitian on the k_last = 0
+plane, and u = 0 in a hall_only run's snapshot.  It then cuts u and b to the
+cube (spectral.dealias), dropping the transform's roundoff tail, so a read
+state is exactly zero outside the cube, as every state run yields; the
+stored samples stay attached, so writing it back gives the same bytes.
 write_diagnostics takes its physics, mode, Sobolev pair and grid from the
 run's config and snapshots on that grid whose times strictly increase in
 file-name order.  CSVs print every float with 17 significant digits; files
@@ -24,7 +25,6 @@ are written atomically (temp file + rename).
 
 from __future__ import annotations
 
-import functools
 import os
 import struct
 import tempfile
@@ -41,11 +41,6 @@ VERSION = 1
 
 SHELL_CSV = "shell_energies.csv"
 FLUX_CSV = "flux.csv"
-
-# one Grid, with its wavevector and shell-multiplier caches, per (n, dims):
-# every snapshot of a run shares it instead of rebuilding them per file
-_grid = functools.lru_cache(maxsize=4)(Grid)
-
 
 def _atomic_write(path, data: bytes) -> None:
     d = os.path.dirname(os.path.abspath(path))
@@ -80,10 +75,10 @@ def write_snapshot(path, state: State) -> None:
     _atomic_write(path, header + pu.tobytes(order="C") + pb.tobytes(order="C"))
 
 
-def read_snapshot(path, mode: str = "full") -> State:
-    """Read a snapshot; a malformed file or a state that breaks the entry
-    invariants of a run in mode raises a one-line ValueError naming the path
-    (and the field)."""
+def read_snapshot(path, grid: Grid, mode: str = "full") -> State:
+    """Read a snapshot onto grid; a malformed file, a snapshot of another grid
+    or a state that breaks the entry invariants of a run in mode raises a
+    one-line ValueError naming the path (and the field)."""
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:4] != MAGIC:
@@ -101,16 +96,12 @@ def read_snapshot(path, mode: str = "full") -> State:
         off += 8
     except struct.error:
         raise ValueError(f"{path}: truncated header ({len(data)} bytes)") from None
-    if len(set(dims)) != 1:
-        raise ValueError(f"{path}: unequal axis resolutions {dims}")
+    if dims != grid.shape:
+        raise ValueError(f"{path}: grid {dims} differs from the grid {grid.shape} of the run's config")
     if m != 3:
         raise ValueError(f"{path}: {m} components per field, expected 3")
     if not np.isfinite(t):
         raise ValueError(f"{path}: non-finite time {t!r}")
-    try:
-        grid = _grid(n, dims[0])
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
     count = m * grid.npoints
     payload = np.frombuffer(data, dtype="<f8", offset=off)
     if payload.size != 2 * count:
@@ -167,12 +158,7 @@ def write_diagnostics(run_dir, cfg: RunConfig, out_dir=None):
     energies, fluxes = [], []
     paths = list_snapshots(run_dir)
     for i, path in enumerate(paths):
-        state = read_snapshot(path, cfg["solver.mode"])
-        if state.grid.shape != grid.shape:
-            raise ValueError(
-                f"{path}: grid {state.grid.shape} differs from the grid {grid.shape} "
-                "of the run's config"
-            )
+        state = read_snapshot(path, grid, cfg["solver.mode"])
         if i and not state.t > energies[-1].t:
             raise ValueError(
                 f"{path}: time t={_fmt(state.t)} does not follow t={_fmt(energies[-1].t)} "

@@ -70,6 +70,7 @@ DIV_TOL = 1.0e-8  # largest divergence_drift of a state on entry
 REL_TOL = 1.0e-12  # largest tail outside the cube and Hermitian defect, per largest amplitude
 HALL_CFL = 0.5  # CFL number of the Hall term in cfl_advisory_dt
 GUARD_EVERY = 100  # steps between blow-up checks and safety projections of b
+BLOWUP_FACTOR = 1.0e6  # the guard trips when psi exceeds this multiple of psi(0)
 
 
 class StateDriftError(ValueError):
@@ -119,7 +120,6 @@ class SolverConfig:
     tmax: float
     mode: str = "full"
     snapshot_every: int = 10
-    blowup_factor: float = 1.0e6
 
     def __post_init__(self):
         for name in ("dt", "tmax"):
@@ -418,7 +418,7 @@ def run(initial: State, config: SolverConfig, sinks=()) -> tuple[State, RunLog]:
 
     Each sink is called as sink(step_index, state) at step 0, every
     snapshot_every steps, and at the final step.  The blow-up guard
-    psi(t) > blowup_factor * psi(0) is checked at every snapshot and every
+    psi(t) > BLOWUP_FACTOR * psi(0) is checked at every snapshot and every
     GUARD_EVERY steps; when it trips the run halts after logging psi and
     calling the sinks.  A tmax that is not a whole number of dt steps is
     rounded to one, with a RuntimeWarning; a dt above the advisory CFL bound
@@ -471,7 +471,7 @@ def run(initial: State, config: SolverConfig, sinks=()) -> tuple[State, RunLog]:
         if not (at_snapshot or i % GUARD_EVERY == 0):
             continue
         psi = psi_of(state)
-        tripped = psi0 > 0 and psi > config.blowup_factor * psi0
+        tripped = psi0 > 0 and psi > BLOWUP_FACTOR * psi0
         if at_snapshot or tripped:
             log.times.append(state.t)
             log.psi.append(psi)

@@ -8,8 +8,7 @@ at k = 0.  parseval is the one sum over the whole lattice: it counts every
 interior k_last plane twice, for k and -k, through grid.hermitian_weight, as
 only the shell sums also do; power is the one |f_k|^2.  All differential
 operators are exact Fourier multipliers:
-gradient_into is the one ik (x) f, on the half spectrum or the dealias cube,
-and gradient its field form, the gradient tensor of any m-component field;
+gradient is the one ik (x) f, the gradient tensor of any m-component field;
 cross_into is the one cross-product kernel and curl_into, i k x f through
 it, the one curl.  Every product goes through dealiased_product, the one home
 of the transform pair, its normalization and the 2/3 rule, which keeps the
@@ -97,11 +96,9 @@ def irfftn_batch(arr: np.ndarray, n: int, shape: tuple) -> np.ndarray:
     half = shape[:-1] + (dims // 2 + 1,)
     cube = _cube_shape(n, kc)
     if arr.shape[-n:] == half:
-        # a nonzero k_last = kc + 1 plane settles it without the measurement
-        if not arr[..., kc + 1].any():
-            support = _support(arr, n)
-            if support.max(initial=-1) <= kc:
-                return _irfftn_pruned(arr, n, shape, support)
+        support = _support(arr, n)
+        if support.max(initial=-1) <= kc:
+            return _irfftn_pruned(arr, n, shape, support)
         return sfft.irfftn(arr, s=shape, axes=tuple(range(-n, 0)), norm="forward", workers=workers)
     if arr.shape[-n:] == cube:
         return _irfftn_pruned(arr, n, shape, np.full(arr.shape[:-n], kc))
@@ -495,20 +492,12 @@ def _expanded(grid: Grid, comp: np.ndarray) -> SpectralField:
     return SpectralField(grid, scatter_cube(comp, full))
 
 
-def gradient_into(out: np.ndarray, k: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """out = i k (x) f, the gradient multiplier: out[j, c] = i k_j f_c for the
-    stacked m components f, on any layout k and f share (the half spectrum or
-    the dealias cube); out has shape (3, m, *f.shape[1:]).  Returns out."""
-    return np.multiply(1j * k[:, None], f, out=out)
-
-
 def gradient(f: SpectralField) -> SpectralField:
-    """Gradient tensor of an m-component field: the ik multiplier, 3m components
-    ordered (j, m), component j*m + c being d_j f_c (d_z = 0 in 2D); for a
-    scalar field, the gradient vector."""
+    """Gradient tensor of an m-component field: the ik (x) f multiplier, 3m
+    components ordered (j, m), component j*m + c being d_j f_c (d_z = 0 in
+    2D); for a scalar field, the gradient vector."""
     g = f.grid
-    out = np.empty((3, f.m) + g.half_shape, dtype=complex)
-    return SpectralField(g, gradient_into(out, g.k, f.coeffs).reshape((3 * f.m,) + g.half_shape))
+    return SpectralField(g, (1j * g.k[:, None] * f.coeffs).reshape((3 * f.m,) + g.half_shape))
 
 
 def power(coeffs: np.ndarray) -> np.ndarray:
@@ -615,7 +604,8 @@ def lp_norm(f: SpectralField, p) -> float:
 
     p = 2 is computed spectrally (Parseval); p = 1 and inf by grid quadrature,
     with all m components in one inverse batch, so the sup norm is the
-    grid-sampled lower bound of the true sup.
+    grid-sampled lower bound of the true sup.  Samples whose squares overflow
+    are scaled by a power of two first, so a finite norm is not inf.
     """
     g = f.grid
     if p == 2:
@@ -623,6 +613,16 @@ def lp_norm(f: SpectralField, p) -> float:
     sup = p in (np.inf, float("inf"), "inf")
     if not (sup or p == 1):
         raise ValueError(f"unsupported norm order {p!r}; use 1, 2 or inf")
+
+    def quadrature(phys):
+        mag = np.sqrt((phys**2).sum(axis=0))
+        return mag.max() if sup else mag.sum() * g.cell_volume
+
     phys = to_physical(f)
-    mag = np.sqrt((phys**2).sum(axis=0))
-    return float(mag.max()) if sup else float(mag.sum() * g.cell_volume)
+    with np.errstate(over="ignore"):
+        norm = quadrature(phys)
+        if np.isinf(norm) and np.isfinite(phys).all():
+            # the squares or their sum overflowed: redo on samples scaled below 1
+            e = int(np.frexp(np.abs(phys).max())[1])
+            norm = np.ldexp(quadrature(np.ldexp(phys, -e)), e)
+    return float(norm)

@@ -108,8 +108,9 @@ def kernel_state(request, tmp_path):
     if request.param == "2d":
         return make_initial("random_band", Grid(2, 32), 77, (1.0, 1.0), SOB)
     path = tmp_path / "state.hmhd"
-    write_snapshot(path, request.getfixturevalue("state"))
-    return read_snapshot(path)
+    st = request.getfixturevalue("state")
+    write_snapshot(path, st)
+    return read_snapshot(path, st.grid)
 
 
 def test_shell_energies_match_shell_projections(kernel_state):
@@ -250,7 +251,7 @@ def test_flux_terms_conservative_matches_advective_form(tmp_path, n, dims):
     g = Grid(n, dims)
     made = make_initial("random_band", g, 78, (1.0, 1.0), SOB)
     write_snapshot(tmp_path / "s.hmhd", made)
-    for st in (made, read_snapshot(tmp_path / "s.hmhd")):
+    for st in (made, read_snapshot(tmp_path / "s.hmhd", g)):
         rec = flux_terms(st, PARAMS, SOB)
         got = np.array([rec.I1, rec.I2, rec.I3, rec.I4, rec.I5])
         ref = np.array(_ref_advective_flux_terms(st, PARAMS, SOB))
@@ -275,7 +276,7 @@ def test_flux_terms_takes_cubes_for_in_cube_states(monkeypatch, tmp_path, n, dim
     g = Grid(n, dims)
     made = make_initial("random_band", g, 78, (1.0, 1.0), SOB)
     write_snapshot(tmp_path / "s.hmhd", made)
-    for st in (made, read_snapshot(tmp_path / "s.hmhd"), _wide_band_state(g, made)):
+    for st in (made, read_snapshot(tmp_path / "s.hmhd", g), _wide_band_state(g, made)):
         assert _product_inputs(monkeypatch, st) == [(6, *g.cube_shape)]
 
 
@@ -329,6 +330,15 @@ def test_existence_time_exact_values():
     est = existence_time(2.0, 1.0, 0.5, 2.0)
     manual = 0.5 * min(1.0 / (0.5 * 2.0**0.5), 1.0 / (2.0 * 4.0))
     assert est.T == pytest.approx(manual)
+
+
+def test_existence_time_past_the_float_range():
+    # psi0**2 overflows and underflows: T is the nearest float, 0 and inf
+    big, small = existence_time(1e200, 1.0, 2.0, 2.0), existence_time(1e-200, 1.0, 2.0, 2.0)
+    assert big.T == 0.0 and small.T == np.inf
+    with pytest.raises(ValueError, match="past blow-up"):
+        psi_bound(0.0, big)
+    assert psi_bound(1.0, small) == 2e-200
 
 
 def test_existence_time_validation():
@@ -385,7 +395,7 @@ def test_calibrate_growth_requires_growth():
 def test_scale_field_same_grid(grid):
     x = grid.coordinates()[0]
     f = to_spectral(grid, np.cos(x))
-    sf = scale_field(f, 2, 3.0)
+    sf = scale_field(f, 2, 3.0, grid)
     got = to_physical(sf)[0]
     assert np.abs(got - 3.0 * np.cos(2 * x)).max() < 1e-13
 

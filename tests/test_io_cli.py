@@ -41,7 +41,7 @@ def test_snapshot_roundtrip_bit_exact(tmp_path, small_state):
     st = small_state
     st.t = 0.375
     write_snapshot(p1, st)
-    back = read_snapshot(p1)
+    back = read_snapshot(p1, st.grid)
     assert back.t == 0.375
     assert back.grid.dims == 16 and back.grid.n == 3
     write_snapshot(p2, back)
@@ -56,7 +56,7 @@ def test_read_snapshot_cuts_to_the_dealias_cube(tmp_path, n, dims):
     st = make_initial("random_band", g, 5, (1.0, 1.0), SOB)
     p1, p2 = tmp_path / "a.hmhd", tmp_path / "b.hmhd"
     write_snapshot(p1, st)
-    back = read_snapshot(p1)
+    back = read_snapshot(p1, g)
     outside = ~g.dealias_mask
     for f, stored in ((back.u, to_physical(st.u)), (back.b, to_physical(st.b))):
         full = to_spectral(g, stored).coeffs
@@ -69,9 +69,27 @@ def test_read_snapshot_cuts_to_the_dealias_cube(tmp_path, n, dims):
 
 
 def test_read_snapshot_interns_grid(tmp_path, small_state):
-    write_snapshot(tmp_path / "a.hmhd", small_state)
-    write_snapshot(tmp_path / "b.hmhd", small_state)
-    assert read_snapshot(tmp_path / "a.hmhd").grid is read_snapshot(tmp_path / "b.hmhd").grid
+    # every state read onto a grid shares it, with its wavevector caches
+    grid = Grid(3, 16)
+    for name in ("a.hmhd", "b.hmhd"):
+        write_snapshot(tmp_path / name, small_state)
+        back = read_snapshot(tmp_path / name, grid)
+        assert back.grid is back.u.grid is back.b.grid is grid
+
+
+def test_read_snapshot_rejects_another_grid_before_transforming(tmp_path, monkeypatch):
+    path = tmp_path / "big.hmhd"
+    write_snapshot(path, make_initial("random_band", Grid(3, 32), 5, (1.0, 1.0), SOB))
+
+    def no_transform(*args):
+        raise AssertionError("to_spectral called on a snapshot of another grid")
+
+    monkeypatch.setattr(snapshots, "to_spectral", no_transform)
+    with pytest.raises(ValueError) as info:
+        read_snapshot(path, Grid(3, 16))
+    assert str(info.value) == (
+        f"{path}: grid (32, 32, 32) differs from the grid (16, 16, 16) of the run's config"
+    )
 
 
 def test_snapshot_layout(tmp_path, small_state):
@@ -92,6 +110,7 @@ def test_snapshot_layout(tmp_path, small_state):
 
 
 def test_snapshot_corruption_errors(tmp_path, small_state):
+    grid = small_state.grid
     path = tmp_path / "d.hmhd"
     write_snapshot(path, small_state)
     data = bytearray(path.read_bytes())
@@ -99,23 +118,23 @@ def test_snapshot_corruption_errors(tmp_path, small_state):
     bad = tmp_path / "bad.hmhd"
     bad.write_bytes(b"NOPE" + bytes(data[4:]))
     with pytest.raises(ValueError, match="magic"):
-        read_snapshot(bad)
+        read_snapshot(bad, grid)
 
     wrong_version = bytearray(data)
     struct.pack_into("<I", wrong_version, 4, 99)
     bad.write_bytes(bytes(wrong_version))
     with pytest.raises(ValueError, match="version"):
-        read_snapshot(bad)
+        read_snapshot(bad, grid)
 
     bad.write_bytes(bytes(data[:-16]))
     with pytest.raises(ValueError, match="truncated"):
-        read_snapshot(bad)
+        read_snapshot(bad, grid)
 
     unequal = bytearray(data)
     struct.pack_into("<I", unequal, 16, 32)
     bad.write_bytes(bytes(unequal))
-    with pytest.raises(ValueError, match="unequal"):
-        read_snapshot(bad)
+    with pytest.raises(ValueError, match="differs from the grid"):
+        read_snapshot(bad, grid)
 
 
 def _crafted_snapshots(run_dir, state):
@@ -136,7 +155,7 @@ def _crafted_snapshots(run_dir, state):
 def test_read_snapshot_checks_entry_invariants(tmp_path, small_state):
     for path, field in _crafted_snapshots(tmp_path, small_state).items():
         with pytest.raises(ValueError) as info:
-            read_snapshot(path)
+            read_snapshot(path, small_state.grid)
         msg = str(info.value)
         assert msg.startswith(f"{path}: state drift: {field}") and "\n" not in msg
 
@@ -161,7 +180,7 @@ def test_read_snapshot_rejects_non_finite_payload(tmp_path, capsys, small_state)
     data[-8:] = struct.pack("<d", np.nan)  # the last sample of b
     path.write_bytes(bytes(data))
     with pytest.raises(ValueError) as info:
-        read_snapshot(path)
+        read_snapshot(path, small_state.grid)
     assert str(info.value).startswith(f"{path}: non-finite state: b has ")
     (tmp_path / "config.txt").write_text("grid.dims = 16\n")
     rc = main(["analyze", "--run", str(tmp_path)])
@@ -564,6 +583,38 @@ def test_cli_reports_blowup_without_traceback(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert rc == 2
     assert err.strip() == "error: numerical blow-up at t=0.003"
+
+
+@pytest.mark.parametrize("target_b, gamma, T", [("1e10", 40, "0"), ("1e-100", 2, "inf")])
+def test_analyze_prints_existence_time_past_the_float_range(tmp_path, capsys, target_b, gamma, T):
+    # psi0**gamma overflows (T = 0) or underflows (T = inf) a float
+    conf = tmp_path / "run.conf"
+    conf.write_text(
+        "grid.dims = 16\nsolver.tmax = 0.002\ninit.kind = beltrami\ninit.target_u = 0\n"
+        f"init.target_b = {target_b}\ncalibration.gamma_low = {gamma}\n"
+        f"calibration.gamma_high = {gamma}\n"
+    )
+    run_dir = tmp_path / "run"
+    assert main(["simulate", "--config", str(conf), "--out", str(run_dir)]) == 0
+    capsys.readouterr()
+    assert main(["analyze", "--run", str(run_dir)]) == 0
+    captured = capsys.readouterr()
+    assert f"predicted existence time T={T}, observed horizon 0.002\n" in captured.out
+    assert captured.err == ""
+
+
+def test_uniqueness_reports_blowup_of_huge_data_without_numpy_warning(tmp_path, capsys):
+    # the squares in the sup norms of the CFL advisory overflow at t = 0
+    conf = tmp_path / "run.conf"
+    conf.write_text("grid.dims = 16\nsolver.tmax = 0.002\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["uniqueness", "--perturb=1e200", "--config", str(conf)])
+    lines = [str(w.message) for w in caught] + capsys.readouterr().err.splitlines()
+    assert rc == 2
+    assert lines[-1] == "error: numerical blow-up at t=0.001"
+    assert "exceeds the advisory CFL bound" in lines[0]
+    assert not any("encountered" in ln for ln in lines), lines
 
 
 def test_cli_reports_bare_memory_error(tmp_path, capsys, monkeypatch):

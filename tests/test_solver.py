@@ -215,7 +215,7 @@ def test_outside_cube_matches_mask_definition(n, dims, lam):
 
 def test_steps_on_a_shared_grid_match_a_fresh_grid():
     # no run-specific factor may outlive its step on a Grid that steps with
-    # other dt or other diffusivities (read_snapshot shares one Grid per size)
+    # other dt or other diffusivities (every snapshot a run reads shares its Grid)
     g = Grid(3, 16)
     st = make_initial("random_band", g, 66, (1.0, 1.0), SOB)
     params = PhysicalParams(0.05, 0.05, 0.1)
@@ -686,28 +686,24 @@ def test_run_stamps_time_from_step_count():
     assert seen == log.times == [i * 1e-3 for i in range(0, 51, 10)]
 
 
-def test_blowup_guard_halts():
+def test_blowup_guard_halts(monkeypatch):
+    monkeypatch.setattr(solver, "BLOWUP_FACTOR", 1e-12)
     g = Grid(3, 16)
     st = make_initial("random_band", g, 59, (1.0, 1.0), SOB)
-    cfg = SolverConfig(
-        PhysicalParams(0.05, 0.05, 0.0), SOB, 1e-3, 0.01, snapshot_every=2,
-        blowup_factor=1e-12,
-    )
+    cfg = SolverConfig(PhysicalParams(0.05, 0.05, 0.0), SOB, 1e-3, 0.01, snapshot_every=2)
     final, log = run(st, cfg)
     assert log.halted
     assert "guard" in log.halt_reason
     assert final.t < 0.01
 
 
-def test_blowup_guard_runs_without_snapshots():
+def test_blowup_guard_runs_without_snapshots(monkeypatch):
     # snapshot_every = 10**9 leaves only the final step as a snapshot; the
     # guard still looks every 100 steps and logs the point where it trips
+    monkeypatch.setattr(solver, "BLOWUP_FACTOR", 1e-12)
     g = Grid(3, 16)
     st = make_initial("random_band", g, 59, (1.0, 1.0), SOB)
-    cfg = SolverConfig(
-        PhysicalParams(0.05, 0.05, 0.0), SOB, 1e-3, 0.15, snapshot_every=10**9,
-        blowup_factor=1e-12,
-    )
+    cfg = SolverConfig(PhysicalParams(0.05, 0.05, 0.0), SOB, 1e-3, 0.15, snapshot_every=10**9)
     seen = []
     final, log = run(st, cfg, sinks=[lambda i, s: seen.append(i)])
     assert log.halted
