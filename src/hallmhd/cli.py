@@ -10,7 +10,9 @@ import numpy as np
 
 from .config import RunConfig, load_config
 from .diagnostics import existence_time, scaling_check
-from .snapshots import list_snapshots, snapshot_name, write_diagnostics, write_snapshot
+from .snapshots import (
+    list_snapshots, snapshot_name, state_records, write_csvs, write_diagnostics, write_snapshot,
+)
 from .solver import BlowUpError, State, run
 from .spectral import SpectralField, dealias_cutoff
 from .uniqueness import gronwall_check
@@ -32,17 +34,20 @@ def _cmd_simulate(args) -> int:
     with open(os.path.join(args.out, "config.txt"), "w", encoding="utf-8") as fh:
         fh.write(cfg.to_text())
 
+    records = []  # each state's CSV rows, as analyze reduces them from its snapshot
+
     def sink(step, state):
         write_snapshot(os.path.join(args.out, snapshot_name(step)), state)
+        records.append(state_records(state, cfg))
 
     try:
         final, log = run(initial, cfg.solver_config(), sinks=[sink])
     except BlowUpError:
         # keep the evidence: the CSVs of the snapshots written before the blow-up
-        if list_snapshots(args.out):
-            write_diagnostics(args.out, cfg)
+        if records:
+            write_csvs(args.out, cfg, records)
         raise
-    write_diagnostics(args.out, cfg)
+    write_csvs(args.out, cfg, records)
     print(f"final time t={final.t:.17g}")
     if log.halted:
         print(f"halted early: {log.halt_reason}")

@@ -2,29 +2,23 @@
 
 Snapshot layout (little-endian):
 
-    magic "HMHD" | format version u32 | n u32 | dims u32 x n | components u32
-    | time f64 | u components then b components as f64 physical-space arrays
-    in axis-major (C) order.
+    magic "HMHD" | format version u32 (2) | n u32 | dims u32 x n
+    | components u32 | time f64 | the 2/3 dealias cubes of u then b,
+    complex128 of shape (2, components, *Grid.cube_shape) in C order.
 
-The exact round trip is on the file: writing a read snapshot reproduces its
-bytes, while the coefficients of read(write(x)) match x's only to FFT
-roundoff.  read_snapshot reads onto the run's Grid, which every state it
-returns shares: it checks the header (that grid's dims, 3 components per
-field, a finite time) and the solver's entry invariants (solver._check_state)
-on the whole forward transform of the stored samples: u and b finite,
-divergence-free, inside the 2/3 dealias cube and Hermitian on the k_last = 0
-plane, and u = 0 in a hall_only run's snapshot.  It then cuts u and b to the
-cube (spectral.dealias), dropping the transform's roundoff tail, so a read
-state is exactly zero outside the cube, as every state run yields; the
-stored samples stay attached, so writing it back gives the same bytes.
-write_diagnostics takes its physics, mode, Sobolev pair and grid from the
-run's config and snapshots on that grid whose times strictly increase in
-file-name order.  CSVs print every float with 17 significant digits; files
-are written atomically (temp file + rename).
+A snapshot holds its state exactly, as every state run yields is zero outside
+the cube: read_snapshot(write_snapshot(x)) equals x, and writing it again
+gives the same bytes.  read_snapshot reads onto the run's Grid, which every
+state it returns shares, and checks the header and the solver's entry
+invariants (solver._check_state) in the run's mode.  simulate and analyze
+reduce states with state_records and write them with write_csvs, so their
+CSVs are the same bytes; floats get 17 significant digits.  Files are
+written atomically (temp file + rename).
 """
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import tempfile
@@ -32,12 +26,12 @@ import tempfile
 import numpy as np
 
 from .config import RunConfig
-from .diagnostics import balance_residuals, flux_terms, shell_energies
+from .diagnostics import FluxRecord, ShellEnergyRecord, balance_residuals, flux_terms, shell_energies
 from .solver import State, StateDriftError, _check_state, integrated_params
-from .spectral import Grid, SpectralField, dealias, to_physical, to_spectral
+from .spectral import Grid, _expanded, gather_cube
 
 MAGIC = b"HMHD"
-VERSION = 1
+VERSION = 2
 
 SHELL_CSV = "shell_energies.csv"
 FLUX_CSV = "flux.csv"
@@ -55,24 +49,20 @@ def _atomic_write(path, data: bytes) -> None:
         raise
 
 
-def _physical_payload(f: SpectralField) -> np.ndarray:
-    # fields produced by read_snapshot carry the stored samples verbatim, so a
-    # read-then-write cycle is a byte-level identity despite FFT rounding
-    cached = getattr(f, "_phys_payload", None)
-    if cached is not None and np.array_equal(cached[0], f.coeffs):
-        return cached[1]
-    return to_physical(f).astype("<f8")
-
-
 def write_snapshot(path, state: State) -> None:
+    """Write state's dealias cubes to path; a field with a nonzero coefficient
+    outside the cube raises a one-line ValueError naming the path and field."""
     g = state.grid
     header = MAGIC + struct.pack(
-        f"<II{g.n}II", VERSION, g.n, *((g.dims,) * g.n), state.u.m
-    )
-    header += struct.pack("<d", state.t)
-    pu = _physical_payload(state.u)
-    pb = _physical_payload(state.b)
-    _atomic_write(path, header + pu.tobytes(order="C") + pb.tobytes(order="C"))
+        f"<II{g.n}IId", VERSION, g.n, *((g.dims,) * g.n), state.u.m, state.t)
+    cubes = np.empty((2, state.u.m, *g.cube_shape), dtype="<c16")
+    for name, f, cube in (("u", state.u, cubes[0]), ("b", state.b, cubes[1])):
+        if np.count_nonzero(gather_cube(f.coeffs, cube)) != np.count_nonzero(f.coeffs):
+            raise ValueError(
+                f"{path}: {name} has nonzero coefficients outside the 2/3 dealias cube, "
+                "which a snapshot cannot hold"
+            )
+    _atomic_write(path, header + cubes.tobytes())
 
 
 def read_snapshot(path, grid: Grid, mode: str = "full") -> State:
@@ -86,7 +76,9 @@ def read_snapshot(path, grid: Grid, mode: str = "full") -> State:
     try:
         (version,) = struct.unpack_from("<I", data, 4)
         if version != VERSION:
-            raise ValueError(f"{path}: unsupported format version {version}")
+            raise ValueError(
+                f"{path}: unsupported format version {version} (this reader takes version {VERSION})"
+            )
         (n,) = struct.unpack_from("<I", data, 8)
         dims = struct.unpack_from(f"<{n}I", data, 12)
         off = 12 + 4 * n
@@ -102,26 +94,18 @@ def read_snapshot(path, grid: Grid, mode: str = "full") -> State:
         raise ValueError(f"{path}: {m} components per field, expected 3")
     if not np.isfinite(t):
         raise ValueError(f"{path}: non-finite time {t!r}")
-    count = m * grid.npoints
-    payload = np.frombuffer(data, dtype="<f8", offset=off)
-    if payload.size != 2 * count:
+    shape = (2, m, *grid.cube_shape)
+    if len(data) - off != 16 * math.prod(shape):
         raise ValueError(
-            f"{path}: truncated payload ({payload.size} values, expected {2 * count})"
+            f"{path}: truncated payload ({len(data) - off} bytes, expected {16 * math.prod(shape)})"
         )
-    shape = (m,) + grid.shape
-    pu = payload[:count].reshape(shape)
-    pb = payload[count:].reshape(shape)
-    u, b = to_spectral(grid, pu), to_spectral(grid, pb)
+    cubes = np.frombuffer(data, dtype="<c16", offset=off).reshape(shape)
+    state = State(_expanded(grid, cubes[0]), _expanded(grid, cubes[1]), t)
     try:
-        _check_state(State(u, b, t), mode)
+        _check_state(state, mode)
     except StateDriftError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    # the check saw the whole transform; what it let pass outside the cube is
-    # FFT roundoff of the stored samples, cut as run's states have none
-    u, b = dealias(u), dealias(b)
-    u._phys_payload = (u.coeffs.copy(), pu)
-    b._phys_payload = (b.coeffs.copy(), pb)
-    return State(u, b, t)
+    return state
 
 
 def snapshot_name(step: int) -> str:
@@ -137,40 +121,21 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def write_diagnostics(run_dir, cfg: RunConfig, out_dir=None):
-    """Compute the shell-energy and flux CSVs from the stored snapshots of the
-    run whose config is cfg, in the physics it integrated
-    (solver.integrated_params) and its Sobolev pair.
-
-    Streams the snapshots: each is read, reduced to its shell-energy and flux
-    records, and dropped before the next is read.  Returns
-    (energies, fluxes, residual_u, residual_b); the residuals are nan when
-    fewer than 3 snapshots exist.  Deterministic: running this twice over the
-    same snapshots produces bit-identical files, which is also how
-    simulate-time CSVs are generated.  The time derivatives of the residuals
-    need snapshots on cfg's grid whose times strictly increase in file-name
-    order, and in cfg's mode (u = 0 in hall_only); another grid, a time that
-    does not increase, or a nonzero u in a hall_only run raises a one-line
-    ValueError naming the file before out_dir (default run_dir) is made.
-    """
+def state_records(state: State, cfg: RunConfig) -> tuple[ShellEnergyRecord, FluxRecord]:
+    """The shell-energy and flux records (one row of each CSV) of a state of
+    the run whose config is cfg, in the physics it integrated
+    (solver.integrated_params) and its Sobolev pair."""
+    sob = cfg.sobolev()
     params = integrated_params(cfg.physical_params(), cfg["solver.mode"])
-    sob, grid = cfg.sobolev(), cfg.grid()
-    energies, fluxes = [], []
-    paths = list_snapshots(run_dir)
-    for i, path in enumerate(paths):
-        state = read_snapshot(path, grid, cfg["solver.mode"])
-        if i and not state.t > energies[-1].t:
-            raise ValueError(
-                f"{path}: time t={_fmt(state.t)} does not follow t={_fmt(energies[-1].t)} "
-                f"of the snapshot before it, {paths[i - 1]}"
-            )
-        energies.append(shell_energies(state, sob))
-        fluxes.append(flux_terms(state, params, sob))
-    if not energies:
-        raise ValueError(f"no snapshots found in {run_dir}")
-    out_dir = out_dir or run_dir
-    os.makedirs(out_dir, exist_ok=True)
+    return shell_energies(state, sob), flux_terms(state, params, sob)
 
+
+def write_csvs(out_dir, cfg: RunConfig, records: list[tuple[ShellEnergyRecord, FluxRecord]]):
+    """Write the CSVs of a run's state_records, in time order, to out_dir, made
+    if missing.  Returns (energies, fluxes, residual_u, residual_b); the
+    residuals are nan when fewer than 3 records exist."""
+    energies, fluxes = map(list, zip(*records))
+    os.makedirs(out_dir, exist_ok=True)
     shell_lines = ["t,q,e_u,e_b,d_u,d_b"]
     for rec in energies:
         for i, q in enumerate(range(-1, len(rec.e_u) - 1)):
@@ -185,6 +150,7 @@ def write_diagnostics(run_dir, cfg: RunConfig, out_dir=None):
     )
 
     if len(energies) >= 3:
+        params = integrated_params(cfg.physical_params(), cfg["solver.mode"])
         _, res_u, res_b = balance_residuals(energies, fluxes, params)
     else:
         res_u = res_b = np.full(len(energies), np.nan)
@@ -197,3 +163,31 @@ def write_diagnostics(run_dir, cfg: RunConfig, out_dir=None):
         os.path.join(out_dir, FLUX_CSV), ("\n".join(flux_lines) + "\n").encode()
     )
     return energies, fluxes, res_u, res_b
+
+
+def write_diagnostics(run_dir, cfg: RunConfig, out_dir=None):
+    """Compute the shell-energy and flux CSVs from the stored snapshots of the
+    run whose config is cfg, with the reduction and writer of simulate
+    (state_records, write_csvs), so both write the same bytes.
+
+    Streams the snapshots: each is read, reduced to its records, and dropped
+    before the next is read.  Returns what write_csvs returns.  The time
+    derivatives of the residuals need snapshots on cfg's grid whose times
+    strictly increase in file-name order, and in cfg's mode (u = 0 in
+    hall_only); another grid, a time that does not increase, or a nonzero u
+    in a hall_only run raises a one-line ValueError naming the file before
+    out_dir (default run_dir) is made.
+    """
+    grid, records = cfg.grid(), []
+    paths = list_snapshots(run_dir)
+    for i, path in enumerate(paths):
+        state = read_snapshot(path, grid, cfg["solver.mode"])
+        if records and not state.t > records[-1][0].t:
+            raise ValueError(
+                f"{path}: time t={_fmt(state.t)} does not follow t={_fmt(records[-1][0].t)} "
+                f"of the snapshot before it, {paths[i - 1]}"
+            )
+        records.append(state_records(state, cfg))
+    if not records:
+        raise ValueError(f"no snapshots found in {run_dir}")
+    return write_csvs(out_dir or run_dir, cfg, records)

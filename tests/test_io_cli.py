@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hallmhd import Grid, SobolevParams, SolverConfig, State, make_initial, run
+from hallmhd import Grid, PhysicalParams, SobolevParams, SolverConfig, State, make_initial, run
 from hallmhd import cli, snapshots
 from hallmhd.cli import main
 from hallmhd.config import _DEFAULTS, RunConfig, load_config, parse_config
@@ -24,7 +24,9 @@ from hallmhd.snapshots import (
     write_snapshot,
 )
 from hallmhd.solver import BlowUpError
-from hallmhd.spectral import SpectralField, _workers, lp_norm, to_physical, to_spectral
+from hallmhd.spectral import (
+    SpectralField, _workers, dealias, gather_cube, lp_norm, to_physical, to_spectral,
+)
 
 SOB = SobolevParams(1.0, 1.75, 0.25)
 
@@ -51,21 +53,34 @@ def test_snapshot_roundtrip_bit_exact(tmp_path, small_state):
 
 
 @pytest.mark.parametrize("n, dims", [(3, 16), (3, 32), (2, 64)])
-def test_read_snapshot_cuts_to_the_dealias_cube(tmp_path, n, dims):
+def test_snapshot_holds_the_state_exactly(tmp_path, n, dims):
     g = Grid(n, dims)
-    st = make_initial("random_band", g, 5, (1.0, 1.0), SOB)
+    states = []
+    initial = make_initial("random_band", g, 5, (1.0, 1.0), SOB)
+    run(initial, SolverConfig(PhysicalParams(0.05, 0.05, 0.1), SOB, 1e-3, 0.002, snapshot_every=1),
+        sinks=[lambda i, st: states.append(st.copy())])
     p1, p2 = tmp_path / "a.hmhd", tmp_path / "b.hmhd"
-    write_snapshot(p1, st)
-    back = read_snapshot(p1, g)
-    outside = ~g.dealias_mask
-    for f, stored in ((back.u, to_physical(st.u)), (back.b, to_physical(st.b))):
-        full = to_spectral(g, stored).coeffs
-        # the transform of the stored samples has a roundoff tail; the read state none
-        assert full[:, outside].any()
-        assert not f.coeffs[:, outside].any()
-        assert np.array_equal(f.coeffs[:, g.dealias_mask], full[:, g.dealias_mask])
-    write_snapshot(p2, back)
-    assert p1.read_bytes() == p2.read_bytes()
+    for st in states:  # the initial state and two steps
+        write_snapshot(p1, st)
+        back = read_snapshot(p1, g)
+        assert back.t == st.t
+        assert np.array_equal(back.u.coeffs, st.u.coeffs)
+        assert np.array_equal(back.b.coeffs, st.b.coeffs)
+        write_snapshot(p2, back)
+        assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_write_snapshot_refuses_content_outside_the_dealias_cube(tmp_path, small_state):
+    path = tmp_path / "wide.hmhd"
+    b = small_state.b.copy()
+    b.coeffs[0, 0, 0, 7] = 0.5  # k = (0, 0, 7): outside the 2/3 cube at 16^3
+    with pytest.raises(ValueError) as info:
+        write_snapshot(path, State(small_state.u, b, 0.0))
+    assert str(info.value) == (
+        f"{path}: b has nonzero coefficients outside the 2/3 dealias cube, "
+        "which a snapshot cannot hold"
+    )
+    assert os.listdir(tmp_path) == []
 
 
 def test_read_snapshot_interns_grid(tmp_path, small_state):
@@ -82,9 +97,9 @@ def test_read_snapshot_rejects_another_grid_before_transforming(tmp_path, monkey
     write_snapshot(path, make_initial("random_band", Grid(3, 32), 5, (1.0, 1.0), SOB))
 
     def no_transform(*args):
-        raise AssertionError("to_spectral called on a snapshot of another grid")
+        raise AssertionError("_expanded called on a snapshot of another grid")
 
-    monkeypatch.setattr(snapshots, "to_spectral", no_transform)
+    monkeypatch.setattr(snapshots, "_expanded", no_transform)
     with pytest.raises(ValueError) as info:
         read_snapshot(path, Grid(3, 16))
     assert str(info.value) == (
@@ -98,15 +113,17 @@ def test_snapshot_layout(tmp_path, small_state):
     data = path.read_bytes()
     # magic | version u32 | n u32 | dims u32 x3 | components u32 | time f64
     assert data[:4] == MAGIC == b"HMHD"
-    assert struct.unpack_from("<I", data, 4)[0] == 1
+    assert struct.unpack_from("<I", data, 4)[0] == 2
     assert struct.unpack_from("<I", data, 8)[0] == 3
     assert struct.unpack_from("<3I", data, 12) == (16, 16, 16)
     assert struct.unpack_from("<I", data, 24)[0] == 3
     header = 36
-    assert len(data) == header + 2 * 3 * 16**3 * 8
-    payload = np.frombuffer(data, dtype="<f8", offset=header)
-    u_vals = payload[: 3 * 16**3].reshape((3, 16, 16, 16))
-    assert np.abs(u_vals - to_physical(small_state.u)).max() < 1e-15
+    cube = small_state.grid.cube_shape  # (11, 11, 6) at 16^3
+    # the dealias cubes of u then b, complex128 in C order
+    assert len(data) == header + 2 * 3 * np.prod(cube) * 16
+    payload = np.frombuffer(data, dtype="<c16", offset=header)
+    u_cube = payload[: 3 * np.prod(cube)].reshape((3, *cube))
+    assert np.array_equal(u_cube, gather_cube(small_state.u.coeffs, np.empty_like(u_cube)))
 
 
 def test_snapshot_corruption_errors(tmp_path, small_state):
@@ -121,10 +138,14 @@ def test_snapshot_corruption_errors(tmp_path, small_state):
         read_snapshot(bad, grid)
 
     wrong_version = bytearray(data)
-    struct.pack_into("<I", wrong_version, 4, 99)
-    bad.write_bytes(bytes(wrong_version))
-    with pytest.raises(ValueError, match="version"):
-        read_snapshot(bad, grid)
+    for version in (1, 99):
+        struct.pack_into("<I", wrong_version, 4, version)
+        bad.write_bytes(bytes(wrong_version))
+        with pytest.raises(ValueError) as info:
+            read_snapshot(bad, grid)
+        assert str(info.value) == (
+            f"{bad}: unsupported format version {version} (this reader takes version 2)"
+        )
 
     bad.write_bytes(bytes(data[:-16]))
     with pytest.raises(ValueError, match="truncated"):
@@ -139,14 +160,17 @@ def test_snapshot_corruption_errors(tmp_path, small_state):
 
 def _crafted_snapshots(run_dir, state):
     """Two snapshots that break an entry invariant: b = (sin x, 0, 0) is not
-    divergence-free; u gains a mode at |k_1| = kmax = 7, outside the 2/3 cube."""
+    divergence-free; u gains i/2 at k = (1, 2, 0) and at -k, a divergence-free
+    mode inside the 2/3 cube that is not Hermitian on the k_last = 0 plane."""
     g = state.grid
     x = g.coordinates()[0]
     zero = np.zeros_like(x)
-    divergent = State(state.u, to_spectral(g, np.stack([np.sin(x), zero, zero])), 0.0)
-    wide = State(state.u + to_spectral(g, np.stack([zero, np.cos(7 * x), zero])), state.b, 0.0)
+    divergent = State(state.u, dealias(to_spectral(g, np.stack([np.sin(x), zero, zero]))), 0.0)
+    skewed = State(state.u.copy(), state.b, 0.0)
+    skewed.u.coeffs[2, 1, 2, 0] += 0.5j
+    skewed.u.coeffs[2, -1, -2, 0] += 0.5j
     paths = {}
-    for name, st, field in (("div", divergent, "div b"), ("wide", wide, "u has")):
+    for name, st, field in (("div", divergent, "div b"), ("skewed", skewed, "u is not Hermitian")):
         paths[run_dir / f"{name}.hmhd"] = field
         write_snapshot(run_dir / f"{name}.hmhd", st)
     return paths
@@ -284,8 +308,8 @@ def test_simulate_then_analyze_bit_identical(tmp_path, capsys, monkeypatch):
     shell1 = (out / SHELL_CSV).read_bytes()
     flux1 = (out / FLUX_CSV).read_bytes()
     assert len(list_snapshots(out)) == 3  # steps 0, 2, 4
-    # each snapshot is read and reduced once per command
-    assert calls == dict.fromkeys(counted, 3)
+    # each state is reduced once per command; simulate reads no snapshot back
+    assert calls == {"shell_energies": 3, "flux_terms": 3}  # read_snapshot: 0
     calls.clear()
 
     redo = tmp_path / "redo"
@@ -451,6 +475,9 @@ def _snapshot_fault(path, state, fault):
     elif fault == "snapshot of a wrong version":
         struct.pack_into("<I", data, 4, 99)
         path.write_bytes(bytes(data))
+    elif fault == "snapshot of format version 1":
+        struct.pack_into("<I", data, 4, 1)
+        path.write_bytes(bytes(data))
     elif fault == "snapshot of 1-component fields":
         u, b = (SpectralField(state.grid, f.coeffs[:1]) for f in (state.u, state.b))
         write_snapshot(path, State(u, b, 0.0))
@@ -472,7 +499,7 @@ def _snapshot_fault(path, state, fault):
             fh.write("solver.mode = hall_only\ninit.target_u = 0\n")
     elif fault == "snapshot drifted":
         x = state.grid.coordinates()[0]
-        divergent = to_spectral(state.grid, np.stack([np.sin(x), 0 * x, 0 * x]))
+        divergent = dealias(to_spectral(state.grid, np.stack([np.sin(x), 0 * x, 0 * x])))
         write_snapshot(path, State(state.u, divergent, 0.0))
     else:
         raise AssertionError(f"unknown fault {fault!r}")
@@ -511,6 +538,8 @@ def _snapshot_fault(path, state, fault):
         ("analyze: snapshot truncated", "snap_00000000.hmhd"),
         ("analyze: snapshot cut in its header", "snap_00000000.hmhd"),
         ("analyze: snapshot of a wrong version", "snap_00000000.hmhd"),
+        ("analyze: snapshot of format version 1",
+         "snap_00000000.hmhd: unsupported format version 1"),
         ("analyze: snapshot drifted", "snap_00000000.hmhd"),
         ("analyze: snapshot with u in a hall_only run",
          "snap_00000000.hmhd: state drift: u must be zero in hall_only mode"),
