@@ -1,15 +1,19 @@
 """Time integration of the incompressible viscous resistive Hall-MHD system.
 
 With w = curl u and j = curl b, the nonlinearity is evaluated in curl form:
-the momentum term in rotational form P(u x w + j x b), where the Leray
+the momentum term in rotational form P(j x b + u x w), where the Leray
 projection P also removes the pressure and the |u|^2/2, |b|^2/2 gradients,
 and the induction and Hall terms together as curl((u - eta j) x b).  That is
 six pointwise products per right-hand side from spectral.dealiased_product:
 12 fields to physical space and 6 back (18 FFT fields; 9 in hall_only).  The
-curl form equals the divergence form only for divergence-free states inside
-the 2/3 dealias cube, so make_initial cuts its data to that cube and the
-dealiased scheme keeps it there; run and compute_rhs check these invariants,
-with finiteness and a Hermitian k_last = 0 plane, on entry (_check_state).
+products are formed in blocks of x-planes (x-rows in 2D) small enough that a
+block of the 12 inputs stays in cache (_BLOCK_BYTES), each in place in the
+slots of the inverse transform's output that its block has finished reading,
+so no whole-grid product buffer exists.  The curl form equals the divergence
+form only for divergence-free states inside the 2/3 dealias cube, so
+make_initial cuts its data to that cube and the dealiased scheme keeps it
+there; run and compute_rhs check these invariants, with finiteness and a
+Hermitian k_last = 0 plane, on entry (_check_state).
 
 Time stepping is integrating-factor RK4: diffusion is propagated exactly by
 exp(-nu |k|^2 dt) / exp(-mu |k|^2 dt) and the (dealiased) quadratic terms are
@@ -71,6 +75,7 @@ REL_TOL = 1.0e-12  # largest tail outside the cube and Hermitian defect, per lar
 HALL_CFL = 0.5  # CFL number of the Hall term in cfl_advisory_dt
 GUARD_EVERY = 100  # steps between blow-up checks and safety projections of b
 BLOWUP_FACTOR = 1.0e6  # the guard trips when psi exceeds this multiple of psi(0)
+_BLOCK_BYTES = 2 << 20  # one block of the 12 physical RHS inputs, about an L2 cache
 
 
 class StateDriftError(ValueError):
@@ -210,8 +215,11 @@ class _Workspace:
     one vector field per leading index: u and b.  spec, shape (4, 3, *cube),
     is the FFT input (u, w, b, j), the curls formed in place, and later
     scratch for the Leray form; hats holds the cubes of the dealiased
-    products and prods the 6 physical products.  Pages are touched only when
-    written, so compute_rhs pays nothing for the stepping buffers.
+    products.  The only physical buffer is block, 4 components of one block
+    of _block_planes(grid) x-planes: the products are formed block by block
+    in the transform's own output (see _nonlinear), so no whole-grid product
+    buffer exists.  Pages are touched only when written, so compute_rhs pays
+    nothing for the stepping buffers.
     """
 
     def __init__(self, grid: Grid):
@@ -220,7 +228,7 @@ class _Workspace:
         self.ksq = gather_cube(grid.ksq, np.empty(cube))
         self.inv_ksq = gather_cube(grid.inv_ksq, np.empty(cube))
         self.spec = np.empty((4, 3, *cube), dtype=complex)
-        self.prods = np.empty((6, *grid.shape))
+        self.block = np.empty((4, _block_planes(grid), *grid.shape[1:]))
         self.hats = np.empty((6, *cube), dtype=complex)
         self.x0 = np.empty((2, 3, *cube), dtype=complex)
         self.stage = np.empty((2, 3, *cube), dtype=complex)
@@ -239,6 +247,22 @@ def _diffusivity(p: PhysicalParams, n: int) -> np.ndarray:
     return np.reshape((p.nu, p.mu), (2,) + (1,) * (n + 1))
 
 
+def _block_planes(grid: Grid) -> int:
+    """x-planes (x-rows in 2D) per block of the products: as many as keep a
+    block of the 12 physical input fields within _BLOCK_BYTES, at least one."""
+    plane = 12 * 8 * math.prod(grid.shape[1:])
+    return min(grid.dims, max(1, _BLOCK_BYTES // plane))
+
+
+def _blocks(phys: np.ndarray, scratch: np.ndarray):
+    """Each x-plane block of the physical batch phys, split into its vector
+    fields, with the matching block of the 4-component scratch last."""
+    planes = scratch.shape[1]
+    for a in range(0, phys.shape[1], planes):
+        block = phys[:, a : a + planes]
+        yield (*np.split(block, len(block) // 3), scratch[:, : block.shape[1]])
+
+
 def _nonlinear(
     x: np.ndarray,
     grid: Grid,
@@ -251,25 +275,32 @@ def _nonlinear(
     x = (u, b) and out = (du, db) have shape (2, 3, *cube_shape); params are
     those the mode integrates (integrated_params).
 
-    Momentum in rotational form P(u x w + j x b) with w = curl u, j = curl b;
+    Momentum in rotational form P(j x b + u x w) with w = curl u, j = curl b;
     induction and Hall together as curl((u - eta j) x b).  Both equal the
     divergence-form terms for divergence-free states inside the 2/3 cube.
     (u, w, b, j) are formed in work.spec, and spectral.dealiased_product
-    transforms their cubes, forms the products in work.prods and returns
-    their cube in work.hats (12 fields in and 6 out; 6 and 3 in hall_only).
+    transforms their cubes (12 fields in and 6 out; 6 and 3 in hall_only).
+    The products are formed one x-plane block at a time, so that a block's
+    inputs stay in cache, in place in the physical batch: P2 = (u - eta j) x b
+    into the u slots and P1 = j x b + u x w into the w slots, each after the
+    block has read them, with u x w in work.block (j x b in hall_only, then
+    copied into the b slots).  The hats of (P2, P1) land in work.hats.
     """
     k, eta = work.k, params.eta
-    spec, prods, hats = work.spec, work.prods, work.hats
+    spec, hats = work.spec, work.hats
     (u, b), (du, db), (_, w, _, j) = x, out, spec
     fields = spec.reshape((12, *spec.shape[2:]))
     # du[0] is scratch until the results are written
     curl_into(j, k, b, du[0])
     spec[2] = b
     if mode == "hall_only":
-        # j x b from the physical (b, j)
-        jxb = dealiased_product(
-            grid, fields[6:], lambda phys: cross_into(prods[:3], phys[3:], phys[:3], prods[3]), hats[:3]
-        )
+        def jxb_into_b(phys):
+            for pb, pj, tmp in _blocks(phys, work.block):
+                cross_into(tmp[:3], pj, pb, tmp[3])
+                pb[...] = tmp[:3]
+            return phys[:3]
+
+        jxb = dealiased_product(grid, fields[6:], jxb_into_b, hats[:3])
         du[...] = 0.0
         curl_into(db, k, jxb, w[0])
         db *= -eta
@@ -279,24 +310,24 @@ def _nonlinear(
     spec[0] = u
 
     def products(phys):
-        pu, pw, pb, pj = np.split(phys, 4)
-        # prods[3] and pw are scratch until the products that live there are formed
-        cross_into(prods[:3], pu, pw, prods[3])
-        cross_into(pw, pj, pb, prods[3])
-        prods[:3] += pw
-        pj *= eta
-        np.subtract(pu, pj, out=pj)
-        cross_into(prods[3:], pj, pb, pw[0])
-        return prods
+        for pu, pw, pb, pj, tmp in _blocks(phys, work.block):
+            uxw, t = tmp[:3], tmp[3]
+            cross_into(uxw, pu, pw, t)
+            cross_into(pw, pj, pb, t)
+            pw += uxw
+            pj *= eta
+            np.subtract(pu, pj, out=pj)
+            cross_into(pu, pj, pb, t)
+        return phys[:6]
 
-    dealiased_product(grid, fields, products, hats)
+    p2, p1 = np.split(dealiased_product(grid, fields, products, hats), 2)
     # Leray projection as k x (w x k) / |k|^2: gradients along a lattice axis
     # cancel exactly, and so does the k = 0 mode, which vanishes analytically;
     # the transforms are done, so w and j are scratch
-    cross_into(w, hats[:3], k, j[0])
+    cross_into(w, p1, k, j[0])
     cross_into(du, k, w, j[0])
     du *= work.inv_ksq
-    curl_into(db, k, hats[3:], j[0])
+    curl_into(db, k, p2, j[0])
 
 
 def compute_rhs(state: State, params: PhysicalParams, mode: str = "full"):

@@ -476,9 +476,10 @@ def dealiased_product(grid: Grid, spec: np.ndarray, product, out: np.ndarray | N
 
     spec, the stacked input half spectra or dealias cubes, goes to physical
     space in one inverse batch; product maps those values to the stacked real
-    products (it may use its argument as scratch), whose cubes come back in one
-    forward batch.  The transforms are forward-normalized, exact as npoints is
-    a power of two.  out receives the cube.
+    products (it may use its argument as scratch, and may form the products in
+    place in it and return a view of it), whose cubes come back in one forward
+    batch.  The transforms are forward-normalized, exact as npoints is a power
+    of two.  out receives the cube.
     """
     prods = product(irfftn_batch(spec, grid.n, grid.shape))
     if out is None:

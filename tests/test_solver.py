@@ -320,6 +320,45 @@ def test_step_and_rhs_bit_identical_to_expression_form(case, mode):
         assert got.t == ref.t
 
 
+def _assert_rhs_and_two_steps_match_expression_form(st, cfg):
+    du, db = compute_rhs(st, cfg.params, cfg.mode)
+    du_r, db_r = _ref_compute_rhs(st, cfg.params, cfg.mode)
+    assert np.array_equal(du.coeffs, du_r) and np.array_equal(db.coeffs, db_r)
+    got, ref = st, st
+    for _ in range(2):
+        got, ref = step(got, cfg), _ref_step(ref, cfg)
+        assert np.array_equal(got.u.coeffs, ref.u.coeffs)
+        assert np.array_equal(got.b.coeffs, ref.b.coeffs)
+
+
+def test_products_in_several_blocks_at_64_cubed():
+    # the real block budget splits 64^3 into blocks with a shorter last one
+    st, cfg = _oracle_case((3, 64, "random_band"), "full")
+    planes = solver._block_planes(st.grid)
+    assert 1 < planes < 64 and 64 % planes
+    _assert_rhs_and_two_steps_match_expression_form(st, cfg)
+
+
+@pytest.mark.parametrize("mode", ["full", "mhd", "hall_only"])
+@pytest.mark.parametrize("case", [(3, 16, "random_band"), (2, 32, "random_band")], ids=["3d16", "2d32"])
+def test_products_in_three_plane_blocks(monkeypatch, case, mode):
+    # a budget of 3 planes, which divides neither 16 nor 32
+    st, cfg = _oracle_case(case, mode)
+    g = st.grid
+    monkeypatch.setattr(solver, "_BLOCK_BYTES", 3 * 12 * 8 * int(np.prod(g.shape[1:])))
+    assert solver._block_planes(g) == 3
+    _assert_rhs_and_two_steps_match_expression_form(st, cfg)
+
+
+def test_workspace_holds_no_whole_grid_buffer():
+    # the products are formed in the transform's output, one block at a time
+    g = Grid(3, 64)
+    arrays = {k: a for k, a in vars(solver._Workspace(g)).items() if isinstance(a, np.ndarray)}
+    assert not [k for k, a in arrays.items() if a.shape[-g.n :] == g.shape]
+    physical = {k: a.shape for k, a in arrays.items() if a.shape[-(g.n - 1) :] == g.shape[1:]}
+    assert physical == {"block": (4, solver._block_planes(g), 64, 64)}
+
+
 def test_run_bit_identical_and_sink_states_not_overwritten(monkeypatch):
     # 101 steps cross the safety projection of b at step 100; the sink keeps
     # the State objects it is handed, so a reused buffer would show here
