@@ -28,8 +28,8 @@ dealiasing are dealiased_product's, which takes the cubes of (u, w, b, j),
 transforms them field by field on the lines the cube reaches, and returns
 the cube of the products.  step and compute_rhs read only the cube of their
 input, and their output is exactly zero outside it.  The stages write into
-the buffers of one _Workspace, which run allocates per call and drops on
-return (a lone step or compute_rhs builds its own), through out=, in-place
+the buffers of one _Workspace, which each run allocates and drops at its
+end (a lone step or compute_rhs builds its own), through out=, in-place
 ufuncs, spectral.cross_into and spectral.curl_into, the one curl, in the
 order of the plain expressions.  Modes, each decided in integrated_params
 and the last entry invariant of _check_state:
@@ -56,7 +56,6 @@ from .spectral import (
     _expanded,
     _hermitian_defect,
     _outside_cube,
-    advect,
     cross_into,
     curl_into,
     dealias,
@@ -444,22 +443,20 @@ def whole_steps(tmax: float, dt: float) -> bool:
     return math.isclose(steps, round(steps), rel_tol=1e-9)
 
 
-def run(initial: State, config: SolverConfig, sinks=()) -> tuple[State, RunLog]:
-    """Advance the state to tmax, emitting snapshots through the sinks.
-
-    Each sink is called as sink(step_index, state) at step 0, every
-    snapshot_every steps, and at the final step.  The blow-up guard
-    psi(t) > BLOWUP_FACTOR * psi(0) is checked at every snapshot and every
-    GUARD_EVERY steps; when it trips the run halts after logging psi and
-    calling the sinks.  A tmax that is not a whole number of dt steps is
-    rounded to one, with a RuntimeWarning; a dt above the advisory CFL bound
-    of the mode's physics warns too.  An initial state that breaks an entry
-    invariant (finite, divergence-free, inside the 2/3 dealias cube,
+def trajectory(initial: State, config: SolverConfig, log: RunLog):
+    """Advance the state to tmax, yielding (step_index, state) at step 0, every
+    snapshot_every steps and the final step; the run never touches a yielded
+    State again.  The blow-up guard psi(t) > BLOWUP_FACTOR * psi(0) is checked
+    at every snapshot and every GUARD_EVERY steps; when it trips the run halts
+    after logging psi and yielding.  log receives psi before each yield, the
+    safety projections and the halt.  A tmax that is not a whole number of dt
+    steps is rounded to one, with a RuntimeWarning; a dt above the advisory CFL
+    bound of the mode's physics warns too.  An initial state that breaks an
+    entry invariant (finite, divergence-free, inside the 2/3 dealias cube,
     Hermitian, u = 0 in hall_only) raises StateDriftError naming the field.
     """
     _check_state(initial, config.mode)
     sob = config.sobolev
-    log = RunLog()
 
     # a psi that overflows is inf and trips the guard, so NumPy need not warn
     @np.errstate(over="ignore", invalid="ignore")
@@ -481,10 +478,9 @@ def run(initial: State, config: SolverConfig, sinks=()) -> tuple[State, RunLog]:
         warnings.warn(f"dt={config.dt} exceeds the advisory CFL bound", RuntimeWarning)
 
     state = initial
-    for sink in sinks:
-        sink(0, state)
     log.times.append(state.t)
     log.psi.append(psi0)
+    yield 0, state
 
     work = _Workspace(initial.grid)
     for i in range(1, n_steps + 1):
@@ -506,20 +502,21 @@ def run(initial: State, config: SolverConfig, sinks=()) -> tuple[State, RunLog]:
         if at_snapshot or tripped:
             log.times.append(state.t)
             log.psi.append(psi)
-            for sink in sinks:
-                sink(i, state)
+            yield i, state
         if tripped:
             log.halted = True
             log.halt_reason = f"blow-up guard tripped at t={state.t}"
             break
+
+
+def run(initial: State, config: SolverConfig, sinks=()) -> tuple[State, RunLog]:
+    """trajectory with each sink called as sink(step_index, state) where it
+    yields; returns the last state and the run's log."""
+    log = RunLog()
+    for i, state in trajectory(initial, config, log):
+        for sink in sinks:
+            sink(i, state)
     return state, log
-
-
-def recover_pressure(state: State, params: PhysicalParams) -> SpectralField:
-    """Zero-mean pressure whose gradient is the projected-out part of the flux."""
-    # grad p = P w - w = -k (k . w) / |k|^2, so p = div w / |k|^2 spectrally
-    w = advect(state.u, state.u) - advect(state.b, state.b)
-    return SpectralField(w.grid, divergence(w).coeffs * w.grid.inv_ksq)
 
 
 def _beltrami(grid: Grid) -> SpectralField:

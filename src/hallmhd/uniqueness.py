@@ -2,13 +2,16 @@
 
 The difference (U, B) of two solutions satisfies a linearized system whose
 energy growth is controlled by an exponential factor built from norms of the
-reference solutions.  The checks here consume two independent forward runs on
-a common time grid; difference_rhs exists for consistency testing against the
-subtraction of the full right-hand sides.
+reference solutions.  gronwall_check reduces two forward runs on a common time
+grid, as lists or as streams such as solver.trajectory, one snapshot pair at a
+time; difference_rhs exists for consistency testing against the subtraction
+of the full right-hand sides.
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,73 +117,73 @@ def hall_difference_identity_residual(b2: SpectralField, B: SpectralField) -> fl
 
 @dataclass
 class DifferenceTrace:
-    """Energy of the difference and its Gronwall envelope along a run pair."""
+    """Energy of the difference along a run pair and the exponent of its
+    Gronwall envelope: energy(t) <= energy(0) * exp{C_nu_mu * exponent(t)}."""
 
     t: np.ndarray
     energy: np.ndarray
-    gronwall_factor: np.ndarray
-    passed: bool
-    minimal_C_nu_mu: float
+    exponent: np.ndarray
+    passed: bool = False
+    minimal_C_nu_mu: float = 0.0
+
+    def holds(self, C_nu_mu: float) -> bool:
+        """Whether the energy stays under the envelope of this C_nu_mu."""
+        # cap the exponent: beyond ~700 the envelope is infinite anyway
+        factor = np.exp(np.minimum(C_nu_mu * self.exponent, 700.0))
+        if self.energy[0] == 0.0:
+            return bool(np.all(self.energy == 0.0))
+        return bool(np.all(self.energy <= self.energy[0] * factor + 1e-300))
 
 
 def gronwall_check(
-    run1: list[State],
-    run2: list[State],
+    run1: Iterable[State],
+    run2: Iterable[State],
     sob: SobolevParams,
     C: float,
     C_nu_mu: float,
 ) -> DifferenceTrace:
     """Check energy(t) <= energy(0) * exp{C_nu_mu int_0^t g + C C_nu_mu t}.
 
-    g(tau) = ||u1||_{H^{s+1}}^2 + ||grad b2||_{H^{s+1-eps}}^2, integrated by the
-    trapezoid rule on the stored trace.  Also reports the minimal C_nu_mu that
-    would pass with the given C: the largest ratio log(energy / energy(0)) /
-    exponent, rounded up until this comparison accepts it (inf if none does).
+    g(tau) = ||u1||_{H^{s+1}}^2 + ||grad b2||_{H^r}^2, integrated by the
+    trapezoid rule on the trace.  Each pair of States of the two iterables is
+    reduced to (t, energy, g) and dropped before the next pair is drawn.
+    Also reports the minimal C_nu_mu that would pass with the given C: the
+    largest ratio log(energy / energy(0)) / exponent, rounded up until this
+    comparison accepts it (inf if none does).
     """
-    if len(run1) != len(run2):
+    rows, states2 = [], iter(run2)
+    for s1 in run1:
+        s2 = next(states2, None)
+        if s2 is None:
+            raise ValueError("mismatched trace lengths")
+        if not math.isclose(s1.t, s2.t, rel_tol=0.0, abs_tol=1e-12):
+            raise ValueError("mismatched time grids")
+        # an inf is a valid energy for the envelope, so huge data need not warn
+        with np.errstate(over="ignore", invalid="ignore"):
+            energy = lp_norm(s1.u - s2.u, 2) ** 2 + lp_norm(s1.b - s2.b, 2) ** 2
+            g = dyadic_sobolev_norm(s1.u, sob.s + 1.0) ** 2
+            g += dyadic_sobolev_norm(gradient(s2.b), sob.r) ** 2
+        rows.append((s1.t, energy, g))
+        del s1, s2  # so that a stream can free the pair while it makes the next
+    if next(states2, None) is not None:
         raise ValueError("mismatched trace lengths")
-    ts = np.array([st.t for st in run1])
-    ts2 = np.array([st.t for st in run2])
-    if not np.allclose(ts, ts2, rtol=0, atol=1e-12):
-        raise ValueError("mismatched time grids")
-
-    energy = np.array(
-        [
-            lp_norm(s1.u - s2.u, 2) ** 2 + lp_norm(s1.b - s2.b, 2) ** 2
-            for s1, s2 in zip(run1, run2)
-        ]
-    )
-    g = np.array(
-        [
-            dyadic_sobolev_norm(s1.u, sob.s + 1.0) ** 2
-            + dyadic_sobolev_norm(gradient(s2.b), sob.r) ** 2
-            for s1, s2 in zip(run1, run2)
-        ]
-    )
+    ts, energy, g = np.array(rows).T
     integral = np.concatenate([[0.0], np.cumsum(0.5 * (g[1:] + g[:-1]) * np.diff(ts))])
-    exponent_scale = integral + C * ts
-
-    def envelope(c):
-        # cap the exponent: beyond ~700 the envelope is infinite anyway
-        factor = np.exp(np.minimum(c * exponent_scale, 700.0))
-        if energy[0] == 0.0:
-            return factor, bool(np.all(energy == 0.0))
-        return factor, bool(np.all(energy <= energy[0] * factor + 1e-300))
-
-    factor, passed = envelope(C_nu_mu)
-    minimal = 0.0
+    trace = DifferenceTrace(ts, energy, integral + C * ts)
+    trace.passed = trace.holds(C_nu_mu)
     if energy[0] > 0:
         with np.errstate(divide="ignore", invalid="ignore"):
-            need = np.log(energy[1:] / energy[0]) / exponent_scale[1:]
+            need = np.log(energy[1:] / energy[0]) / trace.exponent[1:]
         need = need[np.isfinite(need)]
         ratio = float(max(0.0, need.max())) if len(need) else 0.0
         # the ratio rounds either way: raise it by a doubling number of ulps
         # until the comparison accepts it, which ends at inf if nothing does
         minimal, ulps = ratio, 1.0
-        while np.isfinite(minimal) and not envelope(minimal)[1]:
+        while np.isfinite(minimal) and not trace.holds(minimal):
             minimal = ratio + ulps * np.spacing(ratio)
             ulps *= 2.0
-    return DifferenceTrace(ts, energy, factor, passed, float(minimal))
+        trace.minimal_C_nu_mu = float(minimal)
+    return trace
 
 
 def flux_bound_residuals(

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from hallmhd import Grid, PhysicalParams, SobolevParams, SolverConfig, State, make_initial, run
-from hallmhd import cli, snapshots
+from hallmhd import cli, snapshots, uniqueness
 from hallmhd.cli import main
 from hallmhd.config import _DEFAULTS, RunConfig, load_config, parse_config
 from hallmhd.snapshots import (
@@ -428,12 +428,32 @@ def test_uniqueness_subcommand(tmp_path, capsys):
     assert "holds" in captured.out
 
 
+def test_uniqueness_reduces_each_snapshot_pair_once(tmp_path, capsys, monkeypatch):
+    # the default calibration.C_nu_mu = 0 asks for the minimal constant, and
+    # the check at it reuses the one reduction; each reduced pair takes one
+    # gradient, of b2
+    calls = []
+    gradient = uniqueness.gradient
+
+    def counted(f):
+        calls.append(f)
+        return gradient(f)
+
+    monkeypatch.setattr(uniqueness, "gradient", counted)
+    conf = tmp_path / "u.conf"
+    conf.write_text("grid.dims = 16\nsolver.tmax = 0.004\nsolver.snapshot_every = 2\n")
+    assert load_config(str(conf))["calibration.C_nu_mu"] == 0.0
+    assert main(["uniqueness", "--config", str(conf), "--perturb", "1e-6"]) == 0
+    assert "holds with C_nu_mu=" in capsys.readouterr().out
+    assert len(calls) == 3  # the snapshots at steps 0, 2 and 4
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_uniqueness_rejects_non_finite_perturb(tmp_path, capsys, monkeypatch, value):
     def no_run(*args, **kwargs):
         raise AssertionError("a run started")
 
-    monkeypatch.setattr(cli, "run", no_run)
+    monkeypatch.setattr(cli, "trajectory", no_run)
     conf = tmp_path / "u.conf"
     conf.write_text("grid.dims = 16\nsolver.tmax = 0.004\n")
     with warnings.catch_warnings():
@@ -726,7 +746,7 @@ def test_uniqueness_rejects_option_like_perturb(tmp_path, capsys, monkeypatch):
     def no_run(*args, **kwargs):
         raise AssertionError("a run started")
 
-    monkeypatch.setattr(cli, "run", no_run)
+    monkeypatch.setattr(cli, "trajectory", no_run)
     conf = tmp_path / "u.conf"
     conf.write_text("grid.dims = 16\nsolver.tmax = 0.004\n")
     rc = main(["uniqueness", "--config", str(conf), "--perturb", "-inf"])

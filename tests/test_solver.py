@@ -27,15 +27,11 @@ from hallmhd.solver import (
     StateDriftError,
     cfl_advisory_dt,
     divergence_drift,
-    recover_pressure,
 )
 from hallmhd.spectral import (
     SpectralField,
-    advect,
     dealias_cutoff,
     divergence,
-    gradient,
-    leray_project,
     lp_norm,
     to_physical,
     to_spectral,
@@ -379,6 +375,29 @@ def test_run_bit_identical_and_sink_states_not_overwritten(monkeypatch):
         assert got.t == ref.t
     assert kept[-1][1] is final
     assert set(g._cache) <= keys_before
+
+
+@pytest.mark.parametrize("factor", [solver.BLOWUP_FACTOR, 1e-12])
+def test_trajectory_yields_what_run_hands_its_sinks(monkeypatch, factor):
+    # 101 steps cross the safety projection of b at step 100; a factor of
+    # 1e-12 trips the guard at the first snapshot after step 0 instead
+    monkeypatch.setattr(solver, "BLOWUP_FACTOR", factor)
+    st, _ = _oracle_case((3, 16, "random_band"), "full")
+    cfg = SolverConfig(PhysicalParams(0.05, 0.07, 0.3), SOB, 1e-3, 0.101, snapshot_every=25)
+    handed = []
+    final, log = run(st, cfg, sinks=[lambda i, s: handed.append((i, s))])
+    streamed_log = solver.RunLog()
+    streamed = list(solver.trajectory(st, cfg, streamed_log))
+    assert [i for i, _ in streamed] == [i for i, _ in handed]
+    assert [i for i, _ in handed] == ([0, 25, 50, 75, 100, 101] if factor > 1 else [0, 25])
+    for (_, got), (_, ref) in zip(streamed, handed):
+        assert np.array_equal(got.u.coeffs, ref.u.coeffs)
+        assert np.array_equal(got.b.coeffs, ref.b.coeffs)
+        assert got.t == ref.t
+    assert handed[-1][1] is final
+    assert streamed_log == log  # times, psi, projection_drift, halted, halt_reason
+    assert log.halted == (factor < 1)
+    assert len(log.projection_drift) == (1 if factor > 1 else 0)
 
 
 def test_step_leaves_its_input_alone():
@@ -788,17 +807,6 @@ def test_cfl_advisory():
     cfg = SolverConfig(PhysicalParams(0.05, 0.05, 0.0), SOB, 10.0 * dt_a, 20.0 * dt_a)
     with pytest.warns(RuntimeWarning, match="advisory CFL"):
         run(st, cfg)
-
-
-def test_recover_pressure():
-    g = Grid(3, 16)
-    st = make_initial("random_band", g, 62, (1.0, 1.0), SOB)
-    p = recover_pressure(st, PhysicalParams(0.05, 0.05, 0.0))
-    w = advect(st.u, st.u) - advect(st.b, st.b)
-    # with du/dt = -(w + grad p) + diffusion: w + grad p is the Leray part of w
-    residual = w + gradient(p) - leray_project(w)
-    assert lp_norm(residual, 2) < 1e-11 * max(lp_norm(w, 2), 1e-30)
-    assert abs(p.coeffs[0, 0, 0, 0]) < 1e-15  # zero mean
 
 
 def test_make_initial_targets_and_errors():

@@ -1,5 +1,8 @@
 """Difference system: consistency, cancellations, Gronwall envelope."""
 
+import weakref
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,7 @@ from hallmhd import (
     make_initial,
     run,
 )
+from hallmhd.solver import RunLog, trajectory
 from hallmhd.littlewood_paley import resolved_band
 from hallmhd.random_fields import random_band_field
 from hallmhd.spectral import (
@@ -113,7 +117,7 @@ def test_flux_bounds_hold(grid, fields):
         assert abs(value) <= bound * (1 + 1e-12)
 
 
-def _paired_runs(grid, eps, dt=1e-3):
+def _paired_starts(grid, eps, dt=1e-3):
     st = make_initial("random_band", grid, 920, (1.0, 1.0), SOB)
     pert = State(
         SpectralField(grid, st.u.coeffs * (1.0 + eps)),
@@ -121,6 +125,11 @@ def _paired_runs(grid, eps, dt=1e-3):
         0.0,
     )
     cfg = SolverConfig(PARAMS, SOB, dt, 0.01, snapshot_every=max(1, round(1e-3 / dt)))
+    return st, pert, cfg
+
+
+def _paired_runs(grid, eps, dt=1e-3):
+    st, pert, cfg = _paired_starts(grid, eps, dt)
     t1, t2 = [], []
     run(st, cfg, sinks=[lambda i, s: t1.append(s.copy())])
     run(pert, cfg, sinks=[lambda i, s: t2.append(s.copy())])
@@ -172,3 +181,57 @@ def test_gronwall_mismatched_traces(grid):
     shifted = [State(s.u, s.b, s.t + 0.5) for s in t2]
     with pytest.raises(ValueError, match="time grids"):
         gronwall_check(t1, shifted, SOB, 1.0, 1.0)
+
+
+def _stream(start, cfg):
+    return (s for _, s in trajectory(start, cfg, RunLog()))
+
+
+def _one_at_a_time(states):
+    """Yield a copy of each state; fail if the consumer still holds the
+    previous copy when it asks for the next."""
+    held = None
+    for s in states:
+        assert held is None or held() is None, "the previous state is still held"
+        box = [s.copy()]
+        held = weakref.ref(box[0])
+        yield box.pop()  # so that this frame keeps no reference to the copy
+    assert held() is None, "the last state is still held"
+
+
+def test_gronwall_streams_equal_lists():
+    # the growing pair of test_gronwall_passes_at_its_reported_minimal, so
+    # that the envelope fails at C_nu_mu = 0 and the minimal constant is not 0
+    g = Grid(3, 16)
+    st = make_initial("random_band", g, 3, (80.0, 80.0), SOB)
+    pert = State(*(SpectralField(g, f.coeffs * (1.0 + 1e-6)) for f in (st.u, st.b)), 0.0)
+    cfg = SolverConfig(PhysicalParams(0.005, 0.005, 0.1), SOB, 1e-3, 0.02, snapshot_every=1)
+    t1, t2 = [], []
+    run(st, cfg, sinks=[lambda i, s: t1.append(s.copy())])
+    run(pert, cfg, sinks=[lambda i, s: t2.append(s.copy())])
+    for C_nu_mu, passed in ((0.0, False), (1.0, True)):
+        listed = gronwall_check(t1, t2, SOB, 1.0, C_nu_mu)
+        streamed = gronwall_check(_stream(st, cfg), _stream(pert, cfg), SOB, 1.0, C_nu_mu)
+        assert len(streamed.t) == len(t1) == 21
+        assert np.array_equal(streamed.t, listed.t)
+        assert np.array_equal(streamed.energy, listed.energy)
+        assert streamed.passed == listed.passed == listed.holds(C_nu_mu) == passed
+        assert streamed.minimal_C_nu_mu == listed.minimal_C_nu_mu > 0
+        assert streamed.holds(streamed.minimal_C_nu_mu)
+
+
+def test_gronwall_holds_one_pair_at_a_time(grid):
+    t1, t2 = _paired_runs(grid, 1e-6)
+    streamed = gronwall_check(_one_at_a_time(t1), _one_at_a_time(t2), SOB, 1.0, 1.0)
+    listed = gronwall_check(t1, t2, SOB, 1.0, 1.0)
+    assert np.array_equal(streamed.energy, listed.energy)
+
+
+@pytest.mark.parametrize("longer", [0, 1])
+def test_gronwall_streams_of_unequal_length(grid, longer):
+    # a run that ends a step early, as one halted by the blow-up guard does
+    st, _, cfg = _paired_starts(grid, 0.0)
+    runs = [_stream(st, replace(cfg, tmax=0.009)), _stream(st, replace(cfg, tmax=0.009))]
+    runs[longer] = _stream(st, cfg)
+    with pytest.raises(ValueError, match="mismatched trace lengths"):
+        gronwall_check(*runs, SOB, 1.0, 1.0)
