@@ -99,11 +99,24 @@ def _cmd_uniqueness(args) -> int:
     )
 
     # the two runs advance in turn, and each snapshot pair is reduced as it is made
+    logs = {"reference": RunLog(), "perturbed": RunLog()}
     run1, run2 = (
-        (st for _, st in trajectory(start, solver_cfg, RunLog())) for start in (initial, perturbed)
+        (st for _, st in trajectory(start, solver_cfg, log))
+        for start, log in zip((initial, perturbed), logs.values())
     )
+
+    def halts():
+        return [f"{name} run halted early: {log.halt_reason}"
+                for name, log in logs.items() if log.halted]
+
     C_nu_mu = cfg["calibration.C_nu_mu"]
-    result = gronwall_check(run1, run2, cfg.sobolev(), cfg["calibration.C"], C_nu_mu)
+    try:
+        result = gronwall_check(run1, run2, cfg.sobolev(), cfg["calibration.C"], C_nu_mu)
+    except ValueError:
+        # the runs step alike, so their traces part only where the guard halts one
+        if halts():
+            raise ValueError("; ".join(halts())) from None
+        raise
     if C_nu_mu <= 0:
         C_nu_mu = result.minimal_C_nu_mu
     passed = result.holds(C_nu_mu)
@@ -111,6 +124,8 @@ def _cmd_uniqueness(args) -> int:
     print(f"difference energy at t={result.t[-1]:.17g}: {result.energy[-1]:.17g}")
     print(f"minimal passing C_nu_mu: {result.minimal_C_nu_mu:.17g}")
     print(f"gronwall bound {'holds' if passed else 'VIOLATED'} with C_nu_mu={C_nu_mu:.17g}")
+    for line in halts():
+        print(line)
     return 0 if passed else 1
 
 

@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .littlewood_paley import low_pass, max_shell, project_shell
+from .littlewood_paley import decompose, low_pass, max_shell, project_shell
 from .spectral import SpectralField, advect, cross, curl, gradient, inner_product, lp_norm
 
 
@@ -40,34 +40,29 @@ class BonySplit:
 def _bony_sums(u: SpectralField, v: SpectralField, qs) -> dict:
     """(low_high, high_low, resonant) coefficient sums for every q in qs.
 
-    One pass over p forms the three products of the p-th pieces, each once,
-    and adds phi_q times each to the sums of the shells q in qs whose window
-    holds p.
+    The p-th pieces are the shells of one decompose of each field.  One pass
+    over p forms the three products of the p-th pieces, each once, and adds
+    phi_q times each to the sums of the shells q in qs whose window holds p.
     """
     g = u.grid
     if v.grid != g:
         raise ValueError("grid mismatch between fields")
     Q = max_shell(g)
     sums = {q: [np.zeros((v.m,) + g.half_shape, dtype=complex) for _ in range(3)] for q in qs}
+    su, sv = decompose(u), decompose(v)
+
+    def add(cls, targets, prod):
+        for q in targets:
+            sums[q][cls] += project_shell(prod, q).coeffs
+
+    # the shells of both fields live throughout, so each factor and product
+    # is dropped after its one use
     for p in range(max(-1, min(qs) - 2), Q + 1):
         window = [q for q in qs if abs(q - p) <= 2]
-        u_p, v_p = project_shell(u, p), project_shell(v, p)
-        u_low, v_low = low_pass(u, p - 2), low_pass(v, p - 2)
-        u_near = u_p
-        for r in (p - 1, p + 1):
-            if -1 <= r <= Q:
-                u_near = u_near + project_shell(u, r)
-        terms = (
-            (window, u_low, v_p),
-            (window, u_p, v_low),
-            ([q for q in qs if q <= p + 2], u_near, v_p),
-        )
-        for cls, (targets, a, b) in enumerate(terms):
-            if not targets:
-                continue
-            prod = advect(a, b)
-            for q in targets:
-                sums[q][cls] += project_shell(prod, q).coeffs
+        if window:
+            add(0, window, advect(low_pass(u, p - 2), sv.shell(p)))
+            add(1, window, advect(su.shell(p), low_pass(v, p - 2)))
+        add(2, [q for q in qs if q <= p + 2], advect(su.near_shell(p), sv.shell(p)))
     return sums
 
 

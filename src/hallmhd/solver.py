@@ -447,13 +447,14 @@ def trajectory(initial: State, config: SolverConfig, log: RunLog):
     """Advance the state to tmax, yielding (step_index, state) at step 0, every
     snapshot_every steps and the final step; the run never touches a yielded
     State again.  The blow-up guard psi(t) > BLOWUP_FACTOR * psi(0) is checked
-    at every snapshot and every GUARD_EVERY steps; when it trips the run halts
-    after logging psi and yielding.  log receives psi before each yield, the
-    safety projections and the halt.  A tmax that is not a whole number of dt
-    steps is rounded to one, with a RuntimeWarning; a dt above the advisory CFL
-    bound of the mode's physics warns too.  An initial state that breaks an
-    entry invariant (finite, divergence-free, inside the 2/3 dealias cube,
-    Hermitian, u = 0 in hall_only) raises StateDriftError naming the field.
+    at every snapshot and every GUARD_EVERY steps; when it trips, the run logs
+    the halt, yields that state and stops.  log receives psi and any halt
+    before each yield, and the safety projections.  A tmax that is not a whole
+    number of dt steps is rounded to one, with a RuntimeWarning; a dt above the
+    advisory CFL bound of the mode's physics warns too.  An initial state that
+    breaks an entry invariant (finite, divergence-free, inside the 2/3 dealias
+    cube, Hermitian, u = 0 in hall_only) raises StateDriftError naming the
+    field.
     """
     _check_state(initial, config.mode)
     sob = config.sobolev
@@ -499,13 +500,14 @@ def trajectory(initial: State, config: SolverConfig, log: RunLog):
             continue
         psi = psi_of(state)
         tripped = psi0 > 0 and psi > BLOWUP_FACTOR * psi0
+        if tripped:
+            log.halted = True
+            log.halt_reason = f"blow-up guard tripped at t={state.t}"
         if at_snapshot or tripped:
             log.times.append(state.t)
             log.psi.append(psi)
             yield i, state
         if tripped:
-            log.halted = True
-            log.halt_reason = f"blow-up guard tripped at t={state.t}"
             break
 
 

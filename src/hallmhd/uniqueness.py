@@ -4,8 +4,7 @@ The difference (U, B) of two solutions satisfies a linearized system whose
 energy growth is controlled by an exponential factor built from norms of the
 reference solutions.  gronwall_check reduces two forward runs on a common time
 grid, as lists or as streams such as solver.trajectory, one snapshot pair at a
-time; difference_rhs exists for consistency testing against the subtraction
-of the full right-hand sides.
+time.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .littlewood_paley import SobolevParams, dyadic_sobolev_norm
-from .solver import DIV_TOL, PhysicalParams, State, divergence_drift
+from .solver import State
 from .spectral import (
     SpectralField,
     advect,
@@ -25,45 +24,9 @@ from .spectral import (
     curl,
     gradient,
     inner_product,
-    laplacian,
-    leray_project,
     lp_norm,
     to_physical,
 )
-
-
-def difference_rhs(
-    U: SpectralField,
-    B: SpectralField,
-    u1: SpectralField,
-    b1: SpectralField,
-    u2: SpectralField,
-    b2: SpectralField,
-    params: PhysicalParams,
-):
-    """Right-hand sides of the difference system, pressure removed by projection.
-
-    Equals compute_rhs(u1, b1) - compute_rhs(u2, b2) to roundoff whenever
-    U = u1 - u2 and B = b1 - b2.
-    """
-    for name, f in (("U", U), ("B", B), ("u1", u1), ("b1", b1), ("u2", u2), ("b2", b2)):
-        drift = divergence_drift(f)
-        if drift > DIV_TOL:
-            raise ValueError(f"divergence drift in {name}: {drift:.3e}")
-
-    dU = leray_project(
-        -advect(u2, U) + advect(b2, B) - advect(U, u1) + advect(B, b1)
-    ) + params.nu * laplacian(U)
-    hall = curl(cross(curl(b2), B)) + curl(cross(curl(B), b1))
-    dB = (
-        -advect(u2, B)
-        + advect(b2, U)
-        - advect(U, b1)
-        + advect(B, u1)
-        - params.eta * hall
-        + params.mu * laplacian(B)
-    )
-    return dU, dB
 
 
 def _abs_integral(values: np.ndarray, grid) -> float:
@@ -104,15 +67,6 @@ def cancellation_check(
     r4 = abs(num4) / denom4 if denom4 > 0 else 0.0
 
     return r1, r2, r3, r4
-
-
-def hall_difference_identity_residual(b2: SpectralField, B: SpectralField) -> float:
-    """|int curl((curl b2) x B) . B - int ((curl b2) x B) . curl B| (normalized)."""
-    w = cross(curl(b2), B)
-    lhs = inner_product(curl(w), B)
-    rhs = inner_product(w, curl(B))
-    scale = max(abs(lhs), abs(rhs), 1e-300)
-    return abs(lhs - rhs) / scale
 
 
 @dataclass
@@ -167,6 +121,8 @@ def gronwall_check(
         del s1, s2  # so that a stream can free the pair while it makes the next
     if next(states2, None) is not None:
         raise ValueError("mismatched trace lengths")
+    if not rows:
+        raise ValueError("no states to compare: both runs are empty")
     ts, energy, g = np.array(rows).T
     integral = np.concatenate([[0.0], np.cumsum(0.5 * (g[1:] + g[:-1]) * np.diff(ts))])
     trace = DifferenceTrace(ts, energy, integral + C * ts)
@@ -184,33 +140,3 @@ def gronwall_check(
             ulps *= 2.0
         trace.minimal_C_nu_mu = float(minimal)
     return trace
-
-
-def flux_bound_residuals(
-    U: SpectralField,
-    B: SpectralField,
-    u1: SpectralField,
-    b1: SpectralField,
-    b2: SpectralField,
-):
-    """The five nonzero difference-system flux integrals against their bounds.
-
-    Returns (value, bound) pairs; each |value| must not exceed its bound.
-    """
-    # transport: |int ((a . grad) c) . x| <= ||a||_2 ||grad x||_2 ||c||_inf, by parts
-    pairs = [
-        (inner_product(advect(a, c), x), lp_norm(a, 2) * _grad_l2(x) * lp_norm(c, np.inf))
-        for a, c, x in ((B, b1, U), (U, u1, U), (B, u1, B), (U, b1, B))
-    ]
-    w = cross(curl(b2), B)
-    pairs.append(
-        (
-            inner_product(curl(w), B),
-            lp_norm(curl(B), 2) * lp_norm(curl(b2), np.inf) * lp_norm(B, 2),
-        )
-    )
-    return pairs
-
-
-def _grad_l2(f: SpectralField) -> float:
-    return lp_norm(gradient(f), 2)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from hallmhd import Grid, PhysicalParams, SobolevParams, SolverConfig, State, make_initial, run
-from hallmhd import cli, snapshots, uniqueness
+from hallmhd import cli, snapshots, solver, uniqueness
 from hallmhd.cli import main
 from hallmhd.config import _DEFAULTS, RunConfig, load_config, parse_config
 from hallmhd.snapshots import (
@@ -446,6 +446,36 @@ def test_uniqueness_reduces_each_snapshot_pair_once(tmp_path, capsys, monkeypatc
     assert main(["uniqueness", "--config", str(conf), "--perturb", "1e-6"]) == 0
     assert "holds with C_nu_mu=" in capsys.readouterr().out
     assert len(calls) == 3  # the snapshots at steps 0, 2 and 4
+
+
+def test_uniqueness_reports_two_halted_runs(tmp_path, capsys, monkeypatch):
+    # both runs trip the guard at the first snapshot, t = 0.01 of tmax = 0.05
+    monkeypatch.setattr(solver, "BLOWUP_FACTOR", 1e-12)
+    conf = tmp_path / "u.conf"
+    conf.write_text("grid.dims = 16\n")
+    assert main(["uniqueness", "--config", str(conf), "--perturb", "1e-6"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 6
+    assert lines[1].startswith("difference energy at t=0.01: ")
+    assert lines[3].startswith("gronwall bound holds")
+    assert lines[4:] == [
+        "reference run halted early: blow-up guard tripped at t=0.01",
+        "perturbed run halted early: blow-up guard tripped at t=0.01",
+    ]
+
+
+@pytest.mark.parametrize("extra, t", [("", "0.01"), ("solver.snapshot_every = 150\n", "0.1")])
+def test_uniqueness_names_the_one_halted_run(tmp_path, capsys, monkeypatch, extra, t):
+    # --perturb -1 makes the perturbed data zero, which the guard never halts;
+    # with snapshot_every = 150 the reference run halts at the guard step 100,
+    # between the snapshots of the other run
+    monkeypatch.setattr(solver, "BLOWUP_FACTOR", 1e-12)
+    conf = tmp_path / "u.conf"
+    conf.write_text("grid.dims = 16\nsolver.tmax = 0.2\n" + extra)
+    assert main(["uniqueness", "--config", str(conf), "--perturb", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: reference run halted early: blow-up guard tripped at t={t}\n"
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])

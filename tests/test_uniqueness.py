@@ -1,4 +1,4 @@
-"""Difference system: consistency, cancellations, Gronwall envelope."""
+"""Difference system: cancellations and the Gronwall envelope."""
 
 import weakref
 from dataclasses import replace
@@ -12,7 +12,6 @@ from hallmhd import (
     SobolevParams,
     SolverConfig,
     State,
-    compute_rhs,
     make_initial,
     run,
 )
@@ -26,13 +25,7 @@ from hallmhd.spectral import (
     to_physical,
     to_spectral,
 )
-from hallmhd.uniqueness import (
-    cancellation_check,
-    difference_rhs,
-    flux_bound_residuals,
-    gronwall_check,
-    hall_difference_identity_residual,
-)
+from hallmhd.uniqueness import cancellation_check, gronwall_check
 
 SOB = SobolevParams(1.0, 1.75, 0.25)
 PARAMS = PhysicalParams(0.05, 0.05, 0.1)
@@ -48,26 +41,6 @@ def fields(grid):
     band = resolved_band(grid)
     return {name: random_band_field(grid, 900 + i, band)
             for i, name in enumerate(["u1", "b1", "u2", "b2"])}
-
-
-def test_difference_rhs_consistency(grid, fields):
-    """difference_rhs must equal the subtraction of the two full right-hand sides."""
-    u1, b1, u2, b2 = fields["u1"], fields["b1"], fields["u2"], fields["b2"]
-    U, B = u1 - u2, b1 - b2
-    dU, dB = difference_rhs(U, B, u1, b1, u2, b2, PARAMS)
-    r1u, r1b = compute_rhs(State(u1, b1, 0.0), PARAMS)
-    r2u, r2b = compute_rhs(State(u2, b2, 0.0), PARAMS)
-    su, sb = r1u - r2u, r1b - r2b
-    assert lp_norm(dU - su, 2) < 1e-10 * max(lp_norm(su, 2), 1e-30)
-    assert lp_norm(dB - sb, 2) < 1e-10 * max(lp_norm(sb, 2), 1e-30)
-
-
-def test_difference_rhs_rejects_divergent_input(grid, fields):
-    x = grid.coordinates()[0]
-    bad = to_spectral(grid, np.stack([np.sin(x), np.zeros_like(x), np.zeros_like(x)]))
-    u1 = fields["u1"]
-    with pytest.raises(ValueError, match="divergence drift"):
-        difference_rhs(bad, u1, u1, u1, u1, u1, PARAMS)
 
 
 def test_cancellations_small(grid, fields):
@@ -99,22 +72,6 @@ def test_cancellation_negative_control(grid, fields):
     contaminated = fields["u2"] + bump * (lp_norm(fields["u2"], 2) / lp_norm(bump, 2))
     rs = cancellation_check(U, B, contaminated, fields["b1"], fields["b2"])
     assert rs[0] > 1e-2
-
-
-def test_hall_difference_identity(grid, fields):
-    band = resolved_band(grid)
-    B = random_band_field(grid, 914, band)
-    assert hall_difference_identity_residual(fields["b2"], B) < 1e-12
-
-
-def test_flux_bounds_hold(grid, fields):
-    band = resolved_band(grid)
-    U = random_band_field(grid, 915, band)
-    B = random_band_field(grid, 916, band)
-    pairs = flux_bound_residuals(U, B, fields["u1"], fields["b1"], fields["b2"])
-    assert len(pairs) == 5
-    for value, bound in pairs:
-        assert abs(value) <= bound * (1 + 1e-12)
 
 
 def _paired_starts(grid, eps, dt=1e-3):
@@ -181,6 +138,11 @@ def test_gronwall_mismatched_traces(grid):
     shifted = [State(s.u, s.b, s.t + 0.5) for s in t2]
     with pytest.raises(ValueError, match="time grids"):
         gronwall_check(t1, shifted, SOB, 1.0, 1.0)
+
+
+def test_gronwall_rejects_empty_traces():
+    with pytest.raises(ValueError, match="^no states to compare: both runs are empty$"):
+        gronwall_check([], [], SOB, 1.0, 0.0)
 
 
 def _stream(start, cfg):
