@@ -8,6 +8,12 @@ on its own, in ascending p; only the product of the p-th pieces is shared by
 all shells q whose window holds p.  Merging the window into one product per q
 would break the exact low-frequency cancellations downstream.
 
+The fields must be finite and zero outside the 2/3 dealias cube, where every
+shell, low-pass piece and product of the split lies; the sweep runs on the
+compact cubes and expands the three sums of a shell only when it hands them
+over.  A product with a zero factor is zero, so it is skipped, and the
+splits are bit-identical to forming it.
+
 The commutator bound ratios of fixed fields share their q-independent pieces
 (sup norms, L2 norms, curls and full products) through CommutatorSweep.
 """
@@ -20,8 +26,21 @@ from functools import cached_property
 
 import numpy as np
 
-from .littlewood_paley import decompose, low_pass, max_shell, project_shell
-from .spectral import SpectralField, advect, cross, curl, gradient, inner_product, lp_norm
+from .littlewood_paley import _shell_multiplier, chi, lambda_q, low_pass, max_shell, project_shell
+from .spectral import (
+    SpectralField,
+    _expanded,
+    advect,
+    cross,
+    curl,
+    dealias_cutoff,
+    dealiased_product,
+    gather_cube,
+    gradient,
+    inner_product,
+    lp_norm,
+    transport_product,
+)
 
 
 @dataclass
@@ -37,37 +56,78 @@ class BonySplit:
         return self.low_high + self.high_low + self.resonant
 
 
-def _bony_sums(u: SpectralField, v: SpectralField, qs) -> dict:
-    """(low_high, high_low, resonant) coefficient sums for every q in qs.
+def _cube(name: str, f: SpectralField) -> np.ndarray:
+    """The dealias cube of f, after checking that f is finite and zero outside it."""
+    g = f.grid
+    if not np.isfinite(f.coeffs).all():
+        raise ValueError(f"{name} has a non-finite coefficient")
+    if f.coeffs[:, ~g.dealias_mask].any():
+        raise ValueError(
+            f"{name} has a nonzero coefficient outside the dealias cube |k_i| <= {dealias_cutoff(g.dims)}"
+        )
+    return gather_cube(f.coeffs, np.empty((f.m, *g.cube_shape), dtype=complex))
 
-    The p-th pieces are the shells of one decompose of each field.  One pass
-    over p forms the three products of the p-th pieces, each once, and adds
-    phi_q times each to the sums of the shells q in qs whose window holds p.
+
+def _bony_sums(u: SpectralField, v: SpectralField, qs) -> dict:
+    """(low_high, high_low, resonant) dealias-cube sums for every q in qs.
+
+    Every piece lies inside the cube, so the sweep runs on the cubes of u, v,
+    k, |k| and the shell multipliers, with the arithmetic of project_shell,
+    low_pass, ShellSet.near_shell and gradient.  One pass over p forms the
+    three products of the p-th pieces, each once, and adds phi_q times each to
+    the sums of the shells q in qs whose window holds p.  A product with a
+    zero factor is zero for finite data and is skipped: for mean-free data
+    the shell -1 and low_pass(., p - 2) for p <= 1 are zero.
     """
     g = u.grid
     if v.grid != g:
         raise ValueError("grid mismatch between fields")
+    cu, cv = _cube("u", u), _cube("v", v)
     Q = max_shell(g)
-    sums = {q: [np.zeros((v.m,) + g.half_shape, dtype=complex) for _ in range(3)] for q in qs}
-    su, sv = decompose(u), decompose(v)
+
+    def on_cube(a):
+        return gather_cube(a, np.empty(a.shape[: -g.n] + g.cube_shape, dtype=a.dtype))
+
+    ik, kmag = 1j * on_cube(g.k), on_cube(g.kmag)
+    mult = [on_cube(_shell_multiplier(g, q)) for q in range(-1, Q + 1)]
+    su, sv = [cu * m for m in mult], [cv * m for m in mult]
+
+    def low(c, top):
+        """low_pass(., top) of cube c, or None where it is zero (top < -1)."""
+        return c * chi(kmag / lambda_q(top + 1)) if top >= -1 else None
+
+    def near(p):
+        out = su[p + 1]
+        for r in (p - 1, p + 1):
+            if -1 <= r <= Q:
+                out = out + su[r + 1]
+        return out
+
+    def product(a, b):
+        """The cube of (a . grad) b, or None when a or b is zero."""
+        if a is None or b is None or not a.any() or not b.any():
+            return None
+        spec = np.concatenate([a, (ik[:, None] * b).reshape((3 * len(b),) + g.cube_shape)])
+        return dealiased_product(g, spec, transport_product)
+
+    sums = {q: [np.zeros((v.m, *g.cube_shape), dtype=complex) for _ in range(3)] for q in qs}
 
     def add(cls, targets, prod):
-        for q in targets:
-            sums[q][cls] += project_shell(prod, q).coeffs
+        if prod is not None:
+            for q in targets:
+                sums[q][cls] += prod * mult[q + 1]
 
-    # the shells of both fields live throughout, so each factor and product
-    # is dropped after its one use
     for p in range(max(-1, min(qs) - 2), Q + 1):
         window = [q for q in qs if abs(q - p) <= 2]
         if window:
-            add(0, window, advect(low_pass(u, p - 2), sv.shell(p)))
-            add(1, window, advect(su.shell(p), low_pass(v, p - 2)))
-        add(2, [q for q in qs if q <= p + 2], advect(su.near_shell(p), sv.shell(p)))
+            add(0, window, product(low(cu, p - 2), sv[p + 1]))
+            add(1, window, product(su[p + 1], low(cv, p - 2)))
+        add(2, [q for q in qs if q <= p + 2], product(near(p), sv[p + 1]))
     return sums
 
 
 def _split(g, q: int, sums) -> BonySplit:
-    return BonySplit(q, *(SpectralField(g, s) for s in sums))
+    return BonySplit(q, *(_expanded(g, s) for s in sums))
 
 
 def _splits(g, sums: dict) -> Iterator[BonySplit]:

@@ -8,9 +8,11 @@ at k = 0.  parseval is the one sum over the whole lattice: it counts every
 interior k_last plane twice, for k and -k, through grid.hermitian_weight, as
 only the shell sums also do; power is the one |f_k|^2.  All differential
 operators are exact Fourier multipliers:
-gradient is the one ik (x) f, the gradient tensor of any m-component field;
+gradient is the ik (x) f of a field, the gradient tensor of any m-component
+field (paraproduct's Bony sweep repeats its arithmetic on the dealias cube);
 cross_into is the one cross-product kernel and curl_into, i k x f through
-it, the one curl.  Every product goes through dealiased_product, the one home
+it, the one curl; transport_product is the one pointwise (u . grad) v.
+Every product goes through dealiased_product, the one home
 of the transform pair, its normalization and the 2/3 rule, which keeps the
 cube |k_i| <= dealias_cutoff(dims) = dims // 3; gather_cube and scatter_cube
 copy that cube to and from a compact array, and _outside_cube measures a
@@ -571,6 +573,14 @@ def cross(u: SpectralField, v: SpectralField) -> SpectralField:
     return _expanded(g, dealiased_product(g, spec, lambda p: cross_into(prod[:3], p[:3], p[3:], prod[3])))
 
 
+def transport_product(phys: np.ndarray) -> np.ndarray:
+    """sum_j u_j d_j v_c at the grid points: the product callback of a
+    dealiased_product whose input stacks u's 3 components and the 3m of
+    grad v in gradient's (j, m) order."""
+    m = (len(phys) - 3) // 3
+    return np.einsum("j...,jm...->m...", phys[:3], phys[3:].reshape((3, m) + phys.shape[1:]))
+
+
 def advect(u: SpectralField, v: SpectralField) -> SpectralField:
     """Transport term (u . grad) v, formed in physical space and dealiased.
 
@@ -579,13 +589,8 @@ def advect(u: SpectralField, v: SpectralField) -> SpectralField:
     _check_compat(u, v, same_m=False)
     if u.m != 3:
         raise ValueError("advect expects a 3-component advecting field")
-    g, m = u.grid, v.m
     spec = np.concatenate([u.coeffs, gradient(v).coeffs])
-
-    def product(phys):
-        return np.einsum("j...,jm...->m...", phys[:3], phys[3:].reshape((3, m) + g.shape))
-
-    return _expanded(g, dealiased_product(g, spec, product))
+    return _expanded(u.grid, dealiased_product(u.grid, spec, transport_product))
 
 
 def parseval(grid: Grid, spectrum: np.ndarray) -> float:

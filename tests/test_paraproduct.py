@@ -24,7 +24,7 @@ from hallmhd.paraproduct import (
     trilinear_bound_ratio,
 )
 from hallmhd.random_fields import random_band_field
-from hallmhd.spectral import Grid, SpectralField, advect, cross, curl, lp_norm
+from hallmhd.spectral import Grid, SpectralField, advect, cross, curl, dealias_cutoff, lp_norm
 from hallmhd.verification import check_bony_identity
 
 
@@ -70,11 +70,25 @@ def _bony_split_oracle(u, v, q):
     return lh, hl, res
 
 
-@pytest.mark.parametrize("n, dims", [(3, 16), (3, 32), (2, 64)])
-def test_bony_splits_bit_identical_to_per_pair_oracle(n, dims):
+def _with_mean(f, mean):
+    """f with the k = 0 coefficients set to the constant vector mean."""
+    f = f.copy()
+    f.coeffs[(slice(None),) + (0,) * f.grid.n] = mean
+    return f
+
+
+@pytest.mark.parametrize(
+    "n, dims, mean",
+    [(3, 16, False), (3, 32, False), (2, 64, False), (3, 32, True)],
+    ids=["3-16", "3-32", "2-64", "3-32-mean"],
+)
+def test_bony_splits_bit_identical_to_per_pair_oracle(n, dims, mean):
     g = Grid(n, dims)
     band = resolved_band(g)
     u, v = random_band_field(g, 301, band), random_band_field(g, 302, band)
+    if mean:
+        # nonzero shell -1 and low_pass(., -1) pieces: their products are formed
+        u, v = _with_mean(u, [0.3, -0.7, 0.2]), _with_mean(v, [-0.5, 0.1, 0.9])
     splits = list(bony_splits(u, v))
     assert [s.q for s in splits] == list(range(-1, max_shell(g) + 1))
     for split in splits:
@@ -84,19 +98,62 @@ def test_bony_splits_bit_identical_to_per_pair_oracle(n, dims):
                 assert np.array_equal(field.coeffs, want.coeffs)
 
 
+def _count_products(monkeypatch):
+    """The input spectra of the products that paraproduct forms, as bytes."""
+    formed = []
+    product = paraproduct.dealiased_product
+
+    def counted(grid, spec, *args):
+        formed.append(spec.tobytes())
+        return product(grid, spec, *args)
+
+    monkeypatch.setattr(paraproduct, "dealiased_product", counted)
+    return formed
+
+
 def test_bony_identity_forms_each_product_once(monkeypatch):
     g = Grid(3, 32)
-    calls = []
-    product = paraproduct.advect
-
-    def counted(*args):
-        calls.append(1)
-        return product(*args)
-
-    monkeypatch.setattr(paraproduct, "advect", counted)
+    formed = _count_products(monkeypatch)
     assert check_bony_identity(g, 2, 11).passed
-    # three products per p = -1 .. Q and pair, shared by every shell q
-    assert len(calls) == 2 * 3 * (max_shell(g) + 2) == 24
+    # of the three products per p = -1 .. Q, shared by every shell q, the 7
+    # with a zero factor are skipped for mean-free data: 5 per pair
+    assert len(formed) == 2 * 5 == 10
+    assert len(set(formed)) == len(formed)
+
+
+def test_bony_sums_skip_only_zero_factor_products(monkeypatch):
+    g = Grid(3, 32)
+    band = resolved_band(g)
+    u, v = random_band_field(g, 301, band), random_band_field(g, 302, band)
+    formed = _count_products(monkeypatch)
+    list(bony_splits(u, v))
+    assert len(formed) == 5
+    # a mean makes the shell -1 and low_pass(., -1) pieces nonzero: the
+    # resonant products at p = -1, 0 and the two paraproducts at p = 1
+    formed.clear()
+    list(bony_splits(_with_mean(u, [0.3, -0.7, 0.2]), _with_mean(v, [-0.5, 0.1, 0.9])))
+    assert len(formed) == 8
+
+
+@pytest.mark.parametrize("n, dims", [(3, 32), (2, 64)])
+@pytest.mark.parametrize("defect", ["outside", "nonfinite"])
+@pytest.mark.parametrize("name", ["u", "v"])
+def test_bony_split_rejects_fields_it_cannot_split(n, dims, defect, name):
+    g = Grid(n, dims)
+    band = resolved_band(g)
+    fields = {"u": random_band_field(g, 303, band), "v": random_band_field(g, 304, band)}
+    kc = dealias_cutoff(dims)
+    if defect == "outside":
+        # a mode on the first axis just past the cube
+        fields[name].coeffs[(0, kc + 1) + (0,) * (n - 1)] = 1e-3
+        match = f"{name} has a nonzero coefficient outside the dealias cube"
+    else:
+        fields[name].coeffs[(1, 1) + (0,) * (n - 1)] = np.inf
+        match = f"{name} has a non-finite coefficient"
+    with pytest.raises(ValueError, match=match):
+        bony_split(fields["u"], fields["v"], 1)
+    with pytest.raises(ValueError, match=match):
+        bony_splits(fields["u"], fields["v"])
 
 
 def test_commutator_sweep_equals_single_shell_ratios(grid, uv):
