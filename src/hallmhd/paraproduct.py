@@ -56,7 +56,12 @@ class BonySplit:
         return self.low_high + self.high_low + self.resonant
 
 
-def _cube(name: str, f: SpectralField) -> np.ndarray:
+def _on_cube(g, a: np.ndarray) -> np.ndarray:
+    """The dealias cube of a half-spectrum array a of grid g."""
+    return gather_cube(a, np.empty(a.shape[: -g.n] + g.cube_shape, dtype=a.dtype))
+
+
+def _checked_cube(name: str, f: SpectralField) -> np.ndarray:
     """The dealias cube of f, after checking that f is finite and zero outside it."""
     g = f.grid
     if not np.isfinite(f.coeffs).all():
@@ -65,7 +70,7 @@ def _cube(name: str, f: SpectralField) -> np.ndarray:
         raise ValueError(
             f"{name} has a nonzero coefficient outside the dealias cube |k_i| <= {dealias_cutoff(g.dims)}"
         )
-    return gather_cube(f.coeffs, np.empty((f.m, *g.cube_shape), dtype=complex))
+    return _on_cube(g, f.coeffs)
 
 
 def _bony_sums(u: SpectralField, v: SpectralField, qs) -> dict:
@@ -82,14 +87,11 @@ def _bony_sums(u: SpectralField, v: SpectralField, qs) -> dict:
     g = u.grid
     if v.grid != g:
         raise ValueError("grid mismatch between fields")
-    cu, cv = _cube("u", u), _cube("v", v)
+    cu, cv = _checked_cube("u", u), _checked_cube("v", v)
     Q = max_shell(g)
 
-    def on_cube(a):
-        return gather_cube(a, np.empty(a.shape[: -g.n] + g.cube_shape, dtype=a.dtype))
-
-    ik, kmag = 1j * on_cube(g.k), on_cube(g.kmag)
-    mult = [on_cube(_shell_multiplier(g, q)) for q in range(-1, Q + 1)]
+    ik, kmag = 1j * _on_cube(g, g.k), _on_cube(g, g.kmag)
+    mult = [_on_cube(g, _shell_multiplier(g, q)) for q in range(-1, Q + 1)]
     su, sv = [cu * m for m in mult], [cv * m for m in mult]
 
     def low(c, top):

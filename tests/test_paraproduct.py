@@ -129,7 +129,7 @@ def test_bony_sums_skip_only_zero_factor_products(monkeypatch):
     list(bony_splits(u, v))
     assert len(formed) == 5
     # a mean makes the shell -1 and low_pass(., -1) pieces nonzero: the
-    # resonant products at p = -1, 0 and the two paraproducts at p = 1
+    # resonant product at p = -1 and the two paraproducts at p = 1 are formed
     formed.clear()
     list(bony_splits(_with_mean(u, [0.3, -0.7, 0.2]), _with_mean(v, [-0.5, 0.1, 0.9])))
     assert len(formed) == 8
