@@ -7,9 +7,9 @@ The config format is plain text, one dotted key per line:
     params.nu = 0.05
     ...
 
-'#' starts a comment.  Unknown keys, malformed lines and out-of-range values
-are rejected at load time with a field-level message, as are a Sobolev pair
-that is not admissible and a nonzero init.target_u where u is 0.
+'#' starts a comment.  Unknown or repeated keys, malformed lines and bad
+values are rejected at load time with a field-level message, as are a
+Sobolev pair that is not admissible and a nonzero init.target_u where u is 0.
 """
 
 from __future__ import annotations
@@ -151,7 +151,7 @@ class RunConfig:
 
 
 def parse_config(text: str) -> RunConfig:
-    values = dict(_DEFAULTS)
+    values, seen = dict(_DEFAULTS), {}  # seen: key -> the line that set it
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -161,6 +161,8 @@ def parse_config(text: str) -> RunConfig:
         key, _, val = (s.strip() for s in line.partition("="))
         if key not in _DEFAULTS:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
+        if seen.setdefault(key, lineno) != lineno:
+            raise ValueError(f"config line {lineno}: key {key!r} repeats line {seen[key]}")
         try:
             # each key has the type of its default: int, float or str
             values[key] = type(_DEFAULTS[key])(val)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import Grid, SpectralField, dealias_cutoff, gradient, lp_norm, parseval, power
+from .spectral import Grid, SpectralField, dealias_cutoff, lp_norm, parseval, power
 
 
 @dataclass(frozen=True)
@@ -117,38 +117,8 @@ def low_pass(f: SpectralField, Q: int) -> SpectralField:
     return SpectralField(f.grid, f.coeffs * mult)
 
 
-@dataclass
-class ShellSet:
-    """The dyadic pieces of one field, q = -1 .. Q, with lambda_q = 2^q."""
-
-    field: SpectralField
-    shells: list[SpectralField]
-
-    @property
-    def qmin(self) -> int:
-        return -1
-
-    @property
-    def qmax(self) -> int:
-        return len(self.shells) - 2
-
-    def shell(self, q: int) -> SpectralField:
-        if q < -1 or q > self.qmax:
-            raise ValueError(f"shell index {q} outside [-1, {self.qmax}]")
-        return self.shells[q + 1]
-
-    def near_shell(self, q: int) -> SpectralField:
-        """Enlarged piece: sum of shells p with |p - q| <= 1."""
-        out = self.shell(q).copy()
-        for p in (q - 1, q + 1):
-            if -1 <= p <= self.qmax:
-                out = out + self.shell(p)
-        return out
-
-
-def decompose(f: SpectralField) -> ShellSet:
-    Q = max_shell(f.grid)
-    return ShellSet(f, [project_shell(f, q) for q in range(-1, Q + 1)])
+def decompose(f: SpectralField) -> list[SpectralField]:
+    return [project_shell(f, q) for q in range(-1, max_shell(f.grid) + 1)]
 
 
 def shell_sums(grid: Grid, power: np.ndarray) -> np.ndarray:
@@ -215,8 +185,3 @@ def bernstein_ratio(f_q: SpectralField, q: int, p_from, p_to) -> float:
     inv_a = 0.0 if np.isinf(a) else 1.0 / a
     inv_b = 0.0 if np.isinf(b) else 1.0 / b
     return lp_norm(f_q, p_to) / (lambda_q(q) ** (n * (inv_a - inv_b)) * denom_norm)
-
-
-def gradient_shell_norm(f: SpectralField, q: int) -> float:
-    """||grad f_q||_2, summed over all partial derivatives and components."""
-    return lp_norm(gradient(project_shell(f, q)), 2)

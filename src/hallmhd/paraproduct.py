@@ -8,11 +8,11 @@ on its own, in ascending p; only the product of the p-th pieces is shared by
 all shells q whose window holds p.  Merging the window into one product per q
 would break the exact low-frequency cancellations downstream.
 
-The fields must be finite and zero outside the 2/3 dealias cube, where every
-shell, low-pass piece and product of the split lies; the sweep runs on the
-compact cubes and expands the three sums of a shell only when it hands them
-over.  A product with a zero factor is zero, so it is skipped, and the
-splits are bit-identical to forming it.
+The fields must be finite and zero outside the 2/3 dealias cube (by
+spectral._support, the one exact in-cube test), where every shell, low-pass
+piece and product of the split lies; the sweep runs on the compact cubes and
+expands the sums of a shell only when it hands them over.  A product with a
+zero factor is zero, so it is skipped: the splits are bit-identical.
 
 The commutator bound ratios of fixed fields share their q-independent pieces
 (sup norms, L2 norms, curls and full products) through CommutatorSweep.
@@ -30,6 +30,7 @@ from .littlewood_paley import _shell_multiplier, chi, lambda_q, low_pass, max_sh
 from .spectral import (
     SpectralField,
     _expanded,
+    _support,
     advect,
     cross,
     curl,
@@ -66,10 +67,9 @@ def _checked_cube(name: str, f: SpectralField) -> np.ndarray:
     g = f.grid
     if not np.isfinite(f.coeffs).all():
         raise ValueError(f"{name} has a non-finite coefficient")
-    if f.coeffs[:, ~g.dealias_mask].any():
-        raise ValueError(
-            f"{name} has a nonzero coefficient outside the dealias cube |k_i| <= {dealias_cutoff(g.dims)}"
-        )
+    kc = dealias_cutoff(g.dims)
+    if _support(f.coeffs, g.n).max(initial=-1) > kc:
+        raise ValueError(f"{name} has a nonzero coefficient outside the dealias cube |k_i| <= {kc}")
     return _on_cube(g, f.coeffs)
 
 
@@ -78,11 +78,12 @@ def _bony_sums(u: SpectralField, v: SpectralField, qs) -> dict:
 
     Every piece lies inside the cube, so the sweep runs on the cubes of u, v,
     k, |k| and the shell multipliers, with the arithmetic of project_shell,
-    low_pass, ShellSet.near_shell and gradient.  One pass over p forms the
-    three products of the p-th pieces, each once, and adds phi_q times each to
-    the sums of the shells q in qs whose window holds p.  A product with a
-    zero factor is zero for finite data and is skipped: for mean-free data
-    the shell -1 and low_pass(., p - 2) for p <= 1 are zero.
+    low_pass and gradient, a near shell summed as shells p, p - 1, p + 1.
+    One pass over p forms the three products of the p-th pieces, each once,
+    and adds phi_q times each to the sums of the shells q in qs whose window
+    holds p.  A product with a zero factor is zero for finite data and is
+    skipped: for mean-free data the shell -1 and low_pass(., p - 2) for p <= 1
+    are zero.
     """
     g = u.grid
     if v.grid != g:
@@ -189,7 +190,8 @@ def transport_bound_ratio(u: SpectralField, v: SpectralField, p: int, q: int) ->
     """Measured constant in the transport commutator bound at one (p, q) pair."""
     u_low = low_pass(u, p - 2)
     v_p = project_shell(v, p)
-    denom = _nonzero(_sup_gradient(u_low) * lp_norm(v_p, 2))
+    # a zero u_low has a zero gradient: test for it before forming any norm
+    denom = _nonzero(u_low.coeffs.any() and _sup_gradient(u_low) * lp_norm(v_p, 2))
     return lp_norm(commutator_transport(u_low, v_p, q), 2) / denom
 
 

@@ -7,9 +7,10 @@ Snapshot layout (little-endian):
     complex128 of shape (2, components, *Grid.cube_shape) in C order.
 
 A snapshot holds its state exactly, as every state run yields is zero outside
-the cube: read_snapshot(write_snapshot(x)) equals x, and writing it again
-gives the same bytes.  read_snapshot reads onto the run's Grid, which every
-state it returns shares, and checks the header and the solver's entry
+the cube (write_snapshot checks that by spectral._support, the one exact
+in-cube test): read_snapshot(write_snapshot(x)) equals x, and writing it
+again gives the same bytes.  read_snapshot reads onto the run's Grid, which
+every state it returns shares, and checks the header and the solver's entry
 invariants (solver._check_state) in the run's mode.  simulate and analyze
 reduce states with state_records and write them with write_csvs, so their
 CSVs are the same bytes; floats get 17 significant digits.  Files are
@@ -28,7 +29,7 @@ import numpy as np
 from .config import RunConfig
 from .diagnostics import FluxRecord, ShellEnergyRecord, balance_residuals, flux_terms, shell_energies
 from .solver import State, StateDriftError, _check_state, integrated_params
-from .spectral import Grid, _expanded, gather_cube
+from .spectral import Grid, _expanded, _support, dealias_cutoff, gather_cube
 
 MAGIC = b"HMHD"
 VERSION = 2
@@ -57,11 +58,10 @@ def write_snapshot(path, state: State) -> None:
         f"<II{g.n}IId", VERSION, g.n, *((g.dims,) * g.n), state.u.m, state.t)
     cubes = np.empty((2, state.u.m, *g.cube_shape), dtype="<c16")
     for name, f, cube in (("u", state.u, cubes[0]), ("b", state.b, cubes[1])):
-        if np.count_nonzero(gather_cube(f.coeffs, cube)) != np.count_nonzero(f.coeffs):
-            raise ValueError(
-                f"{path}: {name} has nonzero coefficients outside the 2/3 dealias cube, "
-                "which a snapshot cannot hold"
-            )
+        if _support(f.coeffs, g.n).max(initial=-1) > dealias_cutoff(g.dims):
+            raise ValueError(f"{path}: {name} has nonzero coefficients outside the 2/3 dealias "
+                             "cube, which a snapshot cannot hold")
+        gather_cube(f.coeffs, cube)
     _atomic_write(path, header + cubes.tobytes())
 
 

@@ -7,26 +7,26 @@ at k.  Amplitudes are normalized so that a constant field c has coefficient c
 at k = 0.  parseval is the one sum over the whole lattice: it counts every
 interior k_last plane twice, for k and -k, through grid.hermitian_weight, as
 only the shell sums also do; power is the one |f_k|^2.  All differential
-operators are exact Fourier multipliers:
-gradient is the ik (x) f of a field, the gradient tensor of any m-component
-field (paraproduct's Bony sweep repeats its arithmetic on the dealias cube);
-cross_into is the one cross-product kernel and curl_into, i k x f through
-it, the one curl; transport_product is the one pointwise (u . grad) v.
-Every product goes through dealiased_product, the one home
-of the transform pair, its normalization and the 2/3 rule, which keeps the
-cube |k_i| <= dealias_cutoff(dims) = dims // 3; gather_cube and scatter_cube
-copy that cube to and from a compact array, and _outside_cube measures a
-field's content outside such a cube.  The k_last = 0 plane holds both k and
--k, so a real field has f_-k = conj f_k there; _hermitian_defect measures how
-far a half spectrum is from that.  The batched transforms are forward-
-normalized (scipy's norm="forward": the forward one divides by the number of
-points, the inverse is unscaled), take either layout and are bit-identical to
-scipy's full ones.  Compact cubes go field by field with one worker, skipping
-the lines that are zero outside the cube; so do half spectra that are exactly
-zero outside it, each field on its own support box (irfftn_batch).  Other
-half spectra go through scipy's multi-axis transform with HMHD_THREADS
-workers.  The field-by-field passes call scipy's pocketfft binding directly,
-the one private scipy import.
+operators are exact Fourier multipliers: gradient is the ik (x) f of a field,
+the gradient tensor of any m-component field (paraproduct's Bony sweep
+repeats its arithmetic on the dealias cube); cross_into is the one
+cross-product kernel and curl_into, i k x f through it, the one curl;
+transport_product is the one pointwise (u . grad) v.  Every product goes
+through dealiased_product, the one home of the transform pair, its
+normalization and the 2/3 rule, which keeps the cube
+|k_i| <= dealias_cutoff(dims) = dims // 3; gather_cube and scatter_cube
+copy that cube to and from a compact array, _outside_cube measures a field's
+content outside such a cube, and _support is the one exact in-cube test.  The
+k_last = 0 plane holds k and -k, so a real field has f_-k = conj f_k there;
+_hermitian_defect measures how far a half spectrum is from that.  The batched
+transforms are forward-normalized (scipy's norm="forward": the forward one
+divides by the number of points, the inverse is unscaled), take either
+layout and are bit-identical to scipy's full ones.  Compact cubes go field
+by field with one worker, skipping the lines that are zero outside the cube;
+so do half spectra that are exactly zero outside it, each field on its own
+support box (irfftn_batch).  Other half spectra go through scipy's
+multi-axis transform with HMHD_THREADS workers.  The field-by-field passes
+call scipy's pocketfft binding directly, the one private scipy import.
 
 2D grids carry 3-component fields that depend on (x, y) only ("2.5D"), so
 curl and cross products remain well defined at 2D cost.
@@ -523,15 +523,6 @@ def curl(v: SpectralField) -> SpectralField:
         raise ValueError("curl expects a 3-component field")
     c = v.coeffs
     return SpectralField(v.grid, curl_into(np.empty_like(c), v.grid.k, c, np.empty_like(c[0])))
-
-
-def laplacian(f: SpectralField) -> SpectralField:
-    return SpectralField(f.grid, -f.grid.ksq * f.coeffs)
-
-
-def partial_derivative(f: SpectralField, axis: int) -> SpectralField:
-    """d/dx_axis applied componentwise (zero for the invariant axis in 2.5D)."""
-    return SpectralField(f.grid, 1j * f.grid.k[axis] * f.coeffs)
 
 
 def leray_project(v: SpectralField) -> SpectralField:

@@ -205,7 +205,7 @@ def check_cancellations(grid: Grid, seed: int) -> list[CheckResult]:
 def check_shell_reconstruction(grid: Grid, seed: int) -> CheckResult:
     f = random_band_field(grid, seed, resolved_band(grid))
     total = SpectralField.zero(grid, 3)
-    for sh in decompose(f).shells:
+    for sh in decompose(f):
         total = total + sh
     err = lp_norm(total - f, 2) / lp_norm(f, 2)
     return CheckResult("shell_reconstruction", err < 1e-12, f"relative error {err:.3e}")

@@ -579,6 +579,8 @@ def _snapshot_fault(path, state, fault):
         ("calibration.gamma_high = 0.5", "calibration.gamma_high"),
         ("grid.dims = 12", "grid.dims"),
         ("grid.n = 4", "grid.n"),
+        # a repeated key is refused, not taken at its last value
+        ("grid.n = 3\ngrid.n = 2", "config line 3: key 'grid.n' repeats line 2"),
         # hall_only holds u at 0, and the default init.target_u is 1
         ("solver.mode = hall_only", "init.target_u"),
         # Beltrami data has u = 0, and the default init.target_u is 1
@@ -614,7 +616,9 @@ def test_cli_rejects_invalid_value(tmp_path, capsys, small_state, line, field):
     run_dir, out = tmp_path / "run", tmp_path / "out"
     run_dir.mkdir()
     conf = run_dir / "config.txt"
-    conf.write_text("grid.dims = 16\n" + (f"{fault}\n" if " = " in fault else ""))
+    # grid.dims is stated once: a fault that sets it stands alone
+    fault_text = f"{fault}\n" if " = " in fault else ""
+    conf.write_text(fault_text if fault.startswith("grid.dims = ") else "grid.dims = 16\n" + fault_text)
     if fault.startswith("snapshot "):
         _snapshot_fault(run_dir / snapshot_name(0), small_state, fault)
     if fault == "--out below a regular file":

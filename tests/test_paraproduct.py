@@ -59,14 +59,23 @@ def _bony_split_oracle(u, v, q):
     """Per-(p, q) evaluation: every window product is formed for this q alone."""
     Q = max_shell(u.grid)
     su, sv = decompose(u), decompose(v)
+
+    def near(p):
+        # shell p, then + shell p - 1, then + shell p + 1, each where it exists
+        out = su[p + 1]
+        for r in (p - 1, p + 1):
+            if -1 <= r <= Q:
+                out = out + su[r + 1]
+        return out
+
     lh = SpectralField.zero(u.grid, v.m)
     hl = SpectralField.zero(u.grid, v.m)
     for p in range(max(-1, q - 2), min(Q, q + 2) + 1):
-        lh = lh + project_shell(advect(low_pass(u, p - 2), sv.shell(p)), q)
-        hl = hl + project_shell(advect(su.shell(p), low_pass(v, p - 2)), q)
+        lh = lh + project_shell(advect(low_pass(u, p - 2), sv[p + 1]), q)
+        hl = hl + project_shell(advect(su[p + 1], low_pass(v, p - 2)), q)
     res = SpectralField.zero(u.grid, v.m)
     for p in range(max(-1, q - 2), Q + 1):
-        res = res + project_shell(advect(su.near_shell(p), sv.shell(p)), q)
+        res = res + project_shell(advect(near(p), sv[p + 1]), q)
     return lh, hl, res
 
 
@@ -236,6 +245,24 @@ def test_bound_ratios_finite_and_uniform(grid):
             per_q[q].append(max(rs))
     maxima = np.array([max(v) for v in per_q.values()])
     assert maxima.max() / np.median(maxima) < 10.0
+
+
+def test_transport_ratio_tests_zero_low_pass_first(grid, uv, monkeypatch):
+    u, v = uv
+    # at p = 2, low_pass(u, 0) is nonzero: the ratio is the unchanged formula
+    u_low, v_p = low_pass(u, 0), project_shell(v, 2)
+    formula = lp_norm(commutator_transport(u_low, v_p, 2), 2) / (
+        paraproduct._sup_gradient(u_low) * lp_norm(v_p, 2)
+    )
+    assert transport_bound_ratio(u, v, 2, 2) == formula
+    formed = []
+    for name in ("gradient", "_sup_gradient", "lp_norm"):
+        monkeypatch.setattr(paraproduct, name, lambda *args, name=name: formed.append(name))
+    # u is mean-free, so low_pass(u, p - 2) is zero at p = 0 and 1
+    for p in (0, 1):
+        with pytest.raises(ValueError, match="^undefined ratio: zero denominator$"):
+            transport_bound_ratio(u, v, p, p)
+    assert formed == []
 
 
 def test_bound_ratio_zero_denominator(grid):
