@@ -41,8 +41,8 @@ import numpy as np
 from .littlewood_paley import SobolevParams, shell_sums, sobolev_weights
 from .solver import PhysicalParams, SolverConfig, State, run
 from .spectral import (
-    Grid, SpectralField, _outside_cube, curl_into, dealias_cutoff, dealiased_product,
-    gather_cube, lp_norm, parseval, power, scatter_cube,
+    Grid, SpectralField, _on_cube, _outside_cube, curl_into, dealias_cutoff, dealiased_product,
+    lp_norm, parseval, power, scatter_cube,
 )
 
 # The 21 quadratic moments flux_terms forms, as index pairs into the stacked
@@ -97,8 +97,7 @@ def flux_terms(state: State, params: PhysicalParams, sob: SobolevParams) -> Flux
     for divergence-free states inside the dealias cube; as in solver.step,
     only the 2/3 dealias cube of the state is read."""
     g = state.grid
-    k, cu, cb = (gather_cube(f, np.empty(f.shape[:1] + g.cube_shape, f.dtype))
-                 for f in (g.k, state.u.coeffs, state.b.coeffs))
+    k, cu, cb = (_on_cube(g, f) for f in (g.k, state.u.coeffs, state.b.coeffs))
 
     def moments(phys):
         out = np.empty((len(_MOMENTS),) + g.shape)

@@ -14,15 +14,16 @@ piece and product of the split lies; the sweep runs on the compact cubes and
 expands the sums of a shell only when it hands them over.  A product with a
 zero factor is zero, so it is skipped: the splits are bit-identical.
 
-The commutator bound ratios of fixed fields share their q-independent pieces
-(sup norms, L2 norms, curls and full products) through CommutatorSweep.
+commutator_ratios forms the bound ratios of the four commutators of fixed
+fields at every shell of a sweep, with their q-independent pieces (sup norms,
+L2 norms, curls and whole-field products) formed once; each ratio is == to
+its single-shell function.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -30,13 +31,13 @@ from .littlewood_paley import _shell_multiplier, chi, lambda_q, low_pass, max_sh
 from .spectral import (
     SpectralField,
     _expanded,
+    _on_cube,
     _support,
     advect,
     cross,
     curl,
     dealias_cutoff,
     dealiased_product,
-    gather_cube,
     gradient,
     inner_product,
     lp_norm,
@@ -55,11 +56,6 @@ class BonySplit:
 
     def total(self) -> SpectralField:
         return self.low_high + self.high_low + self.resonant
-
-
-def _on_cube(g, a: np.ndarray) -> np.ndarray:
-    """The dealias cube of a half-spectrum array a of grid g."""
-    return gather_cube(a, np.empty(a.shape[: -g.n] + g.cube_shape, dtype=a.dtype))
 
 
 def _checked_cube(name: str, f: SpectralField) -> np.ndarray:
@@ -160,14 +156,25 @@ def commutator_transport(u_low: SpectralField, v_p: SpectralField, q: int) -> Sp
     return project_shell(advect(u_low, v_p), q) - advect(u_low, project_shell(v_p, q))
 
 
+def _cross_curl_commutator(F, G, F_cross_curl_G, q: int) -> SpectralField:
+    """[Delta_q, F x curl] G, given the whole-field product F x curl G."""
+    return project_shell(F_cross_curl_G, q) - cross(F, curl(project_shell(G, q)))
+
+
+def _curl_cross_commutator(curl_F, G, curl_F_cross_G, q: int) -> SpectralField:
+    """[Delta_q, curl F x] G, given curl F and the whole-field product curl F x G."""
+    return project_shell(curl_F_cross_G, q) - cross(curl_F, project_shell(G, q))
+
+
 def commutator_cross_curl(F: SpectralField, G: SpectralField, q: int) -> SpectralField:
     """[Delta_q, F x curl] G = Delta_q(F x curl G) - F x curl(Delta_q G)."""
-    return CommutatorSweep(F, G).cross_curl_commutator(q)
+    return _cross_curl_commutator(F, G, cross(F, curl(G)), q)
 
 
 def commutator_curl_cross(F: SpectralField, G: SpectralField, q: int) -> SpectralField:
     """[Delta_q, curl F x] G = Delta_q(curl F x G) - curl F x Delta_q G."""
-    return CommutatorSweep(F, G).curl_cross_commutator(q)
+    curl_F = curl(F)
+    return _curl_cross_commutator(curl_F, G, cross(curl_F, G), q)
 
 
 def _sup_gradient(F: SpectralField, order: int = 1) -> float:
@@ -195,92 +202,50 @@ def transport_bound_ratio(u: SpectralField, v: SpectralField, p: int, q: int) ->
     return lp_norm(commutator_transport(u_low, v_p, q), 2) / denom
 
 
-class CommutatorSweep:
-    """The curl-type commutators of fixed F, G and their bound ratios, at any shell q.
-
-    The pieces that do not depend on q (the sup norms of grad F and grad^2 F,
-    the L2 norms of G and H, curl F, curl H, F x curl G and curl F x G) are
-    formed on first use and kept, so a sweep over shells forms each once.  H is
-    needed by the trilinear ratio only.  The single-shell functions of this
-    module use a fresh sweep, so their values are == to the sweep's.
-    """
-
-    def __init__(self, F: SpectralField, G: SpectralField, H: SpectralField | None = None):
-        self.F, self.G, self.H = F, G, H
-        # the last curl-cross commutator, shared by curl_cross and trilinear
-        self._last = (None, None)
-
-    @cached_property
-    def _G_norm(self) -> float:
-        return lp_norm(self.G, 2)
-
-    @cached_property
-    def _gradient_denom(self) -> float:
-        return _nonzero(_sup_gradient(self.F) * self._G_norm)
-
-    @cached_property
-    def _hessian_denom(self) -> float:
-        return _nonzero(_sup_gradient(self.F, order=2) * self._G_norm * lp_norm(self.H, 2))
-
-    @cached_property
-    def _curl_F(self) -> SpectralField:
-        return curl(self.F)
-
-    @cached_property
-    def _curl_H(self) -> SpectralField:
-        return curl(self.H)
-
-    @cached_property
-    def _F_cross_curl_G(self) -> SpectralField:
-        return cross(self.F, curl(self.G))
-
-    @cached_property
-    def _curl_F_cross_G(self) -> SpectralField:
-        return cross(self._curl_F, self.G)
-
-    def cross_curl_commutator(self, q: int) -> SpectralField:
-        """[Delta_q, F x curl] G = Delta_q(F x curl G) - F x curl(Delta_q G)."""
-        return project_shell(self._F_cross_curl_G, q) - cross(
-            self.F, curl(project_shell(self.G, q))
-        )
-
-    def curl_cross_commutator(self, q: int) -> SpectralField:
-        """[Delta_q, curl F x] G = Delta_q(curl F x G) - curl F x Delta_q G."""
-        if self._last[0] != q:
-            comm = project_shell(self._curl_F_cross_G, q) - cross(
-                self._curl_F, project_shell(self.G, q)
-            )
-            self._last = (q, comm)
-        return self._last[1]
-
-    def cross_curl(self, q: int) -> float:
-        """Measured constant in ||[Delta_q, F x curl]G||_2 <= C ||grad F||_inf ||G||_2."""
-        denom = self._gradient_denom
-        return lp_norm(self.cross_curl_commutator(q), 2) / denom
-
-    def curl_cross(self, q: int) -> float:
-        """Measured constant in ||[Delta_q, curl F x]G||_2 <= C ||grad F||_inf ||G||_2."""
-        denom = self._gradient_denom
-        return lp_norm(self.curl_cross_commutator(q), 2) / denom
-
-    def trilinear(self, q: int) -> float:
-        """Measured constant in |int [Delta_q, curl F x]G . curl H| <= C ||grad^2 F||_inf ||G||_2 ||H||_2."""
-        denom = self._hessian_denom
-        return abs(inner_product(self.curl_cross_commutator(q), self._curl_H)) / denom
-
-
 def cross_curl_bound_ratio(F: SpectralField, G: SpectralField, q: int) -> float:
     """Measured constant in ||[Delta_q, F x curl]G||_2 <= C ||grad F||_inf ||G||_2."""
-    return CommutatorSweep(F, G).cross_curl(q)
+    denom = _nonzero(_sup_gradient(F) * lp_norm(G, 2))
+    return lp_norm(commutator_cross_curl(F, G, q), 2) / denom
 
 
 def curl_cross_bound_ratio(F: SpectralField, G: SpectralField, q: int) -> float:
     """Measured constant in ||[Delta_q, curl F x]G||_2 <= C ||grad F||_inf ||G||_2."""
-    return CommutatorSweep(F, G).curl_cross(q)
+    denom = _nonzero(_sup_gradient(F) * lp_norm(G, 2))
+    return lp_norm(commutator_curl_cross(F, G, q), 2) / denom
 
 
 def trilinear_bound_ratio(
     F: SpectralField, G: SpectralField, H: SpectralField, q: int
 ) -> float:
     """Measured constant in |int [Delta_q, curl F x]G . curl H| <= C ||grad^2 F||_inf ||G||_2 ||H||_2."""
-    return CommutatorSweep(F, G, H).trilinear(q)
+    denom = _nonzero(_sup_gradient(F, order=2) * lp_norm(G, 2) * lp_norm(H, 2))
+    return abs(inner_product(commutator_curl_cross(F, G, q), curl(H))) / denom
+
+
+def commutator_ratios(u: SpectralField, v: SpectralField, h: SpectralField, qs) -> dict:
+    """{q: {"transport", "cross_curl", "curl_cross", "trilinear"}} for every q in qs.
+
+    The bound ratios of the four commutators at shell q, each == to its
+    single-shell function (transport_bound_ratio(u, v, q, q) and the
+    curl-type ratios of F = u, G = v, H = h).  The pieces that do not depend on
+    q are formed once; "transport" is None where its ratio is undefined.
+    """
+    v_norm = lp_norm(v, 2)
+    gradient_denom = _nonzero(_sup_gradient(u) * v_norm)
+    hessian_denom = _nonzero(_sup_gradient(u, order=2) * v_norm * lp_norm(h, 2))
+    curl_u, curl_h = curl(u), curl(h)
+    u_cross_curl_v, curl_u_cross_v = cross(u, curl(v)), cross(curl_u, v)
+    ratios = {}
+    for q in qs:
+        try:
+            transport = transport_bound_ratio(u, v, q, q)
+        except ValueError:
+            transport = None
+        curl_cross = _curl_cross_commutator(curl_u, v, curl_u_cross_v, q)
+        ratios[q] = {
+            "transport": transport,
+            "cross_curl": lp_norm(_cross_curl_commutator(u, v, u_cross_curl_v, q), 2) / gradient_denom,
+            "curl_cross": lp_norm(curl_cross, 2) / gradient_denom,
+            "trilinear": abs(inner_product(curl_cross, curl_h)) / hessian_denom,
+        }
+    return ratios

@@ -55,6 +55,7 @@ from .spectral import (
     SpectralField,
     _expanded,
     _hermitian_defect,
+    _on_cube,
     _outside_cube,
     cross_into,
     curl_into,
@@ -223,9 +224,7 @@ class _Workspace:
 
     def __init__(self, grid: Grid):
         cube = grid.cube_shape
-        self.k = gather_cube(grid.k, np.empty((3, *cube)))
-        self.ksq = gather_cube(grid.ksq, np.empty(cube))
-        self.inv_ksq = gather_cube(grid.inv_ksq, np.empty(cube))
+        self.k, self.ksq, self.inv_ksq = (_on_cube(grid, a) for a in (grid.k, grid.ksq, grid.inv_ksq))
         self.spec = np.empty((4, 3, *cube), dtype=complex)
         self.block = np.empty((4, _block_planes(grid), *grid.shape[1:]))
         self.hats = np.empty((6, *cube), dtype=complex)

@@ -15,8 +15,9 @@ transport_product is the one pointwise (u . grad) v.  Every product goes
 through dealiased_product, the one home of the transform pair, its
 normalization and the 2/3 rule, which keeps the cube
 |k_i| <= dealias_cutoff(dims) = dims // 3; gather_cube and scatter_cube
-copy that cube to and from a compact array, _outside_cube measures a field's
-content outside such a cube, and _support is the one exact in-cube test.  The
+copy that cube to and from a compact array, _on_cube gathers it into a new
+one, _outside_cube measures a field's content outside such a cube, and
+_support is the one exact in-cube test.  The
 k_last = 0 plane holds k and -k, so a real field has f_-k = conj f_k there;
 _hermitian_defect measures how far a half spectrum is from that.  The batched
 transforms are forward-normalized (scipy's norm="forward": the forward one
@@ -239,6 +240,11 @@ def gather_cube(full: np.ndarray, out: np.ndarray) -> np.ndarray:
     for f, c in _cube_blocks(full.shape, out.shape):
         out[c] = full[f]
     return out
+
+
+def _on_cube(g: Grid, a: np.ndarray) -> np.ndarray:
+    """The dealias cube of a half-spectrum array a of grid g, in a new array."""
+    return gather_cube(a, np.empty(a.shape[: -g.n] + g.cube_shape, dtype=a.dtype))
 
 
 def scatter_cube(comp: np.ndarray, full: np.ndarray) -> np.ndarray:
@@ -539,7 +545,7 @@ def leray_project(v: SpectralField) -> SpectralField:
 def dealias(f: SpectralField) -> SpectralField:
     """2/3-rule truncation: the dealias cube of f, zero outside it."""
     g = f.grid
-    return _expanded(g, gather_cube(f.coeffs, np.empty((f.m, *g.cube_shape), dtype=complex)))
+    return _expanded(g, _on_cube(g, f.coeffs))
 
 
 def multiply(f: SpectralField, g: SpectralField) -> SpectralField:

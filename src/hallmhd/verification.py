@@ -23,12 +23,11 @@ from .littlewood_paley import (
     resolved_band,
 )
 from .paraproduct import (
-    CommutatorSweep,
     bony_splits,
     commutator_cross_curl,
     commutator_curl_cross,
+    commutator_ratios,
     commutator_transport,
-    transport_bound_ratio,
 )
 from .random_fields import random_band_field
 from .spectral import (
@@ -109,43 +108,28 @@ def _uniform_over_q(ratios_by_q: dict) -> tuple[bool, str]:
 
 def check_commutator_ratio_sweeps(grid: Grid, n_seeds: int, seed0: int) -> list[CheckResult]:
     band = resolved_band(grid)
-    Q = max_shell(grid)
-    results = []
-
-    transport = {q: [] for q in range(0, Q + 1)}
-    crosscurl = {q: [] for q in range(0, Q + 1)}
-    curlcross = {q: [] for q in range(0, Q + 1)}
-    trilinear = {q: [] for q in range(0, Q + 1)}
+    qs = range(0, max_shell(grid) + 1)
+    data = {name: {q: [] for q in qs} for name in ("transport", "cross_curl", "curl_cross", "trilinear")}
     for i in range(n_seeds):
         u = random_band_field(grid, seed0 + 4 * i, band)
         v = random_band_field(grid, seed0 + 4 * i + 1, band)
         h = random_band_field(grid, seed0 + 4 * i + 2, band)
-        sweep = CommutatorSweep(u, v, h)
-        for q in range(0, Q + 1):
-            try:
-                transport[q].append(transport_bound_ratio(u, v, q, q))
-            except ValueError:
-                pass
-            crosscurl[q].append(sweep.cross_curl(q))
-            curlcross[q].append(sweep.curl_cross(q))
-            trilinear[q].append(sweep.trilinear(q))
+        for q, ratios in commutator_ratios(u, v, h, qs).items():
+            for name, r in ratios.items():
+                if r is not None:
+                    data[name][q].append(r)
 
-    for name, data in (
-        ("transport_commutator_ratio", transport),
-        ("cross_curl_commutator_ratio", crosscurl),
-        ("curl_cross_commutator_ratio", curlcross),
-        ("trilinear_commutator_ratio", trilinear),
-    ):
-        if name == "transport_commutator_ratio" and not any(data.values()):
+    results = []
+    for name, by_q in data.items():
+        check = f"{name}_commutator_ratio"
+        if name == "transport" and not any(by_q.values()):
             # mean-free fields have empty low-pass blocks below q = 2, so no
             # admissible (p, q) pair exists when the grid resolves fewer shells
-            results.append(
-                CheckResult(name, True, "no admissible shells at this resolution")
-            )
+            results.append(CheckResult(check, True, "no admissible shells at this resolution"))
             continue
-        ok, detail = _uniform_over_q(data)
-        finite = all(np.isfinite(v).all() for v in data.values() if v)
-        results.append(CheckResult(name, ok and finite, detail))
+        ok, detail = _uniform_over_q(by_q)
+        finite = all(np.isfinite(v).all() for v in by_q.values() if v)
+        results.append(CheckResult(check, ok and finite, detail))
     return results
 
 

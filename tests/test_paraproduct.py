@@ -12,11 +12,11 @@ from hallmhd.littlewood_paley import (
     resolved_band,
 )
 from hallmhd.paraproduct import (
-    CommutatorSweep,
     bony_split,
     bony_splits,
     commutator_cross_curl,
     commutator_curl_cross,
+    commutator_ratios,
     commutator_transport,
     cross_curl_bound_ratio,
     curl_cross_bound_ratio,
@@ -165,14 +165,25 @@ def test_bony_split_rejects_fields_it_cannot_split(n, dims, defect, name):
         bony_splits(fields["u"], fields["v"])
 
 
-def test_commutator_sweep_equals_single_shell_ratios(grid, uv):
-    u, v = uv
-    h = random_band_field(grid, 104, resolved_band(grid))
-    sweep = CommutatorSweep(u, v, h)
-    for q in range(0, max_shell(grid) + 1):
-        assert sweep.cross_curl(q) == cross_curl_bound_ratio(u, v, q)
-        assert sweep.curl_cross(q) == curl_cross_bound_ratio(u, v, q)
-        assert sweep.trilinear(q) == trilinear_bound_ratio(u, v, h, q)
+def test_commutator_sweep_equals_single_shell_ratios(grid):
+    for g in (grid, Grid(2, 64)):
+        band = resolved_band(g)
+        u, v, h = (random_band_field(g, seed, band) for seed in (101, 102, 104))
+        qs = range(0, max_shell(g) + 1)
+        ratios = commutator_ratios(u, v, h, qs)
+        assert list(ratios) == list(qs)
+        for q in qs:
+            r = ratios[q]
+            assert r["cross_curl"] == cross_curl_bound_ratio(u, v, q)
+            assert r["curl_cross"] == curl_cross_bound_ratio(u, v, q)
+            assert r["trilinear"] == trilinear_bound_ratio(u, v, h, q)
+            # the fields are mean-free, so low_pass(u, q - 2) is zero at q = 0, 1
+            if q <= 1:
+                assert r["transport"] is None
+                with pytest.raises(ValueError, match="^undefined ratio: zero denominator$"):
+                    transport_bound_ratio(u, v, q, q)
+            else:
+                assert r["transport"] == transport_bound_ratio(u, v, q, q)
 
 
 def test_bony_split_classes_nontrivial(grid, uv):
@@ -265,7 +276,11 @@ def test_transport_ratio_tests_zero_low_pass_first(grid, uv, monkeypatch):
     assert formed == []
 
 
-def test_bound_ratio_zero_denominator(grid):
+def test_bound_ratio_zero_denominator(grid, uv):
     z = SpectralField.zero(grid, 3)
     with pytest.raises(ValueError, match="zero denominator"):
         cross_curl_bound_ratio(z, z, 1)
+    # a zero u zeroes both denominators of the sweep
+    u, v = uv
+    with pytest.raises(ValueError, match="^undefined ratio: zero denominator$"):
+        commutator_ratios(z, v, u, range(0, max_shell(grid) + 1))
