@@ -17,7 +17,9 @@ zero factor is zero, so it is skipped: the splits are bit-identical.
 commutator_ratios forms the bound ratios of the four commutators of fixed
 fields at every shell of a sweep, with their q-independent pieces (sup norms,
 L2 norms, curls and whole-field products) formed once; each ratio is == to
-its single-shell function.
+its single-shell function.  It runs on the dealias cube as well, so it
+refuses the same fields: the curl-type products of all shells go through one
+dealiased_product, and each commutator is expanded before its norm.
 """
 
 from __future__ import annotations
@@ -29,17 +31,22 @@ import numpy as np
 
 from .littlewood_paley import _shell_multiplier, chi, lambda_q, low_pass, max_shell, project_shell
 from .spectral import (
+    Grid,
     SpectralField,
     _expanded,
     _on_cube,
+    _sampled_norm,
     _support,
     advect,
     cross,
+    cross_into,
     curl,
+    curl_into,
     dealias_cutoff,
     dealiased_product,
     gradient,
     inner_product,
+    irfftn_batch,
     lp_norm,
     transport_product,
 )
@@ -69,6 +76,23 @@ def _checked_cube(name: str, f: SpectralField) -> np.ndarray:
     return _on_cube(g, f.coeffs)
 
 
+def _cube_multipliers(g: Grid) -> tuple:
+    """The dealias cubes of k, |k| and the shell multipliers phi_q(|k|) for
+    q = -1 .. Q (entry q + 1)."""
+    mult = [_on_cube(g, _shell_multiplier(g, q)) for q in range(-1, max_shell(g) + 1)]
+    return _on_cube(g, g.k), _on_cube(g, g.kmag), mult
+
+
+def _cube_low(c: np.ndarray, kmag: np.ndarray, top: int) -> np.ndarray | None:
+    """low_pass(., top) of the cube c, or None where it is zero (top < -1)."""
+    return c * chi(kmag / lambda_q(top + 1)) if top >= -1 else None
+
+
+def _cube_gradient(ik: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """gradient of the stacked cube c, given the cube of i k."""
+    return (ik[:, None] * c).reshape((3 * len(c),) + c.shape[1:])
+
+
 def _bony_sums(u: SpectralField, v: SpectralField, qs) -> dict:
     """(low_high, high_low, resonant) dealias-cube sums for every q in qs.
 
@@ -87,13 +111,9 @@ def _bony_sums(u: SpectralField, v: SpectralField, qs) -> dict:
     cu, cv = _checked_cube("u", u), _checked_cube("v", v)
     Q = max_shell(g)
 
-    ik, kmag = 1j * _on_cube(g, g.k), _on_cube(g, g.kmag)
-    mult = [_on_cube(g, _shell_multiplier(g, q)) for q in range(-1, Q + 1)]
+    k, kmag, mult = _cube_multipliers(g)
+    ik = 1j * k
     su, sv = [cu * m for m in mult], [cv * m for m in mult]
-
-    def low(c, top):
-        """low_pass(., top) of cube c, or None where it is zero (top < -1)."""
-        return c * chi(kmag / lambda_q(top + 1)) if top >= -1 else None
 
     def near(p):
         out = su[p + 1]
@@ -106,8 +126,7 @@ def _bony_sums(u: SpectralField, v: SpectralField, qs) -> dict:
         """The cube of (a . grad) b, or None when a or b is zero."""
         if a is None or b is None or not a.any() or not b.any():
             return None
-        spec = np.concatenate([a, (ik[:, None] * b).reshape((3 * len(b),) + g.cube_shape)])
-        return dealiased_product(g, spec, transport_product)
+        return dealiased_product(g, np.concatenate([a, _cube_gradient(ik, b)]), transport_product)
 
     sums = {q: [np.zeros((v.m, *g.cube_shape), dtype=complex) for _ in range(3)] for q in qs}
 
@@ -119,8 +138,8 @@ def _bony_sums(u: SpectralField, v: SpectralField, qs) -> dict:
     for p in range(max(-1, min(qs) - 2), Q + 1):
         window = [q for q in qs if abs(q - p) <= 2]
         if window:
-            add(0, window, product(low(cu, p - 2), sv[p + 1]))
-            add(1, window, product(su[p + 1], low(cv, p - 2)))
+            add(0, window, product(_cube_low(cu, kmag, p - 2), sv[p + 1]))
+            add(1, window, product(su[p + 1], _cube_low(cv, kmag, p - 2)))
         add(2, [q for q in qs if q <= p + 2], product(near(p), sv[p + 1]))
     return sums
 
@@ -156,25 +175,15 @@ def commutator_transport(u_low: SpectralField, v_p: SpectralField, q: int) -> Sp
     return project_shell(advect(u_low, v_p), q) - advect(u_low, project_shell(v_p, q))
 
 
-def _cross_curl_commutator(F, G, F_cross_curl_G, q: int) -> SpectralField:
-    """[Delta_q, F x curl] G, given the whole-field product F x curl G."""
-    return project_shell(F_cross_curl_G, q) - cross(F, curl(project_shell(G, q)))
-
-
-def _curl_cross_commutator(curl_F, G, curl_F_cross_G, q: int) -> SpectralField:
-    """[Delta_q, curl F x] G, given curl F and the whole-field product curl F x G."""
-    return project_shell(curl_F_cross_G, q) - cross(curl_F, project_shell(G, q))
-
-
 def commutator_cross_curl(F: SpectralField, G: SpectralField, q: int) -> SpectralField:
     """[Delta_q, F x curl] G = Delta_q(F x curl G) - F x curl(Delta_q G)."""
-    return _cross_curl_commutator(F, G, cross(F, curl(G)), q)
+    return project_shell(cross(F, curl(G)), q) - cross(F, curl(project_shell(G, q)))
 
 
 def commutator_curl_cross(F: SpectralField, G: SpectralField, q: int) -> SpectralField:
     """[Delta_q, curl F x] G = Delta_q(curl F x G) - curl F x Delta_q G."""
     curl_F = curl(F)
-    return _curl_cross_commutator(curl_F, G, cross(curl_F, G), q)
+    return project_shell(cross(curl_F, G), q) - cross(curl_F, project_shell(G, q))
 
 
 def _sup_gradient(F: SpectralField, order: int = 1) -> float:
@@ -222,29 +231,87 @@ def trilinear_bound_ratio(
     return abs(inner_product(commutator_curl_cross(F, G, q), curl(H))) / denom
 
 
+def _two_transports(phys: np.ndarray) -> np.ndarray:
+    """(a . grad) b and (a . grad) c at the grid points, from the stacked
+    samples of a, grad b and grad c: two transport_product outputs."""
+    m3 = (len(phys) - 3) // 2
+    return np.concatenate([transport_product(phys[: 3 + m3]),
+                           transport_product(np.concatenate([phys[:3], phys[3 + m3:]]))])
+
+
 def commutator_ratios(u: SpectralField, v: SpectralField, h: SpectralField, qs) -> dict:
     """{q: {"transport", "cross_curl", "curl_cross", "trilinear"}} for every q in qs.
 
     The bound ratios of the four commutators at shell q, each == to its
     single-shell function (transport_bound_ratio(u, v, q, q) and the
-    curl-type ratios of F = u, G = v, H = h).  The pieces that do not depend on
-    q are formed once; "transport" is None where its ratio is undefined.
+    curl-type ratios of F = u, G = v, H = h); "transport" is None exactly
+    where that raises.  u, v and h must be finite and zero outside the dealias
+    cube, as for bony_split.  The sweep runs on the cubes of u, v, h, k, |k|
+    and the shell multipliers, with the arithmetic of gradient, curl_into,
+    project_shell and low_pass: the sup-norm denominators from one inverse
+    batch each, the curl-type products of every shell from one
+    dealiased_product, and the transport products of a shell from one more.
+    Each commutator is expanded to the half spectrum before its norm, so that
+    the Parseval sums run in the single-shell functions' order.
     """
-    v_norm = lp_norm(v, 2)
-    gradient_denom = _nonzero(_sup_gradient(u) * v_norm)
-    hessian_denom = _nonzero(_sup_gradient(u, order=2) * v_norm * lp_norm(h, 2))
-    curl_u, curl_h = curl(u), curl(h)
-    u_cross_curl_v, curl_u_cross_v = cross(u, curl(v)), cross(curl_u, v)
-    ratios = {}
+    g = u.grid
+    if v.grid != g or h.grid != g:
+        raise ValueError("grid mismatch between fields")
+    cu, cv, ch = _checked_cube("u", u), _checked_cube("v", v), _checked_cube("h", h)
+    Q = max_shell(g)
+    qs = list(qs)
     for q in qs:
-        try:
-            transport = transport_bound_ratio(u, v, q, q)
-        except ValueError:
-            transport = None
-        curl_cross = _curl_cross_commutator(curl_u, v, curl_u_cross_v, q)
+        if q < -1 or q > Q:
+            raise ValueError(f"shell index {q} outside [-1, {Q}]")
+    k, kmag, mult = _cube_multipliers(g)
+    ik = 1j * k
+
+    def sup(cube):
+        return _sampled_norm(g, irfftn_batch(cube, g.n, g.shape), sup=True)
+
+    def norm(cube):
+        return lp_norm(_expanded(g, cube), 2)
+
+    def curl_of(c):
+        return curl_into(np.empty_like(c), k, c, np.empty_like(c[0]))
+
+    v_norm = lp_norm(v, 2)
+    grad_u = _cube_gradient(ik, cu)
+    gradient_denom = _nonzero(sup(grad_u) * v_norm)
+    hessian_denom = _nonzero(sup(_cube_gradient(ik, grad_u)) * v_norm * lp_norm(h, 2))
+    curl_h = _expanded(g, curl_of(ch))
+
+    # F = u, G in (v, Delta_q v for q in qs): the products F x curl G and
+    # curl F x G, stacked as u, curl u, then curl G and G for each G
+    shells = [cv * mult[q + 1] for q in qs]
+    spec = np.concatenate([cu, curl_of(cu)] + [x for G in [cv] + shells for x in (curl_of(G), G)])
+
+    def curl_type(phys):
+        """u x curl G and curl u x G for each G in turn: output j (per 3
+        components) crosses u or curl u, by the parity of j, with input j + 2."""
+        out, tmp = np.empty((len(phys) - 6, *g.shape)), np.empty(g.shape)
+        for j in range(0, len(out), 3):
+            cross_into(out[j : j + 3], phys[j % 6 : j % 6 + 3], phys[6 + j : 9 + j], tmp)
+        return out
+
+    prods = dealiased_product(g, spec, curl_type)
+    u_cross_curl_v, curl_u_cross_v = prods[0:3], prods[3:6]
+
+    ratios = {}
+    for i, (q, v_p) in enumerate(zip(qs, shells)):
+        transport = None
+        u_low = _cube_low(cu, kmag, q - 2)
+        # transport_bound_ratio's denominator; where it is zero that raises
+        denom = u_low is not None and u_low.any() and sup(_cube_gradient(ik, u_low)) * norm(v_p)
+        if denom != 0.0:
+            spec = np.concatenate([u_low, _cube_gradient(ik, v_p), _cube_gradient(ik, v_p * mult[q + 1])])
+            adv = dealiased_product(g, spec, _two_transports)
+            transport = norm(adv[:3] * mult[q + 1] - adv[3:]) / denom
+        at = 6 + 6 * i
+        curl_cross = _expanded(g, curl_u_cross_v * mult[q + 1] - prods[at + 3 : at + 6])
         ratios[q] = {
             "transport": transport,
-            "cross_curl": lp_norm(_cross_curl_commutator(u, v, u_cross_curl_v, q), 2) / gradient_denom,
+            "cross_curl": norm(u_cross_curl_v * mult[q + 1] - prods[at : at + 3]) / gradient_denom,
             "curl_cross": lp_norm(curl_cross, 2) / gradient_denom,
             "trilinear": abs(inner_product(curl_cross, curl_h)) / hessian_denom,
         }

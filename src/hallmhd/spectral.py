@@ -8,8 +8,8 @@ at k = 0.  parseval is the one sum over the whole lattice: it counts every
 interior k_last plane twice, for k and -k, through grid.hermitian_weight, as
 only the shell sums also do; power is the one |f_k|^2.  All differential
 operators are exact Fourier multipliers: gradient is the ik (x) f of a field,
-the gradient tensor of any m-component field (paraproduct's Bony sweep
-repeats its arithmetic on the dealias cube); cross_into is the one
+the gradient tensor of any m-component field (paraproduct's Bony and
+commutator sweeps repeat its arithmetic on the dealias cube); cross_into is the one
 cross-product kernel and curl_into, i k x f through it, the one curl;
 transport_product is the one pointwise (u . grad) v.  Every product goes
 through dealiased_product, the one home of the transform pair, its
@@ -17,7 +17,8 @@ normalization and the 2/3 rule, which keeps the cube
 |k_i| <= dealias_cutoff(dims) = dims // 3; gather_cube and scatter_cube
 copy that cube to and from a compact array, _on_cube gathers it into a new
 one, _outside_cube measures a field's content outside such a cube, and
-_support is the one exact in-cube test.  The
+_support is the one exact in-cube test; _sampled_norm is the one grid
+quadrature of the L^1 and sup norms.  The
 k_last = 0 plane holds k and -k, so a real field has f_-k = conj f_k there;
 _hermitian_defect measures how far a half spectrum is from that.  The batched
 transforms are forward-normalized (scipy's norm="forward": the forward one
@@ -602,26 +603,20 @@ def inner_product(f: SpectralField, g: SpectralField) -> float:
     return parseval(f.grid, (f.coeffs * np.conj(g.coeffs)).real)
 
 
-def lp_norm(f: SpectralField, p) -> float:
-    """L^p norm, p in {1, 2, inf}, of the pointwise Euclidean magnitude.
-
-    p = 2 is computed spectrally (Parseval); p = 1 and inf by grid quadrature,
-    with all m components in one inverse batch, so the sup norm is the
-    grid-sampled lower bound of the true sup.  Samples whose squares overflow
-    are scaled by a power of two first, so a finite norm is not inf.
-    """
-    g = f.grid
-    if p == 2:
-        return float(np.sqrt(parseval(g, power(f.coeffs))))
-    sup = p in (np.inf, float("inf"), "inf")
-    if not (sup or p == 1):
-        raise ValueError(f"unsupported norm order {p!r}; use 1, 2 or inf")
+def _sampled_norm(grid: Grid, phys: np.ndarray, sup: bool) -> float:
+    """Grid quadrature of the pointwise Euclidean magnitude of the stacked
+    samples phys: its largest value (sup) or its L^1 integral.  Samples whose
+    squares overflow are scaled by a power of two first, so a finite norm is
+    not inf."""
 
     def quadrature(phys):
-        mag = np.sqrt((phys**2).sum(axis=0))
-        return mag.max() if sup else mag.sum() * g.cell_volume
+        # the components' squares summed in order, one component at a time
+        mag, sq = np.square(phys[0]), np.empty(phys.shape[1:])
+        for c in phys[1:]:
+            mag += np.square(c, out=sq)
+        np.sqrt(mag, out=mag)
+        return mag.max() if sup else mag.sum() * grid.cell_volume
 
-    phys = to_physical(f)
     with np.errstate(over="ignore"):
         norm = quadrature(phys)
         if np.isinf(norm) and np.isfinite(phys).all():
@@ -629,3 +624,19 @@ def lp_norm(f: SpectralField, p) -> float:
             e = int(np.frexp(np.abs(phys).max())[1])
             norm = np.ldexp(quadrature(np.ldexp(phys, -e)), e)
     return float(norm)
+
+
+def lp_norm(f: SpectralField, p) -> float:
+    """L^p norm, p in {1, 2, inf}, of the pointwise Euclidean magnitude.
+
+    p = 2 is computed spectrally (Parseval); p = 1 and inf by grid quadrature
+    (_sampled_norm), with all m components in one inverse batch, so the sup
+    norm is the grid-sampled lower bound of the true sup.
+    """
+    g = f.grid
+    if p == 2:
+        return float(np.sqrt(parseval(g, power(f.coeffs))))
+    sup = p in (np.inf, float("inf"), "inf")
+    if not (sup or p == 1):
+        raise ValueError(f"unsupported norm order {p!r}; use 1, 2 or inf")
+    return _sampled_norm(g, to_physical(f), sup)

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from hallmhd import paraproduct
+from hallmhd import paraproduct, spectral
 from hallmhd.littlewood_paley import (
     decompose,
     low_pass,
     max_shell,
+    phi_q,
     project_shell,
     resolved_band,
 )
@@ -184,6 +185,102 @@ def test_commutator_sweep_equals_single_shell_ratios(grid):
                     transport_bound_ratio(u, v, q, q)
             else:
                 assert r["transport"] == transport_bound_ratio(u, v, q, q)
+
+
+def _with_empty_shell(f, q):
+    """f with every mode that shell q holds set to zero."""
+    f = f.copy()
+    f.coeffs[:, phi_q(f.grid.kmag, q) != 0] = 0.0
+    return f
+
+
+@pytest.mark.parametrize("n, dims", [(3, 32), (2, 64)])
+def test_commutator_sweep_transport_where_low_pass_or_shell_is_special(n, dims):
+    # u has a mean, so low_pass(u, -1) is nonzero at q = 1 but has a zero
+    # gradient; v has one empty shell at a time
+    g = Grid(n, dims)
+    band = resolved_band(g)
+    u = _with_mean(random_band_field(g, 311, band), [0.3, -0.7, 0.2])
+    v, h = random_band_field(g, 312, band), random_band_field(g, 313, band)
+    qs = range(0, max_shell(g) + 1)
+    defined = set()
+    for empty in qs:
+        v_e = _with_empty_shell(v, empty)
+        assert lp_norm(project_shell(v_e, empty), 2) == 0.0
+        ratios = commutator_ratios(u, v_e, h, qs)
+        for q in qs:
+            try:
+                expected = transport_bound_ratio(u, v_e, q, q)
+            except ValueError:
+                assert ratios[q]["transport"] is None
+            else:
+                assert ratios[q]["transport"] == expected
+                defined.add(q)
+            assert ratios[q]["cross_curl"] == cross_curl_bound_ratio(u, v_e, q)
+            assert ratios[q]["curl_cross"] == curl_cross_bound_ratio(u, v_e, q)
+            assert ratios[q]["trilinear"] == trilinear_bound_ratio(u, v_e, h, q)
+        # the low-pass piece at q = 1 is the mean, and the empty shell has no norm
+        assert ratios[1]["transport"] is None and ratios[empty]["transport"] is None
+    assert defined
+
+
+def test_commutator_sweep_forms_all_curl_type_products_at_once(grid, uv, monkeypatch):
+    u, v = uv
+    h = random_band_field(grid, 104, resolved_band(grid))
+    products, inverse = [], []
+    product, batch = paraproduct.dealiased_product, spectral.irfftn_batch
+
+    def counted_product(g, spec, *args):
+        products.append(len(spec))
+        return product(g, spec, *args)
+
+    def counted_batch(arr, n, shape):
+        inverse.append(arr.shape)
+        return batch(arr, n, shape)
+
+    monkeypatch.setattr(paraproduct, "dealiased_product", counted_product)
+    monkeypatch.setattr(paraproduct, "irfftn_batch", counted_batch)
+    monkeypatch.setattr(spectral, "irfftn_batch", counted_batch)
+    qs = range(0, max_shell(grid) + 1)
+    ratios = commutator_ratios(u, v, h, qs)
+    defined = [q for q in qs if ratios[q]["transport"] is not None]
+    assert defined == [2]
+    # one curl-type product of u, curl u and (curl G, G) for G = v and every
+    # Delta_q v; one transport product of u_low, grad v_p, grad Delta_q v_p
+    # per defined shell
+    assert products == [3 * (4 + 2 * len(qs))] + [3 + 9 + 9] * len(defined)
+    # every inverse batch takes dealias cubes: no half-spectrum support scan
+    assert all(shape[1:] == grid.cube_shape for shape in inverse)
+    # sup norms of grad u (9) and its Hessian (27), the curl-type inputs (30),
+    # and per defined shell grad u_low (9) and the transport inputs (21)
+    assert sum(shape[0] for shape in inverse) == 9 + 27 + 30 + 30 * len(defined) == 96
+
+
+@pytest.mark.parametrize("n, dims", [(3, 32), (2, 64), (3, 16)])
+@pytest.mark.parametrize("name", ["u", "v", "h"])
+def test_commutator_ratios_rejects_fields_it_cannot_check(n, dims, name):
+    g = Grid(n, dims)
+    band = resolved_band(g)
+    clean = {key: random_band_field(g, seed, band) for key, seed in zip("uvh", (305, 306, 307))}
+    qs = range(0, max_shell(g) + 1)
+    kc = dealias_cutoff(dims)
+    inside, outside = (1, 1) + (0,) * (n - 1), (0, kc + 1) + (0,) * (n - 1)
+    faults = [
+        (inside, np.inf, "non-finite coefficient"),
+        (inside, np.nan, "non-finite coefficient"),
+        (outside, 1e-3, f"nonzero coefficient outside the dealias cube \\|k_i\\| <= {kc}"),
+    ]
+    for index, value, message in faults:
+        fields = {key: f.copy() for key, f in clean.items()}
+        fields[name].coeffs[index] = value
+        with pytest.raises(ValueError, match=f"^{name} has a {message}$"):
+            commutator_ratios(fields["u"], fields["v"], fields["h"], qs)
+    # an out-of-cube -0.0 is a zero: accepted, with the clean ratios
+    fields = {key: f.copy() for key, f in clean.items()}
+    fields[name].coeffs[outside] = -0.0
+    assert commutator_ratios(fields["u"], fields["v"], fields["h"], qs) == commutator_ratios(
+        clean["u"], clean["v"], clean["h"], qs
+    )
 
 
 def test_bony_split_classes_nontrivial(grid, uv):

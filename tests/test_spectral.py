@@ -270,6 +270,19 @@ def test_lp_norm_of_samples_whose_squares_overflow(grid, p):
         assert lp_norm(2.0**600 * f, p) == 2.0**600 * lp_norm(f, p)
 
 
+@pytest.mark.parametrize("p", [1, np.inf])
+def test_sampled_norm_is_lp_norms_quadrature(grid, p):
+    f = random_band_field(grid, 45, 4.0)
+    phys = to_physical(f)
+    assert spectral._sampled_norm(grid, phys, sup=p == np.inf) == lp_norm(f, p)
+    # samples of about 1e200: the squares overflow, the norm does not
+    big = 1e200 * phys / np.abs(phys).max()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        norm = spectral._sampled_norm(grid, big, sup=p == np.inf)
+    assert np.isfinite(norm) and norm > 1e200
+
+
 def test_2d_carries_three_components(grid2d):
     x, y = grid2d.coordinates()
     v = to_spectral(grid2d, np.stack([np.sin(y), np.cos(x), np.sin(x)]))
