@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .spectral import Grid, SpectralField, leray_project
+from .spectral import Grid, SpectralField
 
 
 def _hermitian_symmetrize(coeffs: np.ndarray, n: int) -> np.ndarray:
@@ -30,11 +30,12 @@ def random_band_field(grid: Grid, seed: int, band: float) -> SpectralField:
     """Divergence-free random 3-component field with spectral support in
     0 < |k| <= band.
 
-    Only the half-spectrum box |k_i| <= band can be nonzero, so the mask and
-    the Hermitian symmetrization run there alone: each mode k of the box and
-    its conjugate partner -k are read from the full-lattice draw, and the
-    arithmetic is that of _hermitian_symmetrize, so the field is np.array_equal
-    to the full-lattice construction.
+    Only the half-spectrum box |k_i| <= band can be nonzero, so the mask, the
+    Hermitian symmetrization and the Leray projection run there alone: each
+    mode k of the box and its conjugate partner -k are read from the
+    full-lattice draw, the arithmetic is that of _hermitian_symmetrize and
+    then of leray_project, and the field is np.array_equal to the
+    full-lattice construction.
     """
     rng = np.random.default_rng(seed)
     shape = (3,) + grid.shape
@@ -47,6 +48,9 @@ def random_band_field(grid: Grid, seed: int, band: float) -> SpectralField:
     partner = (slice(None),) + np.ix_(*[(-r) % grid.dims for r in rows])
     kmag = np.sqrt(sum(np.ix_(*[freq[r] ** 2 for r in rows])))
     mask = (kmag > 0) & (kmag <= band)
+    v = 0.5 * ((re[box] + 1j * im[box]) * mask + np.conj((re[partner] + 1j * im[partner]) * mask))
+    k, inv_ksq = grid.k[box], grid.inv_ksq[box[1:]]
+    kdotv = k[0] * v[0] + k[1] * v[1] + k[2] * v[2]
     coeffs = np.zeros((3,) + grid.half_shape, dtype=complex)
-    coeffs[box] = 0.5 * ((re[box] + 1j * im[box]) * mask + np.conj((re[partner] + 1j * im[partner]) * mask))
-    return leray_project(SpectralField(grid, coeffs))
+    coeffs[box] = v - k * (kdotv * inv_ksq)
+    return SpectralField(grid, coeffs)

@@ -17,22 +17,26 @@ Hermitian k_last = 0 plane, on entry (_check_state).
 
 Time stepping is integrating-factor RK4: diffusion is propagated exactly by
 exp(-nu |k|^2 dt) / exp(-mu |k|^2 dt) and the (dealiased) quadratic terms are
-treated explicitly.  State, compute_rhs, step and run all hold the real-FFT
-half spectrum of spectral.SpectralField, but under the 2/3 rule every state
-and every right-hand side is zero outside the dealias cube, so all the
-spectral work runs on compact copies of that cube (spectral.gather_cube): the
-curls, the Leray form, the four stages and the combine, each on one (u, b)
-stack of shape (2, 3, *cube) with nu and mu as one (2, 1, ...) diffusivity.
-The FFT input is a cube too: the transform pair, its normalization and the
-dealiasing are dealiased_product's, which takes the cubes of (u, w, b, j),
-transforms them field by field on the lines the cube reaches, and returns
-the cube of the products.  step and compute_rhs read only the cube of their
-input, and their output is exactly zero outside it.  The stages write into
-the buffers of one _Workspace, which each run allocates and drops at its
-end (a lone step or compute_rhs builds its own), through out=, in-place
-ufuncs, spectral.cross_into and spectral.curl_into, the one curl, in the
-order of the plain expressions.  Modes, each decided in integrated_params
-and the last entry invariant of _check_state:
+treated explicitly.  State, compute_rhs, step and the states run yields all
+hold the real-FFT half spectrum of spectral.SpectralField, but under the 2/3
+rule every state and every right-hand side is zero outside the dealias cube,
+so all the spectral work runs on compact copies of that cube
+(spectral.gather_cube): the curls, the Leray form, the four stages and the
+combine, each on one (u, b) stack of shape (2, 3, *cube) with nu and mu as
+one (2, 1, ...) diffusivity.  The FFT input is a cube too: the transform
+pair, its normalization and the dealiasing are dealiased_product's, which
+takes the cubes of (u, w, b, j), transforms them field by field on the lines
+the cube reaches, and returns the cube of the products.  step and compute_rhs
+read only the cube of their input, and their output is exactly zero outside
+it.  The stages write into the buffers of one _Workspace, through out=,
+in-place ufuncs, spectral.cross_into and spectral.curl_into, the one curl, in
+the order of the plain expressions; _advance is the one step body.  A run
+allocates its workspace once, loads the initial cube into it and steps that
+cube in place to its last step: it expands a half-spectrum State only to
+yield one or at a guard step, whose projected b goes back into the cube.  A
+lone step loads, advances and expands; a lone compute_rhs builds its own
+workspace too.  Modes, each decided in integrated_params and the last entry
+invariant of _check_state:
 
   full      - the complete system,
   mhd       - the complete system with eta = 0,
@@ -209,25 +213,30 @@ class _Workspace:
 
     All spectral work runs on compact copies of the 2/3 dealias cube
     (spectral.gather_cube), about 30 % of the half spectrum in 3D: k, ksq
-    and inv_ksq, gathered once; x0, a step's input; stage, the stage input;
+    and inv_ksq, gathered once; x0, a step's input and, after _advance, its
+    result (a run keeps its state there from load to its last step); stage,
+    the stage input, which _advance swaps with x0 at the end of a step;
     slopes, three slope slots (the fourth slope reuses the third); finite,
     the finiteness check.  x0, stage and each slope have shape (2, 3, *cube),
     one vector field per leading index: u and b.  spec, shape (4, 3, *cube),
-    is the FFT input (u, w, b, j), the curls formed in place, and later
-    scratch for the Leray form; hats holds the cubes of the dealiased
-    products.  The only physical buffer is block, 4 components of one block
-    of _block_planes(grid) x-planes: the products are formed block by block
-    in the transform's own output (see _nonlinear), so no whole-grid product
-    buffer exists.  Pages are touched only when written, so compute_rhs pays
-    nothing for the stepping buffers.
+    is the FFT input (u, w, b, j), the curls formed in place; hats, the cubes
+    of the dealiased products, is a view of its (b, j) slots, which the
+    forward transform writes only after the inverse batch has read them; the
+    spent (u, w) slots are scratch for the Leray form.  The only physical
+    buffer is block, 4 components of one block of _block_planes(grid)
+    x-planes: the products are formed block by block in the transform's own
+    output (see _nonlinear), so no whole-grid product buffer exists.  Pages
+    are touched only when written, so compute_rhs pays nothing for the
+    stepping buffers.
     """
 
     def __init__(self, grid: Grid):
+        self.grid = grid
         cube = grid.cube_shape
         self.k, self.ksq, self.inv_ksq = (_on_cube(grid, a) for a in (grid.k, grid.ksq, grid.inv_ksq))
         self.spec = np.empty((4, 3, *cube), dtype=complex)
         self.block = np.empty((4, _block_planes(grid), *grid.shape[1:]))
-        self.hats = np.empty((6, *cube), dtype=complex)
+        self.hats = self.spec[2:].reshape((6, *cube))
         self.x0 = np.empty((2, 3, *cube), dtype=complex)
         self.stage = np.empty((2, 3, *cube), dtype=complex)
         self.slopes = np.empty((3, 2, 3, *cube), dtype=complex)
@@ -238,6 +247,11 @@ class _Workspace:
         gather_cube(state.u.coeffs, self.x0[0])
         gather_cube(state.b.coeffs, self.x0[1])
         return self.x0
+
+    def state(self, t: float) -> State:
+        """The State at time t whose dealias cube is x0, in new half spectra."""
+        g = self.grid
+        return State(_expanded(g, self.x0[0]), _expanded(g, self.x0[1]), t)
 
 
 def _diffusivity(p: PhysicalParams, n: int) -> np.ndarray:
@@ -261,14 +275,7 @@ def _blocks(phys: np.ndarray, scratch: np.ndarray):
         yield (*np.split(block, len(block) // 3), scratch[:, : block.shape[1]])
 
 
-def _nonlinear(
-    x: np.ndarray,
-    grid: Grid,
-    params: PhysicalParams,
-    mode: str,
-    work: _Workspace,
-    out: np.ndarray,
-) -> None:
+def _nonlinear(x: np.ndarray, params: PhysicalParams, mode: str, work: _Workspace, out: np.ndarray) -> None:
     """Nonlinear right-hand sides (no diffusion) on the compact dealias cube:
     x = (u, b) and out = (du, db) have shape (2, 3, *cube_shape); params are
     those the mode integrates (integrated_params).
@@ -282,11 +289,12 @@ def _nonlinear(
     inputs stay in cache, in place in the physical batch: P2 = (u - eta j) x b
     into the u slots and P1 = j x b + u x w into the w slots, each after the
     block has read them, with u x w in work.block (j x b in hall_only, then
-    copied into the b slots).  The hats of (P2, P1) land in work.hats.
+    copied into the b slots).  The hats of (P2, P1) land in work.hats, the
+    spent (b, j) slots of work.spec.
     """
-    k, eta = work.k, params.eta
+    grid, k, eta = work.grid, work.k, params.eta
     spec, hats = work.spec, work.hats
-    (u, b), (du, db), (_, w, _, j) = x, out, spec
+    (u, b), (du, db), (spent, w, _, j) = x, out, spec
     fields = spec.reshape((12, *spec.shape[2:]))
     # du[0] is scratch until the results are written
     curl_into(j, k, b, du[0])
@@ -321,11 +329,12 @@ def _nonlinear(
     p2, p1 = np.split(dealiased_product(grid, fields, products, hats), 2)
     # Leray projection as k x (w x k) / |k|^2: gradients along a lattice axis
     # cancel exactly, and so does the k = 0 mode, which vanishes analytically;
-    # the transforms are done, so w and j are scratch
-    cross_into(w, p1, k, j[0])
-    cross_into(du, k, w, j[0])
+    # the transforms are done, so the u and w slots are scratch (the b and j
+    # slots hold p2 and p1)
+    cross_into(w, p1, k, spent[0])
+    cross_into(du, k, w, spent[0])
     du *= work.inv_ksq
-    curl_into(db, k, p2, j[0])
+    curl_into(db, k, p2, spent[0])
 
 
 def compute_rhs(state: State, params: PhysicalParams, mode: str = "full"):
@@ -342,7 +351,7 @@ def compute_rhs(state: State, params: PhysicalParams, mode: str = "full"):
     work = _Workspace(g)
     x = work.load(state)
     nl = work.slopes[0]
-    _nonlinear(x, g, params, mode, work, nl)
+    _nonlinear(x, params, mode, work, nl)
     nl -= _diffusivity(params, g.n) * work.ksq * x
     return _expanded(g, nl[0]), _expanded(g, nl[1])
 
@@ -356,27 +365,18 @@ def _ifrk4_factors(n: int, ksq: np.ndarray, dt: float, p: PhysicalParams):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def step(state: State, config: SolverConfig, work: _Workspace | None = None) -> State:
-    """One integrating-factor RK4 step; diffusion propagated exactly.
-
-    Only the 2/3 dealias cube of the state is read, and the new state is
-    exactly zero outside it.  All four stages and the combine run in place on
-    the compact (u, b) stacks of work (a fresh workspace if none is given);
-    the result shares no memory with work.  A step that overflows raises
-    BlowUpError, with no NumPy warning.  The entry invariants are run's and
-    compute_rhs's to check.
+def _advance(work: _Workspace, p: PhysicalParams, mode: str, factors: tuple, dt: float, t: float) -> None:
+    """One integrating-factor RK4 step of the (u, b) cube in work.x0, at time
+    t, in place: all four stages and the combine run on the stacks of work,
+    and the new state ends in work.x0 as x0 and stage swap, with no copy.
+    p are the params the mode integrates and factors _ifrk4_factors' for dt.
+    A step that overflows raises BlowUpError at t + dt, with no NumPy warning.
     """
-    g = state.grid
-    p = integrated_params(config.params, config.mode)
-    dt = config.dt
-    if work is None:
-        work = _Workspace(g)
-    x0 = work.load(state)
-    e_h, e, dt_e_h, two_e_h = _ifrk4_factors(g.n, work.ksq, dt, p)
-    y, (s1, s2, s3) = work.stage, work.slopes
+    e_h, e, dt_e_h, two_e_h = factors
+    x0, y, (s1, s2, s3) = work.x0, work.stage, work.slopes
 
     def rhs(x, out):
-        _nonlinear(x, g, p, config.mode, work, out)
+        _nonlinear(x, p, mode, work, out)
 
     # y <- e_h (x0 + dt/2 k1)
     rhs(x0, s1)
@@ -404,10 +404,27 @@ def step(state: State, config: SolverConfig, work: _Workspace | None = None) -> 
     np.multiply(e, x0, out=y)
     y += s1
 
-    t1 = state.t + dt
     if not np.isfinite(y, out=work.finite).all():
-        raise BlowUpError(f"numerical blow-up at t={t1}")
-    return State(_expanded(g, y[0]), _expanded(g, y[1]), t1)
+        raise BlowUpError(f"numerical blow-up at t={t + dt}")
+    work.x0, work.stage = y, x0
+
+
+def step(state: State, config: SolverConfig, work: _Workspace | None = None) -> State:
+    """One integrating-factor RK4 step; diffusion propagated exactly.
+
+    Only the 2/3 dealias cube of the state is read, and the new state is
+    exactly zero outside it.  The state's cube is loaded into work (a fresh
+    workspace if none is given) and advanced there by _advance, run's own
+    step; the result shares no memory with work.  A step that overflows
+    raises BlowUpError, with no NumPy warning.  The entry invariants are
+    run's and compute_rhs's to check.
+    """
+    g, p, dt = state.grid, integrated_params(config.params, config.mode), config.dt
+    if work is None:
+        work = _Workspace(g)
+    work.load(state)
+    _advance(work, p, config.mode, _ifrk4_factors(g.n, work.ksq, dt, p), dt, state.t)
+    return work.state(state.t + dt)
 
 
 def cfl_advisory_dt(state: State, params: PhysicalParams) -> float:
@@ -466,46 +483,58 @@ def trajectory(initial: State, config: SolverConfig, log: RunLog):
             + dyadic_sobolev_norm(state.b, sob.r) ** 2
         )
 
+    p, dt = integrated_params(config.params, config.mode), config.dt
     psi0 = psi_of(initial)
-    n_steps = int(round(config.tmax / config.dt))
-    if not whole_steps(config.tmax, config.dt):
+    n_steps = int(round(config.tmax / dt))
+    if not whole_steps(config.tmax, dt):
         warnings.warn(
-            f"tmax={config.tmax!r} is not a whole number of dt={config.dt!r} steps; "
-            f"the run ends at t={initial.t + n_steps * config.dt!r}",
+            f"tmax={config.tmax!r} is not a whole number of dt={dt!r} steps; "
+            f"the run ends at t={initial.t + n_steps * dt!r}",
             RuntimeWarning,
         )
-    if cfl_advisory_dt(initial, integrated_params(config.params, config.mode)) < config.dt:
-        warnings.warn(f"dt={config.dt} exceeds the advisory CFL bound", RuntimeWarning)
+    if cfl_advisory_dt(initial, p) < dt:
+        warnings.warn(f"dt={dt} exceeds the advisory CFL bound", RuntimeWarning)
 
-    state = initial
-    log.times.append(state.t)
+    log.times.append(initial.t)
     log.psi.append(psi0)
-    yield 0, state
+    yield 0, initial
 
+    # the run's (u, b) stays on the dealias cube in work.x0 from here to its
+    # last step; a State is expanded from it only where the guard or a yield
+    # needs one
     work = _Workspace(initial.grid)
+    work.load(initial)
+    factors = _ifrk4_factors(initial.grid.n, work.ksq, dt, p)
+    t = initial.t
     for i in range(1, n_steps + 1):
-        state = step(state, config, work)
+        _advance(work, p, config.mode, factors, dt, t)
         # stamp t from the step count: adding dt once per step drifts by an ulp a step
-        state.t = initial.t + i * config.dt
-        if i % GUARD_EVERY == 0:
+        t = initial.t + i * dt
+        guard = i % GUARD_EVERY == 0
+        at_snapshot = (i % config.snapshot_every == 0) or (i == n_steps)
+        if not (at_snapshot or guard):
+            continue
+        state = work.state(t)
+        if guard:
             # The b-equation needs no projection analytically; project anyway
-            # and log the removed magnitude to distinguish scheme drift.
+            # and log the removed magnitude to distinguish scheme drift.  The
+            # next step starts from the projected b.
             with np.errstate(over="ignore", invalid="ignore"):
                 projected = leray_project(state.b)
-                log.projection_drift.append((state.t, lp_norm(state.b - projected, 2)))
-            state = State(state.u, projected, state.t)
-        at_snapshot = (i % config.snapshot_every == 0) or (i == n_steps)
-        if not (at_snapshot or i % GUARD_EVERY == 0):
-            continue
+                log.projection_drift.append((t, lp_norm(state.b - projected, 2)))
+            state = State(state.u, projected, t)
+            gather_cube(projected.coeffs, work.x0[1])
         psi = psi_of(state)
         tripped = psi0 > 0 and psi > BLOWUP_FACTOR * psi0
         if tripped:
             log.halted = True
-            log.halt_reason = f"blow-up guard tripped at t={state.t}"
+            log.halt_reason = f"blow-up guard tripped at t={t}"
         if at_snapshot or tripped:
-            log.times.append(state.t)
+            log.times.append(t)
             log.psi.append(psi)
             yield i, state
+        # hold no half-spectrum state while the next steps run
+        del state
         if tripped:
             break
 

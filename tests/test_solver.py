@@ -1,6 +1,7 @@
 """Solver: right-hand side against an independent np.fft oracle, integrator
 order, exact solutions, guards, and run bookkeeping."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -355,26 +356,154 @@ def test_workspace_holds_no_whole_grid_buffer():
     assert physical == {"block": (4, solver._block_planes(g), 64, 64)}
 
 
-def test_run_bit_identical_and_sink_states_not_overwritten(monkeypatch):
+def _psi(state, sob):
+    # the blow-up guard's psi, as trajectory evaluates it
+    with np.errstate(over="ignore", invalid="ignore"):
+        return dyadic_sobolev_norm(state.u, sob.s) ** 2 + dyadic_sobolev_norm(state.b, sob.r) ** 2
+
+
+def test_run_bit_identical_and_sink_states_not_overwritten():
     # 101 steps cross the safety projection of b at step 100; the sink keeps
-    # the State objects it is handed, so a reused buffer would show here
+    # the State objects it is handed, so a reused buffer would show here.  The
+    # reference is the expression-form step with the run's bookkeeping: t
+    # stamped from the step count, b projected at step 100, states kept at
+    # the snapshots and the last step
     st, _ = _oracle_case((3, 16, "random_band"), "full")
     g = st.grid
     cfg = SolverConfig(PhysicalParams(0.05, 0.07, 0.3), SOB, 1e-3, 0.101, snapshot_every=3)
-    expected = []
-    with monkeypatch.context() as m:
-        m.setattr(solver, "step", _ref_step)
-        run(st, cfg, sinks=[lambda i, s: expected.append((i, s.copy()))])
+    expected, ref = [(0, st)], st
+    for i in range(1, 102):
+        ref = _ref_step(ref, cfg)
+        ref.t = st.t + i * cfg.dt
+        if i == 100:
+            ref = State(ref.u, spectral.leray_project(ref.b), ref.t)
+        if i % 3 == 0 or i == 101:
+            expected.append((i, ref))
+    expected_psi = [_psi(s, SOB) for _, s in expected]
     keys_before = set(g._cache)
     kept = []
-    final, _ = run(st, cfg, sinks=[lambda i, s: kept.append((i, s))])
+    final, log = run(st, cfg, sinks=[lambda i, s: kept.append((i, s))])
     assert [i for i, _ in kept] == [i for i, _ in expected] == [*range(0, 101, 3), 101]
     for (_, got), (_, ref) in zip(kept, expected):
         assert np.array_equal(got.u.coeffs, ref.u.coeffs)
         assert np.array_equal(got.b.coeffs, ref.b.coeffs)
         assert got.t == ref.t
+    assert log.times == [s.t for _, s in expected] and log.psi == expected_psi
     assert kept[-1][1] is final
     assert set(g._cache) <= keys_before
+
+
+def _run_by_steps(initial, cfg):
+    """run's yields and log from a loop of public step calls, with the run's
+    bookkeeping: t stamped from the step count, b projected every
+    GUARD_EVERY steps, psi checked against the guard at the snapshots and
+    the guard steps."""
+    log = solver.RunLog(times=[initial.t], psi=[_psi(initial, cfg.sobolev)])
+    kept, state = [(0, initial)], initial
+    n_steps = int(round(cfg.tmax / cfg.dt))
+    for i in range(1, n_steps + 1):
+        state = step(state, cfg)
+        state.t = initial.t + i * cfg.dt
+        guard = i % solver.GUARD_EVERY == 0
+        if guard:
+            with np.errstate(over="ignore", invalid="ignore"):
+                projected = spectral.leray_project(state.b)
+                log.projection_drift.append((state.t, lp_norm(state.b - projected, 2)))
+            state = State(state.u, projected, state.t)
+        at_snapshot = i % cfg.snapshot_every == 0 or i == n_steps
+        if not (at_snapshot or guard):
+            continue
+        psi = _psi(state, cfg.sobolev)
+        tripped = log.psi[0] > 0 and psi > solver.BLOWUP_FACTOR * log.psi[0]
+        if tripped:
+            log.halted, log.halt_reason = True, f"blow-up guard tripped at t={state.t}"
+        if at_snapshot or tripped:
+            log.times.append(state.t)
+            log.psi.append(psi)
+            kept.append((i, state))
+        if tripped:
+            break
+    return kept, log
+
+
+def _assert_same_states(kept, expected):
+    assert [i for i, _ in kept] == [i for i, _ in expected]
+    for (_, got), (_, ref) in zip(kept, expected):
+        assert got.u.coeffs.tobytes() == ref.u.coeffs.tobytes()
+        assert got.b.coeffs.tobytes() == ref.b.coeffs.tobytes()
+        assert got.t == ref.t
+
+
+@pytest.mark.parametrize("mode", ["full", "mhd", "hall_only"])
+@pytest.mark.parametrize("case", [(3, 16, "random_band"), (2, 32, "random_band")], ids=["3d16", "2d32"])
+def test_run_equals_a_loop_of_steps(case, mode):
+    # 205 steps cross two safety projections of b, at steps 100 and 200
+    st, cfg = _oracle_case(case, mode)
+    cfg = SolverConfig(cfg.params, SOB, 1e-3, 0.205, mode=mode, snapshot_every=7)
+    expected, expected_log = _run_by_steps(st, cfg)
+    kept = []
+    _, log = run(st, cfg, sinks=[lambda i, s: kept.append((i, s))])
+    assert [i for i, _ in kept] == [*range(0, 204, 7), 205]
+    _assert_same_states(kept, expected)
+    assert len(log.projection_drift) == 2
+    assert log == expected_log  # times, psi, projection_drift, halted, halt_reason
+
+
+@pytest.mark.parametrize("snapshot_every", [7, 10**9])
+def test_halted_run_equals_a_loop_of_steps(monkeypatch, snapshot_every):
+    # the guard trips at the first snapshot or, with no snapshot before the
+    # end, at the first guard step, after the projection of b
+    monkeypatch.setattr(solver, "BLOWUP_FACTOR", 1e-12)
+    st, cfg = _oracle_case((3, 16, "random_band"), "full")
+    cfg = SolverConfig(cfg.params, SOB, 1e-3, 0.205, snapshot_every=snapshot_every)
+    expected, expected_log = _run_by_steps(st, cfg)
+    kept = []
+    _, log = run(st, cfg, sinks=[lambda i, s: kept.append((i, s))])
+    assert [i for i, _ in kept] == [0, min(snapshot_every, 100)]
+    _assert_same_states(kept, expected)
+    assert log.halted and log == expected_log
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [((3, 16), "numerical blow-up at t=1.1059999999999999"), ((2, 32), "numerical blow-up at t=1.1039999999999999")],
+)
+def test_run_blows_up_as_a_loop_of_steps(case, message):
+    # the error names the last stamped t plus dt, here not t0 + i dt (1.106, 1.104)
+    st = make_initial("random_band", Grid(*case), 72, (1e4, 1e4), SOB)
+    st = State(st.u, st.b, 1.1)
+    cfg = SolverConfig(PhysicalParams(0.05, 0.07, 0.3), SOB, 1e-3, 0.05, snapshot_every=7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # dt is far above the advisory CFL bound
+        with pytest.raises(BlowUpError) as by_steps:
+            _run_by_steps(st, cfg)
+        with pytest.raises(BlowUpError) as by_run:
+            run(st, cfg)
+    assert str(by_run.value) == str(by_steps.value) == message
+
+
+def test_run_holds_no_half_spectrum_state_while_it_steps():
+    # tracemalloc sees NumPy's data buffers.  The initial state, the grid's
+    # caches and the transforms' plans exist before tracing, and the run
+    # yields nothing between step 0 and its last step, so a step may hold the
+    # workspace, the 12-field physical batch and one field's half spectrum
+    # in the transforms, with a slack of 3 half-spectrum components for the
+    # diffusion factors: half of one state's 6
+    g = Grid(3, 32)
+    st = make_initial("random_band", g, 73, (1.0, 1.0), SOB)
+    cfg = SolverConfig(PhysicalParams(0.05, 0.07, 0.3), SOB, 1e-3, 0.003, snapshot_every=10**9)
+    run(st, cfg)
+    tracemalloc.start()
+    try:
+        run(st, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    arrays = [a for a in vars(solver._Workspace(g)).values() if isinstance(a, np.ndarray)]
+    workspace = sum(a.nbytes for a in arrays if a.base is None)
+    component = np.empty(g.half_shape, dtype=complex).nbytes
+    physical = 12 * np.empty(g.shape).nbytes
+    assert peak < workspace + physical + component + 3 * component
 
 
 @pytest.mark.parametrize("factor", [solver.BLOWUP_FACTOR, 1e-12])

@@ -33,6 +33,7 @@ from hallmhd.spectral import (
     to_spectral,
 )
 from hallmhd import spectral
+from hallmhd.littlewood_paley import resolved_band
 from hallmhd.random_fields import _hermitian_symmetrize, random_band_field
 from hallmhd.solver import _taylor_green_like, divergence_drift
 
@@ -102,6 +103,32 @@ def test_random_band_field_matches_full_lattice_draw(n, dims):
         full = _hermitian_symmetrize(raw * ((kmag > 0) & (kmag <= band)), n)
         ref = leray_project(SpectralField(g, full[..., : dims // 2 + 1]))
         assert np.array_equal(random_band_field(g, seed, band).coeffs, ref.coeffs)
+
+
+def _projected_on_the_whole_spectrum(g, seed, band):
+    # the band-box draw written into a zero half spectrum, then leray_project
+    # over all of it: random_band_field as it was before it projected its box alone
+    rng = np.random.default_rng(seed)
+    re, im = rng.standard_normal((3, *g.shape)), rng.standard_normal((3, *g.shape))
+    freq = np.fft.fftfreq(g.dims, 1.0 / g.dims)
+    rows = [np.flatnonzero(np.abs(freq) <= band)] * (g.n - 1)
+    rows.append(np.flatnonzero(np.arange(g.dims // 2 + 1) <= band))
+    box = (slice(None),) + np.ix_(*rows)
+    partner = (slice(None),) + np.ix_(*[(-r) % g.dims for r in rows])
+    kmag = np.sqrt(sum(np.ix_(*[freq[r] ** 2 for r in rows])))
+    mask = (kmag > 0) & (kmag <= band)
+    coeffs = np.zeros((3,) + g.half_shape, dtype=complex)
+    coeffs[box] = 0.5 * ((re[box] + 1j * im[box]) * mask + np.conj((re[partner] + 1j * im[partner]) * mask))
+    return leray_project(SpectralField(g, coeffs))
+
+
+@pytest.mark.parametrize("n, dims", [(3, 16), (3, 32), (3, 64), (2, 16), (2, 64)])
+def test_random_band_field_projects_its_box_as_the_whole_spectrum(n, dims):
+    # the same bytes, zero signs included
+    g = Grid(n, dims)
+    for seed, band in ((6, resolved_band(g)), (7, 4.5)):
+        ref = _projected_on_the_whole_spectrum(g, seed, band)
+        assert random_band_field(g, seed, band).coeffs.tobytes() == ref.coeffs.tobytes()
 
 
 def test_derivatives_exact_on_trig(grid):
