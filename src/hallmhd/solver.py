@@ -409,19 +409,17 @@ def _advance(work: _Workspace, p: PhysicalParams, mode: str, factors: tuple, dt:
     work.x0, work.stage = y, x0
 
 
-def step(state: State, config: SolverConfig, work: _Workspace | None = None) -> State:
+def step(state: State, config: SolverConfig) -> State:
     """One integrating-factor RK4 step; diffusion propagated exactly.
 
     Only the 2/3 dealias cube of the state is read, and the new state is
-    exactly zero outside it.  The state's cube is loaded into work (a fresh
-    workspace if none is given) and advanced there by _advance, run's own
-    step; the result shares no memory with work.  A step that overflows
-    raises BlowUpError, with no NumPy warning.  The entry invariants are
-    run's and compute_rhs's to check.
+    exactly zero outside it.  The state's cube is loaded into a fresh
+    workspace and advanced there by _advance, the step trajectory takes.  A
+    step that overflows raises BlowUpError, with no NumPy warning.  The entry
+    invariants are run's and compute_rhs's to check.
     """
     g, p, dt = state.grid, integrated_params(config.params, config.mode), config.dt
-    if work is None:
-        work = _Workspace(g)
+    work = _Workspace(g)
     work.load(state)
     _advance(work, p, config.mode, _ifrk4_factors(g.n, work.ksq, dt, p), dt, state.t)
     return work.state(state.t + dt)

@@ -23,12 +23,12 @@ k_last = 0 plane holds k and -k, so a real field has f_-k = conj f_k there;
 _hermitian_defect measures how far a half spectrum is from that.  The batched
 transforms are forward-normalized (scipy's norm="forward": the forward one
 divides by the number of points, the inverse is unscaled), take either
-layout and are bit-identical to scipy's full ones.  Compact cubes go field
-by field with one worker, skipping the lines that are zero outside the cube;
-so do half spectra that are exactly zero outside it, each field on its own
-support box (irfftn_batch).  Other half spectra go through scipy's
-multi-axis transform with HMHD_THREADS workers.  The field-by-field passes
-call scipy's pocketfft binding directly, the one private scipy import.
+layout and are bit-identical to scipy's full ones.  Each direction has one
+body, which goes field by field with one worker and skips the lines that are
+zero outside a box |k_i| <= kb: the inverse takes each field's own support
+box (_support), or the cube's for cubes; the forward takes the cube, or the
+whole half spectrum.  Both call scipy's pocketfft binding directly, the one
+private scipy import.
 
 2D grids carry 3-component fields that depend on (x, y) only ("2.5D"), so
 curl and cross products remain well defined at 2D cost.
@@ -38,44 +38,30 @@ from __future__ import annotations
 
 import functools
 import itertools
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import fft as sfft
 from scipy.fft._pocketfft import pypocketfft as _pocketfft
-
-
-def _workers() -> int:
-    """Worker count for batched FFTs; capped by HMHD_THREADS."""
-    env = os.environ.get("HMHD_THREADS")
-    if not env:
-        return -1
-    try:
-        workers = int(env)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ValueError(f"HMHD_THREADS: must be a positive integer, got {env!r}")
-    return workers
 
 
 def rfftn_batch(arr: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
     """Forward real FFT over the last n axes (half spectrum on the last axis),
-    divided by the number of points: scipy.fft's norm="forward".
+    divided by the number of points: scipy.fft's norm="forward", and
+    np.array_equal to it (see _rfftn_pruned).
 
-    Given out, with the trailing shape of the 2/3 dealias cube of arr's grid,
-    only the cube of each field is formed, one field at a time, and written
-    to out, which is returned: np.array_equal to gather_cube of the full
-    transform (see _rfftn_cube).
+    Without out, the whole half spectrum of each field is returned.  Given
+    out, with the trailing shape of the 2/3 dealias cube of arr's grid, only
+    the cube of each field is formed and written to out, which is returned:
+    np.array_equal to gather_cube of the whole transform.
     """
-    workers = _workers()
+    dims = arr.shape[-1]
     if out is None:
-        return sfft.rfftn(arr, axes=tuple(range(-n, 0)), norm="forward", workers=workers)
-    expected = arr.shape[:-n] + _cube_shape(n, dealias_cutoff(arr.shape[-1]))
-    if out.shape != expected:
-        raise ValueError(f"rfftn_batch: out has shape {out.shape}, expected the dealias cubes {expected}")
-    return _rfftn_cube(arr, n, out)
+        out = np.empty(arr.shape[:-1] + (dims // 2 + 1,), dtype=complex)
+    else:
+        expected = arr.shape[:-n] + _cube_shape(n, dealias_cutoff(dims))
+        if out.shape != expected:
+            raise ValueError(f"rfftn_batch: out has shape {out.shape}, expected the dealias cubes {expected}")
+    return _rfftn_pruned(arr, n, out)
 
 
 def irfftn_batch(arr: np.ndarray, n: int, shape: tuple) -> np.ndarray:
@@ -83,27 +69,19 @@ def irfftn_batch(arr: np.ndarray, n: int, shape: tuple) -> np.ndarray:
     unscaled, the inverse of rfftn_batch: scipy.fft's norm="forward".
 
     arr holds half spectra (trailing shape that of shape's half spectrum) or
-    dealias cubes (that of its 2/3 cube, see gather_cube).  Three routes, all
-    np.array_equal to scipy's full transform (of scatter_cube into zeros, for
-    cubes), the first two field by field with one worker (see _irfftn_pruned):
-      - cubes, on the fixed box of the cube;
-      - half spectra whose every nonzero coefficient lies in the cube: each
-        field on its own support box (_support), a zero field written as zeros;
-      - other half spectra, through scipy's multi-axis transform with
-        HMHD_THREADS workers.
-    Any other shape raises.
+    dealias cubes (that of its 2/3 cube, see gather_cube); any other shape
+    raises.  Each field is transformed on its own box (see _irfftn_pruned):
+    a half spectrum on its support (_support), a zero one written as zeros,
+    and a cube on the cube.  The result is np.array_equal to scipy's full
+    transform (of scatter_cube into zeros, for cubes).
     """
-    workers = _workers()
     shape = tuple(shape)
     dims = shape[-1]
     kc = dealias_cutoff(dims)
     half = shape[:-1] + (dims // 2 + 1,)
     cube = _cube_shape(n, kc)
     if arr.shape[-n:] == half:
-        support = _support(arr, n)
-        if support.max(initial=-1) <= kc:
-            return _irfftn_pruned(arr, n, shape, support)
-        return sfft.irfftn(arr, s=shape, axes=tuple(range(-n, 0)), norm="forward", workers=workers)
+        return _irfftn_pruned(arr, n, shape, _support(arr, n))
     if arr.shape[-n:] == cube:
         return _irfftn_pruned(arr, n, shape, np.full(arr.shape[:-n], kc))
     raise ValueError(
@@ -134,14 +112,14 @@ def _support(arr: np.ndarray, n: int) -> np.ndarray:
     return support.reshape(batch)
 
 
-# The pruned paths run scipy's own passes, in its order, on the lines that are
-# not all zero: its multi-axis inverse transforms the leading axes in order,
-# then the last axis complex-to-real; its forward runs real-to-complex on the
-# last axis, then the leading axes in order.  Each line sees the same 1-D
-# pocketfft transform, and the 1/N applied per forward pass is exact for
-# power-of-two lengths, so both paths are bit-identical to the full ones.  The
-# passes call pocketfft directly with the axes, direction and normalization
-# code scipy.fft passes it for norm="forward", which saves scipy's per-call
+# Each body runs scipy's own passes, in its order, on the lines that are not
+# all zero: its multi-axis inverse transforms the leading axes in order, then
+# the last axis complex-to-real; its forward runs real-to-complex on the last
+# axis, then the leading axes in order.  Each line sees the same 1-D pocketfft
+# transform, and the 1/N applied per forward pass is exact for power-of-two
+# lengths, so both bodies are bit-identical to scipy's transforms.  The passes
+# call pocketfft directly with the axes, direction and normalization code
+# scipy.fft passes it for norm="forward", which saves scipy's per-call
 # dispatch.  Fields go one at a time, so the working set is one field's half
 # spectrum, with one worker.
 _DIVIDE_BY_N, _UNSCALED = 2, 0  # pocketfft's codes for norm="forward"
@@ -179,17 +157,19 @@ def _irfftn_pruned(arr: np.ndarray, n: int, shape: tuple, support: np.ndarray) -
     return out
 
 
-def _rfftn_cube(arr: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:
-    """rfftn of stacked real fields cut to their dealias cubes in out: per
-    field, each leading axis is transformed only on the lines whose earlier
-    leading indices lie in the cube's rows and whose k_last <= kc."""
-    dims, kc = arr.shape[-1], out.shape[-1] - 1
+def _rfftn_pruned(arr: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:
+    """rfftn of stacked real fields into out, whose trailing shape is the box
+    |k_i| <= kb of a half spectrum: the dealias cube, or the whole half
+    spectrum (kb = dims/2).  Per field, each leading axis is transformed only
+    on the lines whose earlier leading indices lie in the box's rows and whose
+    k_last <= kb, and the box is gathered into out."""
+    dims, kb = arr.shape[-1], out.shape[-1] - 1
     half = np.empty(arr.shape[-n:-1] + (dims // 2 + 1,), dtype=complex)
-    low = half[..., : kc + 1]
+    low = half[..., : kb + 1]
     for i in np.ndindex(arr.shape[:-n]):
         _pocketfft.r2c(arr[i], (n - 1,), True, _DIVIDE_BY_N, half, 1)
         for axis in range(n - 1):
-            for rows in itertools.product(_cube_rows(dims, kc), repeat=axis):
+            for rows in itertools.product(_cube_rows(dims, kb), repeat=axis):
                 lines = low[rows]
                 _pocketfft.c2c(lines, (axis,), True, _DIVIDE_BY_N, lines, 1)
         gather_cube(half, out[i])
@@ -207,10 +187,13 @@ def _cube_shape(n: int, kc: int) -> tuple:
     return (2 * kc + 1,) * (n - 1) + (kc + 1,)
 
 
-def _cube_rows(dims: int, kc: int) -> tuple:
-    """The slabs of the cube on a leading axis: k = 0 .. kc and, for kc > 0,
-    -kc .. -1."""
-    return (slice(0, kc + 1), slice(dims - kc, None)) if kc > 0 else (slice(0, 1),)
+def _cube_rows(dims: int, kb: int) -> tuple:
+    """The slabs of the box |k| <= kb on a leading axis: k = 0 .. kb and, for
+    kb > 0, -kb .. -1; the whole axis once if the two meet (2 kb >= dims), so
+    the Nyquist line is not taken twice."""
+    if 2 * kb >= dims:
+        return (slice(None),)
+    return (slice(0, kb + 1), slice(dims - kb, None)) if kb > 0 else (slice(0, 1),)
 
 
 @functools.lru_cache(maxsize=32)

@@ -25,7 +25,7 @@ from hallmhd.snapshots import (
 )
 from hallmhd.solver import BlowUpError
 from hallmhd.spectral import (
-    SpectralField, _workers, dealias, gather_cube, lp_norm, to_physical, to_spectral,
+    SpectralField, dealias, gather_cube, lp_norm, to_physical, to_spectral,
 )
 
 SOB = SobolevParams(1.0, 1.75, 0.25)
@@ -813,24 +813,6 @@ def test_cli_help_exits_zero(capsys):
             main(argv)
         assert exc.value.code == 0
         assert "usage: hmhd" in capsys.readouterr().out
-
-
-@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
-def test_cli_rejects_bad_thread_count(tmp_path, capsys, monkeypatch, value):
-    monkeypatch.setenv("HMHD_THREADS", value)
-    conf = tmp_path / "v.conf"
-    conf.write_text("grid.dims = 16\nsweep.size = 1\n")
-    rc = main(["verify", "--config", str(conf)])
-    err = capsys.readouterr().err
-    assert rc == 2
-    assert err == f"error: HMHD_THREADS: must be a positive integer, got '{value}'\n"
-
-
-def test_workers_env(monkeypatch):
-    monkeypatch.setenv("HMHD_THREADS", "2")
-    assert _workers() == 2
-    monkeypatch.delenv("HMHD_THREADS")
-    assert _workers() == -1
 
 
 def test_write_diagnostics_empty_dir(tmp_path):

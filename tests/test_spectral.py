@@ -429,8 +429,9 @@ def test_cube_transforms_bit_identical_to_full(n, dims, p, norm):
     vals = rng.standard_normal((p, *g.shape))
     out = np.empty((p, *g.cube_shape), dtype=complex)
     assert rfftn_batch(vals, n, out) is out
-    ref = gather_cube(_ref_rfftn(vals, g, norm), np.empty_like(out))
-    assert np.array_equal(out, ref)
+    whole = _ref_rfftn(vals, g, norm)
+    assert np.array_equal(out, gather_cube(whole, np.empty_like(out)))
+    assert np.array_equal(rfftn_batch(vals, n), whole)
 
 
 def _box_field(g, rng, kb):
@@ -464,13 +465,21 @@ def test_irfftn_batch_bit_identical_on_measured_supports(n, dims, norm, monkeypa
     spaced = np.zeros((2 * len(inside), *g.half_shape), dtype=complex)
     spaced[::2] = inside
     assert np.array_equal(irfftn_batch(spaced[::2], n, g.shape), _ref_irfftn(inside, g, norm))
-    # one mode just outside the cube, on a leading axis or on k_last, sends the batch to the full path
+    # one mode just outside the cube, on a leading axis or on k_last, widens
+    # that field's box; the batch still takes the one body
     for mode in ((kc + 1,) + (0,) * (n - 1), (0,) * (n - 1) + (kc + 1,)):
         wide = inside.copy()
         wide[(2, *mode)] = 1e-300
         pruned.clear()
         assert np.array_equal(irfftn_batch(wide, n, g.shape), _ref_irfftn(wide, g, norm))
-        assert pruned == []
+        assert pruned == [wide.shape]
+    # a field that fills the whole half spectrum, Nyquist planes included
+    filled = inside.copy()
+    filled[1] = _box_field(g, rng, dims // 2)
+    assert (filled[1] != 0).all()
+    pruned.clear()
+    assert np.array_equal(irfftn_batch(filled, n, g.shape), _ref_irfftn(filled, g, norm))
+    assert pruned == [filled.shape]
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -490,14 +499,8 @@ def test_dealiased_product_same_for_cube_and_half_spectrum(n):
     assert np.array_equal(from_cube, gather_cube(cross(u, v).coeffs, np.empty_like(from_cube)))
 
 
-def test_batched_transforms_reject_other_shapes(grid, monkeypatch):
+def test_batched_transforms_reject_other_shapes(grid):
     with pytest.raises(ValueError, match=r"neither the half spectrum \(16, 16, 9\) nor the dealias cube \(11, 11, 6\)"):
         irfftn_batch(np.zeros((2, 11, 11, 9), dtype=complex), 3, grid.shape)
     with pytest.raises(ValueError, match="expected the dealias cubes"):
         rfftn_batch(np.zeros((2, *grid.shape)), 3, np.empty((1, *grid.cube_shape), dtype=complex))
-    # the cube paths read HMHD_THREADS too, so a bad value fails the same way
-    monkeypatch.setenv("HMHD_THREADS", "0")
-    with pytest.raises(ValueError, match="HMHD_THREADS"):
-        irfftn_batch(np.zeros((1, *grid.cube_shape), dtype=complex), 3, grid.shape)
-    with pytest.raises(ValueError, match="HMHD_THREADS"):
-        rfftn_batch(np.zeros((1, *grid.shape)), 3, np.empty((1, *grid.cube_shape), dtype=complex))
