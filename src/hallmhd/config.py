@@ -174,5 +174,15 @@ def parse_config(text: str) -> RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # name the bad byte by its 1-based line and byte column
+        start = data.rfind(b"\n", 0, exc.start) + 1
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(
+            f"config {path} line {line}: not UTF-8 (byte 0x{data[exc.start]:02x} at column {exc.start - start + 1})"
+        ) from None
+    return parse_config(text)

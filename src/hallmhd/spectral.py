@@ -24,11 +24,14 @@ _hermitian_defect measures how far a half spectrum is from that.  The batched
 transforms are forward-normalized (scipy's norm="forward": the forward one
 divides by the number of points, the inverse is unscaled), take either
 layout and are bit-identical to scipy's full ones.  Each direction has one
-body, which goes field by field with one worker and skips the lines that are
-zero outside a box |k_i| <= kb: the inverse takes each field's own support
-box (_support), or the cube's for cubes; the forward takes the cube, or the
-whole half spectrum.  Both call scipy's pocketfft binding directly, the one
-private scipy import.
+body, which goes field by field and skips the lines that are zero outside a
+box |k_i| <= kb: the inverse takes each field's own support box (_support),
+or the cube's for cubes; the forward takes the cube, or the whole half
+spectrum.  Both call scipy's pocketfft binding directly, the one private
+scipy import, with one pocketfft thread per call.  On 3D grids from 64^3 up
+a batch's fields are split into lanes, one per core this process may use
+(_run_lanes); everywhere else, and in a process bound to one core, one lane
+runs the plain loop and no thread is started.
 
 2D grids carry 3-component fields that depend on (x, y) only ("2.5D"), so
 curl and cross products remain well defined at 2D cost.
@@ -38,6 +41,9 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -120,9 +126,60 @@ def _support(arr: np.ndarray, n: int) -> np.ndarray:
 # lengths, so both bodies are bit-identical to scipy's transforms.  The passes
 # call pocketfft directly with the axes, direction and normalization code
 # scipy.fft passes it for norm="forward", which saves scipy's per-call
-# dispatch.  Fields go one at a time, so the working set is one field's half
-# spectrum, with one worker.
+# dispatch, and with one pocketfft thread.  Fields go one at a time in each
+# lane (see _run_lanes), so a lane's working set is one field's half
+# spectrum, in a buffer of its own.
 _DIVIDE_BY_N, _UNSCALED = 2, 0  # pocketfft's codes for norm="forward"
+
+# Field lanes.  From _LANES_FROM points per axis on a 3D grid, the fields of
+# a batch are split into L = min(_LANES, fields) lanes: the caller takes
+# fields 0, L, 2L, ... and the threads of _pool take fields j, j + L, ...
+# for j = 1 .. L - 1.  pocketfft releases the GIL in each pass, so the lanes
+# run on separate cores; a field's passes are the same in every lane, so the
+# result is bit-identical to one lane's.  Lanes split fields, never passes:
+# pocketfft's own threads on each pass were slower at 64^3.  Below 64^3 and
+# in 2D one lane runs: at 2D 64^2 two lanes took twice as long, and at 32^3
+# and 2D 256^2 their batch gain is not yet measured end to end
+# (BENCH_31.json).
+# _LANES is the number of cores this process may use (taskset -c 0 makes
+# it 1); no variable or option sets it.
+_LANES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+_LANES_FROM = 64
+_pool: ThreadPoolExecutor | None = None  # made by the first batch that takes two lanes
+
+
+def _drop_pool() -> None:
+    # a forked child has none of the pool's threads; it makes its own
+    global _pool
+    _pool = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_pool)
+
+
+def _run_lanes(body, batch: tuple, n: int, dims: int, *args) -> None:
+    """body(*args, fields) over the field indices of the batch shape, fields
+    an iterable of them, in lanes as above.  One lane runs body on all of
+    them in order, here.  Otherwise the caller waits for every lane before it
+    returns or re-raises a lane's exception."""
+    lanes = min(_LANES, math.prod(batch)) if n == 3 and dims >= _LANES_FROM else 1
+    if lanes <= 1:
+        body(*args, np.ndindex(batch))
+        return
+    global _pool
+    if _pool is None:
+        # two callers racing here may each make a pool; the one dropped is
+        # collected and its threads exit
+        _pool = ThreadPoolExecutor(_LANES - 1, thread_name_prefix="hallmhd-lane")
+    fields = list(np.ndindex(batch))
+    futures = [_pool.submit(body, *args, fields[j::lanes]) for j in range(1, lanes)]
+    try:
+        body(*args, fields[::lanes])
+    finally:
+        wait(futures)
+    for f in futures:
+        f.result()
 
 
 def _irfftn_pruned(arr: np.ndarray, n: int, shape: tuple, support: np.ndarray) -> np.ndarray:
@@ -131,12 +188,19 @@ def _irfftn_pruned(arr: np.ndarray, n: int, shape: tuple, support: np.ndarray) -
     and each leading axis is transformed only on the lines whose later leading
     indices lie in the box's rows and whose k_last <= kb; the other k_last
     planes stay zero for the final complex-to-real pass.  A field with
-    kb = -1 is zero."""
-    dims = shape[-1]
+    kb = -1 is zero.  The fields go in lanes (_run_lanes)."""
     out = np.empty(arr.shape[:-n] + shape)
+    _run_lanes(_irfftn_fields, arr.shape[:-n], n, shape[-1], arr, n, shape, support, out)
+    return out
+
+
+def _irfftn_fields(arr: np.ndarray, n: int, shape: tuple, support: np.ndarray, out: np.ndarray, fields) -> None:
+    """_irfftn_pruned's body: the fields at the given batch indices into out,
+    through one zeroed half spectrum of this lane's own."""
+    dims = shape[-1]
     half = np.zeros(shape[:-1] + (dims // 2 + 1,), dtype=complex)
     from_cube = arr.shape[-n:] != half.shape
-    for i in np.ndindex(arr.shape[:-n]):
+    for i in fields:
         kb = int(support[i])
         if kb < 0:
             out[i] = 0.0
@@ -154,7 +218,6 @@ def _irfftn_pruned(arr: np.ndarray, n: int, shape: tuple, support: np.ndarray) -
                 _pocketfft.c2c(lines, (axis,), False, _UNSCALED, lines, 1)
         _pocketfft.c2r(half, (n - 1,), dims, False, _UNSCALED, out[i], 1)
         low[...] = 0.0
-    return out
 
 
 def _rfftn_pruned(arr: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:
@@ -162,18 +225,25 @@ def _rfftn_pruned(arr: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:
     |k_i| <= kb of a half spectrum: the dealias cube, or the whole half
     spectrum (kb = dims/2).  Per field, each leading axis is transformed only
     on the lines whose earlier leading indices lie in the box's rows and whose
-    k_last <= kb, and the box is gathered into out."""
+    k_last <= kb, and the box is gathered into out.  The fields go in lanes
+    (_run_lanes)."""
+    _run_lanes(_rfftn_fields, arr.shape[:-n], n, arr.shape[-1], arr, n, out)
+    return out
+
+
+def _rfftn_fields(arr: np.ndarray, n: int, out: np.ndarray, fields) -> None:
+    """_rfftn_pruned's body: the fields at the given batch indices into out,
+    through one half spectrum of this lane's own."""
     dims, kb = arr.shape[-1], out.shape[-1] - 1
     half = np.empty(arr.shape[-n:-1] + (dims // 2 + 1,), dtype=complex)
     low = half[..., : kb + 1]
-    for i in np.ndindex(arr.shape[:-n]):
+    for i in fields:
         _pocketfft.r2c(arr[i], (n - 1,), True, _DIVIDE_BY_N, half, 1)
         for axis in range(n - 1):
             for rows in itertools.product(_cube_rows(dims, kb), repeat=axis):
                 lines = low[rows]
                 _pocketfft.c2c(lines, (axis,), True, _DIVIDE_BY_N, lines, 1)
         gather_cube(half, out[i])
-    return out
 
 
 def dealias_cutoff(dims: int) -> int:

@@ -586,6 +586,8 @@ def _snapshot_fault(path, state, fault):
         # Beltrami data has u = 0, and the default init.target_u is 1
         ("init.kind = beltrami", "init.target_u"),
         ("init.target_u = 1e300", "init.target_u"),
+        # a byte that is not UTF-8, named by file, line and column
+        ("config byte 0xff on line 3", "config.txt line 3: not UTF-8 (byte 0xff at column 5)"),
         # "commands: fault", met after a clean load by the subcommands named
         ("analyze: snapshot truncated", "snap_00000000.hmhd"),
         ("analyze: snapshot cut in its header", "snap_00000000.hmhd"),
@@ -621,6 +623,8 @@ def test_cli_rejects_invalid_value(tmp_path, capsys, small_state, line, field):
     conf.write_text(fault_text if fault.startswith("grid.dims = ") else "grid.dims = 16\n" + fault_text)
     if fault.startswith("snapshot "):
         _snapshot_fault(run_dir / snapshot_name(0), small_state, fault)
+    elif fault == "config byte 0xff on line 3":
+        conf.write_bytes(b"grid.dims = 16\n# sweep\ninit\xff.seed = 1\n")
     if fault == "--out below a regular file":
         # a valid run, so that analyze reaches its --out
         write_snapshot(run_dir / snapshot_name(0), small_state)

@@ -506,6 +506,29 @@ def test_run_holds_no_half_spectrum_state_while_it_steps():
     assert peak < workspace + physical + component + 3 * component
 
 
+@pytest.mark.parametrize("lanes", [1, 2])
+def test_run_in_lanes_holds_one_half_spectrum_per_lane(monkeypatch, lanes):
+    # as above at 64^3, where the transforms split a batch's fields into
+    # lanes, each with one field's half spectrum of its own
+    monkeypatch.setattr(spectral, "_LANES", lanes)
+    monkeypatch.setattr(spectral, "_pool", None)
+    g = Grid(3, 64)
+    st = make_initial("random_band", g, 74, (1.0, 1.0), SOB)
+    cfg = SolverConfig(PhysicalParams(0.05, 0.07, 0.3), SOB, 1e-3, 0.002, snapshot_every=10**9)
+    run(st, cfg)
+    tracemalloc.start()
+    try:
+        run(st, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    arrays = [a for a in vars(solver._Workspace(g)).values() if isinstance(a, np.ndarray)]
+    workspace = sum(a.nbytes for a in arrays if a.base is None)
+    component = np.empty(g.half_shape, dtype=complex).nbytes
+    physical = 12 * np.empty(g.shape).nbytes
+    assert peak < workspace + physical + lanes * component + 3 * component
+
+
 @pytest.mark.parametrize("factor", [solver.BLOWUP_FACTOR, 1e-12])
 def test_trajectory_yields_what_run_hands_its_sinks(monkeypatch, factor):
     # 101 steps cross the safety projection of b at step 100; a factor of

@@ -4,6 +4,10 @@ Oracles are closed-form trigonometric identities evaluated with plain
 numpy.fft, independent of the package's own transform helpers.
 """
 
+import os
+import signal
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -32,7 +36,7 @@ from hallmhd.spectral import (
     to_physical,
     to_spectral,
 )
-from hallmhd import spectral
+from hallmhd import PhysicalParams, SobolevParams, SolverConfig, make_initial, spectral, step
 from hallmhd.littlewood_paley import resolved_band
 from hallmhd.random_fields import _hermitian_symmetrize, random_band_field
 from hallmhd.solver import _taylor_green_like, divergence_drift
@@ -504,3 +508,132 @@ def test_batched_transforms_reject_other_shapes(grid):
         irfftn_batch(np.zeros((2, 11, 11, 9), dtype=complex), 3, grid.shape)
     with pytest.raises(ValueError, match="expected the dealias cubes"):
         rfftn_batch(np.zeros((2, *grid.shape)), 3, np.empty((1, *grid.cube_shape), dtype=complex))
+
+
+# Field lanes: from 64^3 up a 3D batch is split between _LANES lanes; each
+# lane count gives the one-lane result bit for bit, and one lane starts no
+# thread.
+
+
+SOB = SobolevParams(1.0, 1.75, 0.25)
+
+
+@pytest.fixture(scope="module")
+def grid64():
+    return Grid(3, 64)
+
+
+@pytest.fixture
+def lanes(monkeypatch):
+    """force(count) sets the lane count, with a pool not yet made."""
+
+    def force(count):
+        monkeypatch.setattr(spectral, "_LANES", count)
+        monkeypatch.setattr(spectral, "_pool", None)
+
+    return force
+
+
+def test_transforms_in_lanes_bit_identical_to_one_lane(grid64, lanes):
+    g = grid64
+    kc = g.cube_shape[-1] - 1
+    rng = np.random.default_rng(64)
+    # 7 fields, so that 2 and 3 lanes take unequal shares
+    half = np.stack([np.zeros(g.half_shape, dtype=complex)]
+                    + [_box_field(g, rng, kb) for kb in (0, 1, 3, kc, 1, 0)])
+    cubes = rng.standard_normal((7, *g.cube_shape)) + 1j * rng.standard_normal((7, *g.cube_shape))
+    vals = rng.standard_normal((7, *g.shape))
+
+    def transforms():
+        out = np.empty((7, *g.cube_shape), dtype=complex)
+        return (irfftn_batch(half, 3, g.shape), irfftn_batch(cubes, 3, g.shape),
+                rfftn_batch(vals, 3, out), out, rfftn_batch(vals, 3))
+
+    lanes(1)
+    expected = transforms()
+    for count in (1, 2, 3):
+        lanes(count)
+        got = transforms()
+        assert got[2] is got[3]
+        for a, b in zip(got, expected):
+            assert np.array_equal(a, b), count
+
+
+@pytest.mark.parametrize("mode", ["full", "hall_only"])
+def test_step_in_lanes_bit_identical_to_one_lane(grid64, lanes, mode):
+    st = make_initial("random_band", grid64, 31, (0.0 if mode == "hall_only" else 1.0, 1.0), SOB)
+    cfg = SolverConfig(PhysicalParams(0.05, 0.07, 0.3), SOB, 1e-3, 1e-3, mode=mode)
+    lanes(1)
+    expected = step(st, cfg)
+    for count in (1, 2, 3):
+        lanes(count)
+        got = step(st, cfg)
+        assert np.array_equal(got.u.coeffs, expected.u.coeffs), count
+        assert np.array_equal(got.b.coeffs, expected.b.coeffs), count
+
+
+def test_one_lane_starts_no_thread(grid64, lanes):
+    threads = threading.active_count()
+    # below 64^3 and in 2D one lane runs, whatever the lane count
+    lanes(3)
+    st = make_initial("random_band", Grid(3, 32), 32, (1.0, 1.0), SOB)
+    step(st, SolverConfig(PhysicalParams(0.05, 0.07, 0.3), SOB, 1e-3, 1e-3))
+    g2 = Grid(2, 256)
+    to_physical(to_spectral(g2, np.ones((12, *g2.shape))))
+    assert threading.active_count() == threads and spectral._pool is None
+    # a 64^3 batch with a lane count of 1
+    lanes(1)
+    cubes = np.ones((12, *grid64.cube_shape), dtype=complex)
+    rfftn_batch(irfftn_batch(cubes, 3, grid64.shape), 3, cubes)
+    assert threading.active_count() == threads and spectral._pool is None
+
+
+class _LaneFault(Exception):
+    pass
+
+
+@pytest.mark.parametrize("bad", [0, 1, 2])
+def test_lane_exception_reraised_after_every_lane(grid64, lanes, monkeypatch, bad):
+    # 6 cubes in 3 lanes, cube i marked i at k = 0: lane j takes fields j and
+    # j + 3, and lane bad raises at its first field, in the caller (bad = 0)
+    # or in the pool
+    lanes(3)
+    cubes = np.zeros((6, *grid64.cube_shape), dtype=complex)
+    cubes[:, 0, 0, 0] = np.arange(6)
+    seen, scatter = [], spectral.scatter_cube
+
+    def faulty(comp, full):
+        seen.append(int(comp[0, 0, 0].real))
+        if seen[-1] == bad:
+            raise _LaneFault(bad)
+        return scatter(comp, full)
+
+    monkeypatch.setattr(spectral, "scatter_cube", faulty)
+    with pytest.raises(_LaneFault):
+        irfftn_batch(cubes, 3, grid64.shape)
+    # the caller waited for the other lanes to finish
+    assert sorted(seen) == [i for i in range(6) if i != bad + 3]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_takes_lanes_on_a_pool_of_its_own(grid64, lanes):
+    # a child forked after the parent's pool ran has none of its threads; a
+    # batch handed to that pool would wait for ever
+    lanes(2)
+    cubes = np.ones((4, *grid64.cube_shape), dtype=complex)
+    expected = irfftn_batch(cubes, 3, grid64.shape)
+    assert spectral._pool is not None
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            code = 0 if np.array_equal(irfftn_batch(cubes, 3, grid64.shape), expected) else 1
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 60
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.05)
+    if done[0] == 0:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    assert done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0
