@@ -41,7 +41,7 @@ import numpy as np
 from .littlewood_paley import SobolevParams, shell_sums, sobolev_weights
 from .solver import PhysicalParams, SolverConfig, State, run
 from .spectral import (
-    Grid, SpectralField, _on_cube, _outside_cube, curl_into, dealias_cutoff, dealiased_product,
+    Grid, SpectralField, _curl_of, _on_cube, _outside_cube, dealias_cutoff, dealiased_product,
     lp_norm, parseval, power, scatter_cube,
 )
 
@@ -111,7 +111,7 @@ def flux_terms(state: State, params: PhysicalParams, sob: SobolevParams) -> Flux
     hats = ik[0] * m[_TRANSPORT[:, 0]] + ik[1] * m[_TRANSPORT[:, 1]] + ik[2] * m[_TRANSPORT[:, 2]]
     # j x b = div(b (x) b) - grad |b|^2/2
     hall = hats[1] - ik * (0.5 * m[_B_DIAGONAL].sum(axis=0))
-    cj = curl_into(np.empty_like(cb), k, cb, np.empty_like(cb[0]))
+    cj = _curl_of(k, cb)
     # Re(hat_k . conj f_k) of each product and the field its flux tests it against
     tested = zip((*hats, hall), (cu, cu, cb, cb, cj))
     dots = np.stack([(h.real * f.real + h.imag * f.imag).sum(axis=0) for h, f in tested])

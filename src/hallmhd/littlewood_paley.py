@@ -9,6 +9,7 @@ multipliers cover the real-FFT half spectrum.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +30,15 @@ class SobolevParams:
         return cls(s=s, r=s + 1.0 - eps, eps=eps)
 
     def validate(self, n: int) -> None:
-        """Check the admissibility constraints for dimension n; raise on violation."""
+        """Check the admissibility constraints for dimension n; raise on violation.
+
+        The config keys s and eps are checked first (s finite, eps finite and
+        positive), so that the rules on the derived r name r only where s and
+        eps are admissible on their own."""
+        if not math.isfinite(self.s):
+            raise ValueError(f"sobolev.s: must be finite, got {self.s!r}")
+        if not (math.isfinite(self.eps) and self.eps > 0):
+            raise ValueError(f"sobolev.eps: must be finite and positive, got {self.eps!r}")
         if not self.s > n / 2 - 1:
             raise ValueError(f"sobolev.s violates s > n/2 - 1: s={self.s}, n={n}")
         if not self.r > n / 2:

@@ -33,7 +33,9 @@ from .littlewood_paley import _shell_multiplier, chi, lambda_q, low_pass, max_sh
 from .spectral import (
     Grid,
     SpectralField,
+    _curl_of,
     _expanded,
+    _gradient_of,
     _on_cube,
     _sampled_norm,
     _support,
@@ -41,7 +43,6 @@ from .spectral import (
     cross,
     cross_into,
     curl,
-    curl_into,
     dealias_cutoff,
     dealiased_product,
     gradient,
@@ -88,17 +89,13 @@ def _cube_low(c: np.ndarray, kmag: np.ndarray, top: int) -> np.ndarray | None:
     return c * chi(kmag / lambda_q(top + 1)) if top >= -1 else None
 
 
-def _cube_gradient(ik: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """gradient of the stacked cube c, given the cube of i k."""
-    return (ik[:, None] * c).reshape((3 * len(c),) + c.shape[1:])
-
-
 def _bony_sums(u: SpectralField, v: SpectralField, qs) -> dict:
     """(low_high, high_low, resonant) dealias-cube sums for every q in qs.
 
     Every piece lies inside the cube, so the sweep runs on the cubes of u, v,
-    k, |k| and the shell multipliers, with the arithmetic of project_shell,
-    low_pass and gradient, a near shell summed as shells p, p - 1, p + 1.
+    k, |k| and the shell multipliers, with the arithmetic of project_shell
+    and low_pass and with gradient's _gradient_of, a near shell summed as
+    shells p, p - 1, p + 1.
     One pass over p forms the three products of the p-th pieces, each once,
     and adds phi_q times each to the sums of the shells q in qs whose window
     holds p.  A product with a zero factor is zero for finite data and is
@@ -112,7 +109,6 @@ def _bony_sums(u: SpectralField, v: SpectralField, qs) -> dict:
     Q = max_shell(g)
 
     k, kmag, mult = _cube_multipliers(g)
-    ik = 1j * k
     su, sv = [cu * m for m in mult], [cv * m for m in mult]
 
     def near(p):
@@ -126,7 +122,7 @@ def _bony_sums(u: SpectralField, v: SpectralField, qs) -> dict:
         """The cube of (a . grad) b, or None when a or b is zero."""
         if a is None or b is None or not a.any() or not b.any():
             return None
-        return dealiased_product(g, np.concatenate([a, _cube_gradient(ik, b)]), transport_product)
+        return dealiased_product(g, np.concatenate([a, _gradient_of(k, b)]), transport_product)
 
     sums = {q: [np.zeros((v.m, *g.cube_shape), dtype=complex) for _ in range(3)] for q in qs}
 
@@ -247,10 +243,11 @@ def commutator_ratios(u: SpectralField, v: SpectralField, h: SpectralField, qs) 
     curl-type ratios of F = u, G = v, H = h); "transport" is None exactly
     where that raises.  u, v and h must be finite and zero outside the dealias
     cube, as for bony_split.  The sweep runs on the cubes of u, v, h, k, |k|
-    and the shell multipliers, with the arithmetic of gradient, curl_into,
-    project_shell and low_pass: the sup-norm denominators from one inverse
-    batch each, the curl-type products of every shell from one
-    dealiased_product, and the transport products of a shell from one more.
+    and the shell multipliers, with gradient's _gradient_of, curl's _curl_of
+    and the arithmetic of project_shell and low_pass: the sup-norm
+    denominators from one inverse batch each, the curl-type products of every
+    shell from one dealiased_product, and the transport products of a shell
+    from one more.
     Each commutator is expanded to the half spectrum before its norm, so that
     the Parseval sums run in the single-shell functions' order.
     """
@@ -264,7 +261,6 @@ def commutator_ratios(u: SpectralField, v: SpectralField, h: SpectralField, qs) 
         if q < -1 or q > Q:
             raise ValueError(f"shell index {q} outside [-1, {Q}]")
     k, kmag, mult = _cube_multipliers(g)
-    ik = 1j * k
 
     def sup(cube):
         return _sampled_norm(g, irfftn_batch(cube, g.n, g.shape), sup=True)
@@ -272,19 +268,16 @@ def commutator_ratios(u: SpectralField, v: SpectralField, h: SpectralField, qs) 
     def norm(cube):
         return lp_norm(_expanded(g, cube), 2)
 
-    def curl_of(c):
-        return curl_into(np.empty_like(c), k, c, np.empty_like(c[0]))
-
     v_norm = lp_norm(v, 2)
-    grad_u = _cube_gradient(ik, cu)
+    grad_u = _gradient_of(k, cu)
     gradient_denom = _nonzero(sup(grad_u) * v_norm)
-    hessian_denom = _nonzero(sup(_cube_gradient(ik, grad_u)) * v_norm * lp_norm(h, 2))
-    curl_h = _expanded(g, curl_of(ch))
+    hessian_denom = _nonzero(sup(_gradient_of(k, grad_u)) * v_norm * lp_norm(h, 2))
+    curl_h = _expanded(g, _curl_of(k, ch))
 
     # F = u, G in (v, Delta_q v for q in qs): the products F x curl G and
     # curl F x G, stacked as u, curl u, then curl G and G for each G
     shells = [cv * mult[q + 1] for q in qs]
-    spec = np.concatenate([cu, curl_of(cu)] + [x for G in [cv] + shells for x in (curl_of(G), G)])
+    spec = np.concatenate([cu, _curl_of(k, cu)] + [x for G in [cv] + shells for x in (_curl_of(k, G), G)])
 
     def curl_type(phys):
         """u x curl G and curl u x G for each G in turn: output j (per 3
@@ -302,9 +295,9 @@ def commutator_ratios(u: SpectralField, v: SpectralField, h: SpectralField, qs) 
         transport = None
         u_low = _cube_low(cu, kmag, q - 2)
         # transport_bound_ratio's denominator; where it is zero that raises
-        denom = u_low is not None and u_low.any() and sup(_cube_gradient(ik, u_low)) * norm(v_p)
+        denom = u_low is not None and u_low.any() and sup(_gradient_of(k, u_low)) * norm(v_p)
         if denom != 0.0:
-            spec = np.concatenate([u_low, _cube_gradient(ik, v_p), _cube_gradient(ik, v_p * mult[q + 1])])
+            spec = np.concatenate([u_low, _gradient_of(k, v_p), _gradient_of(k, v_p * mult[q + 1])])
             adv = dealiased_product(g, spec, _two_transports)
             transport = norm(adv[:3] * mult[q + 1] - adv[3:]) / denom
         at = 6 + 6 * i

@@ -7,10 +7,10 @@ at k.  Amplitudes are normalized so that a constant field c has coefficient c
 at k = 0.  parseval is the one sum over the whole lattice: it counts every
 interior k_last plane twice, for k and -k, through grid.hermitian_weight, as
 only the shell sums also do; power is the one |f_k|^2.  All differential
-operators are exact Fourier multipliers: gradient is the ik (x) f of a field,
-the gradient tensor of any m-component field (paraproduct's Bony and
-commutator sweeps repeat its arithmetic on the dealias cube); cross_into is the one
-cross-product kernel and curl_into, i k x f through it, the one curl;
+operators are exact Fourier multipliers: _gradient_of is the one ik (x) f,
+the gradient tensor of any m-component field, on the half spectrum or the
+dealias cube; cross_into is the one cross-product kernel and curl_into,
+i k x f through it, the one curl, which _curl_of forms in a new array;
 transport_product is the one pointwise (u . grad) v.  Every product goes
 through dealiased_product, the one home of the transform pair, its
 normalization and the 2/3 rule, which keeps the cube
@@ -29,9 +29,10 @@ box |k_i| <= kb: the inverse takes each field's own support box (_support),
 or the cube's for cubes; the forward takes the cube, or the whole half
 spectrum.  Both call scipy's pocketfft binding directly, the one private
 scipy import, with one pocketfft thread per call.  On 3D grids from 64^3 up
-a batch's fields are split into lanes, one per core this process may use
-(_run_lanes); everywhere else, and in a process bound to one core, one lane
-runs the plain loop and no thread is started.
+a batch's fields are split into lanes, one per core this process may use,
+in threads started per batch and joined before it returns (_run_lanes);
+everywhere else, and in a process bound to one core, one lane runs the
+plain loop and no thread is started.
 
 2D grids carry 3-component fields that depend on (x, y) only ("2.5D"), so
 curl and cross products remain well defined at 2D cost.
@@ -43,7 +44,7 @@ import functools
 import itertools
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,7 +54,7 @@ from scipy.fft._pocketfft import pypocketfft as _pocketfft
 def rfftn_batch(arr: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
     """Forward real FFT over the last n axes (half spectrum on the last axis),
     divided by the number of points: scipy.fft's norm="forward", and
-    np.array_equal to it (see _rfftn_pruned).
+    np.array_equal to it (see _rfftn_fields).
 
     Without out, the whole half spectrum of each field is returned.  Given
     out, with the trailing shape of the 2/3 dealias cube of arr's grid, only
@@ -67,7 +68,8 @@ def rfftn_batch(arr: np.ndarray, n: int, out: np.ndarray | None = None) -> np.nd
         expected = arr.shape[:-n] + _cube_shape(n, dealias_cutoff(dims))
         if out.shape != expected:
             raise ValueError(f"rfftn_batch: out has shape {out.shape}, expected the dealias cubes {expected}")
-    return _rfftn_pruned(arr, n, out)
+    _run_lanes(_rfftn_fields, arr.shape[:-n], n, dims, arr, n, out)
+    return out
 
 
 def irfftn_batch(arr: np.ndarray, n: int, shape: tuple) -> np.ndarray:
@@ -76,7 +78,7 @@ def irfftn_batch(arr: np.ndarray, n: int, shape: tuple) -> np.ndarray:
 
     arr holds half spectra (trailing shape that of shape's half spectrum) or
     dealias cubes (that of its 2/3 cube, see gather_cube); any other shape
-    raises.  Each field is transformed on its own box (see _irfftn_pruned):
+    raises.  Each field is transformed on its own box (see _irfftn_fields):
     a half spectrum on its support (_support), a zero one written as zeros,
     and a cube on the cube.  The result is np.array_equal to scipy's full
     transform (of scatter_cube into zeros, for cubes).
@@ -86,14 +88,15 @@ def irfftn_batch(arr: np.ndarray, n: int, shape: tuple) -> np.ndarray:
     kc = dealias_cutoff(dims)
     half = shape[:-1] + (dims // 2 + 1,)
     cube = _cube_shape(n, kc)
-    if arr.shape[-n:] == half:
-        return _irfftn_pruned(arr, n, shape, _support(arr, n))
-    if arr.shape[-n:] == cube:
-        return _irfftn_pruned(arr, n, shape, np.full(arr.shape[:-n], kc))
-    raise ValueError(
-        f"irfftn_batch: trailing shape {arr.shape[-n:]} is neither the half spectrum "
-        f"{half} nor the dealias cube {cube} of grid {shape}"
-    )
+    if arr.shape[-n:] not in (half, cube):
+        raise ValueError(
+            f"irfftn_batch: trailing shape {arr.shape[-n:]} is neither the half spectrum "
+            f"{half} nor the dealias cube {cube} of grid {shape}"
+        )
+    support = _support(arr, n) if arr.shape[-n:] == half else np.full(arr.shape[:-n], kc)
+    out = np.empty(arr.shape[:-n] + shape)
+    _run_lanes(_irfftn_fields, arr.shape[:-n], n, dims, arr, n, shape, support, out)
+    return out
 
 
 def _support(arr: np.ndarray, n: int) -> np.ndarray:
@@ -133,10 +136,12 @@ _DIVIDE_BY_N, _UNSCALED = 2, 0  # pocketfft's codes for norm="forward"
 
 # Field lanes.  From _LANES_FROM points per axis on a 3D grid, the fields of
 # a batch are split into L = min(_LANES, fields) lanes: the caller takes
-# fields 0, L, 2L, ... and the threads of _pool take fields j, j + L, ...
-# for j = 1 .. L - 1.  pocketfft releases the GIL in each pass, so the lanes
-# run on separate cores; a field's passes are the same in every lane, so the
-# result is bit-identical to one lane's.  Lanes split fields, never passes:
+# fields 0, L, 2L, ... and L - 1 threads, started by the batch and joined
+# before it returns, take fields j, j + L, ... for j = 1 .. L - 1; between
+# batches no lane thread runs, so a forked child loses none.  pocketfft
+# releases the GIL in each pass, so the lanes run on separate cores; a
+# field's passes are the same in every lane, so the result is bit-identical
+# to one lane's.  Lanes split fields, never passes:
 # pocketfft's own threads on each pass were slower at 64^3.  Below 64^3 and
 # in 2D one lane runs: at 2D 64^2 two lanes took twice as long, and at 32^3
 # and 2D 256^2 their batch gain is not yet measured end to end
@@ -145,58 +150,33 @@ _DIVIDE_BY_N, _UNSCALED = 2, 0  # pocketfft's codes for norm="forward"
 # it 1); no variable or option sets it.
 _LANES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 _LANES_FROM = 64
-_pool: ThreadPoolExecutor | None = None  # made by the first batch that takes two lanes
-
-
-def _drop_pool() -> None:
-    # a forked child has none of the pool's threads; it makes its own
-    global _pool
-    _pool = None
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_drop_pool)
 
 
 def _run_lanes(body, batch: tuple, n: int, dims: int, *args) -> None:
     """body(*args, fields) over the field indices of the batch shape, fields
     an iterable of them, in lanes as above.  One lane runs body on all of
-    them in order, here.  Otherwise the caller waits for every lane before it
-    returns or re-raises a lane's exception."""
+    them in order, here, and starts no thread.  Otherwise the batch starts
+    its L - 1 lane threads and joins them before it returns or re-raises a
+    lane's exception."""
     lanes = min(_LANES, math.prod(batch)) if n == 3 and dims >= _LANES_FROM else 1
     if lanes <= 1:
         body(*args, np.ndindex(batch))
         return
-    global _pool
-    if _pool is None:
-        # two callers racing here may each make a pool; the one dropped is
-        # collected and its threads exit
-        _pool = ThreadPoolExecutor(_LANES - 1, thread_name_prefix="hallmhd-lane")
     fields = list(np.ndindex(batch))
-    futures = [_pool.submit(body, *args, fields[j::lanes]) for j in range(1, lanes)]
-    try:
+    with ThreadPoolExecutor(lanes - 1, thread_name_prefix="hallmhd-lane") as pool:
+        futures = [pool.submit(body, *args, fields[j::lanes]) for j in range(1, lanes)]
         body(*args, fields[::lanes])
-    finally:
-        wait(futures)
     for f in futures:
         f.result()
 
 
-def _irfftn_pruned(arr: np.ndarray, n: int, shape: tuple, support: np.ndarray) -> np.ndarray:
-    """irfftn of stacked half spectra or dealias cubes, per field on the box
-    |k_i| <= kb of its support kb: the box goes into a zeroed half spectrum
-    and each leading axis is transformed only on the lines whose later leading
-    indices lie in the box's rows and whose k_last <= kb; the other k_last
-    planes stay zero for the final complex-to-real pass.  A field with
-    kb = -1 is zero.  The fields go in lanes (_run_lanes)."""
-    out = np.empty(arr.shape[:-n] + shape)
-    _run_lanes(_irfftn_fields, arr.shape[:-n], n, shape[-1], arr, n, shape, support, out)
-    return out
-
-
 def _irfftn_fields(arr: np.ndarray, n: int, shape: tuple, support: np.ndarray, out: np.ndarray, fields) -> None:
-    """_irfftn_pruned's body: the fields at the given batch indices into out,
-    through one zeroed half spectrum of this lane's own."""
+    """irfftn of the stacked half spectra or dealias cubes arr at the given
+    batch indices into out, per field on the box |k_i| <= kb of its support
+    kb: the box goes into a zeroed half spectrum of this lane's own and each
+    leading axis is transformed only on the lines whose later leading indices
+    lie in the box's rows and whose k_last <= kb; the other k_last planes stay
+    zero for the final complex-to-real pass.  A field with kb = -1 is zero."""
     dims = shape[-1]
     half = np.zeros(shape[:-1] + (dims // 2 + 1,), dtype=complex)
     from_cube = arr.shape[-n:] != half.shape
@@ -220,20 +200,13 @@ def _irfftn_fields(arr: np.ndarray, n: int, shape: tuple, support: np.ndarray, o
         low[...] = 0.0
 
 
-def _rfftn_pruned(arr: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:
-    """rfftn of stacked real fields into out, whose trailing shape is the box
-    |k_i| <= kb of a half spectrum: the dealias cube, or the whole half
-    spectrum (kb = dims/2).  Per field, each leading axis is transformed only
-    on the lines whose earlier leading indices lie in the box's rows and whose
-    k_last <= kb, and the box is gathered into out.  The fields go in lanes
-    (_run_lanes)."""
-    _run_lanes(_rfftn_fields, arr.shape[:-n], n, arr.shape[-1], arr, n, out)
-    return out
-
-
 def _rfftn_fields(arr: np.ndarray, n: int, out: np.ndarray, fields) -> None:
-    """_rfftn_pruned's body: the fields at the given batch indices into out,
-    through one half spectrum of this lane's own."""
+    """rfftn of the stacked real fields arr at the given batch indices into
+    out, whose trailing shape is the box |k_i| <= kb of a half spectrum: the
+    dealias cube, or the whole half spectrum (kb = dims/2).  Per field, in a
+    half spectrum of this lane's own, each leading axis is transformed only
+    on the lines whose earlier leading indices lie in the box's rows and
+    whose k_last <= kb, and the box is gathered into out."""
     dims, kb = arr.shape[-1], out.shape[-1] - 1
     half = np.empty(arr.shape[-n:-1] + (dims // 2 + 1,), dtype=complex)
     low = half[..., : kb + 1]
@@ -555,12 +528,23 @@ def _expanded(grid: Grid, comp: np.ndarray) -> SpectralField:
     return SpectralField(grid, scatter_cube(comp, full))
 
 
+def _gradient_of(k: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """ik (x) c of the stacked m-component spectra c, given k on the same
+    layout (half spectrum or dealias cube): 3m components ordered (j, m),
+    component j*m + c being d_j c_c."""
+    return ((1j * k)[:, None] * c).reshape((3 * len(c),) + c.shape[1:])
+
+
+def _curl_of(k: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """i k x c of a 3-component spectrum c, given k on the same layout, in a
+    new array."""
+    return curl_into(np.empty_like(c), k, c, np.empty_like(c[0]))
+
+
 def gradient(f: SpectralField) -> SpectralField:
-    """Gradient tensor of an m-component field: the ik (x) f multiplier, 3m
-    components ordered (j, m), component j*m + c being d_j f_c (d_z = 0 in
+    """Gradient tensor of an m-component field (_gradient_of; d_z = 0 in
     2D); for a scalar field, the gradient vector."""
-    g = f.grid
-    return SpectralField(g, (1j * g.k[:, None] * f.coeffs).reshape((3 * f.m,) + g.half_shape))
+    return SpectralField(f.grid, _gradient_of(f.grid.k, f.coeffs))
 
 
 def power(coeffs: np.ndarray) -> np.ndarray:
@@ -581,8 +565,7 @@ def curl(v: SpectralField) -> SpectralField:
     """Curl of a vector field: ik cross multiplier."""
     if v.m != 3:
         raise ValueError("curl expects a 3-component field")
-    c = v.coeffs
-    return SpectralField(v.grid, curl_into(np.empty_like(c), v.grid.k, c, np.empty_like(c[0])))
+    return SpectralField(v.grid, _curl_of(v.grid.k, v.coeffs))
 
 
 def leray_project(v: SpectralField) -> SpectralField:

@@ -573,6 +573,12 @@ def _snapshot_fault(path, state, fault):
         ("init.band = -2", "init.band"),
         # no lattice mode has 0 < |k| < 1, so the draw would be zero
         ("init.band = 0.5", "init.band"),
+        # s and eps are named by their own keys, not by the derived r, and
+        # the space H^s x H^(s+1-eps) takes eps > 0
+        ("sobolev.eps = nan", "sobolev.eps: must be finite and positive"),
+        ("sobolev.s = inf", "sobolev.s: must be finite"),
+        ("sobolev.eps = 0", "sobolev.eps: must be finite and positive"),
+        ("sobolev.eps = -3", "sobolev.eps: must be finite and positive"),
         ("calibration.C = inf", "calibration.C"),
         ("calibration.C_nu_mu = -1", "calibration.C_nu_mu"),
         ("calibration.gamma_low = -1", "calibration.gamma_low"),

@@ -199,5 +199,8 @@ def test_sobolev_params_validation():
         SobolevParams(2.0, 1.7, 0.25).validate(3)
     with pytest.raises(ValueError, match="r <= s \\+ 1 - eps"):
         SobolevParams(1.0, 1.8, 0.25).validate(3)
+    # s and eps are checked before the rules on the derived r
+    with pytest.raises(ValueError, match="sobolev.eps: must be finite and positive, got nan"):
+        SobolevParams.from_s_eps(1.0, float("nan")).validate(3)
     # 2D admits lower exponents
     SobolevParams.from_s_eps(0.5, 0.4).validate(2)

@@ -511,7 +511,6 @@ def test_run_in_lanes_holds_one_half_spectrum_per_lane(monkeypatch, lanes):
     # as above at 64^3, where the transforms split a batch's fields into
     # lanes, each with one field's half spectrum of its own
     monkeypatch.setattr(spectral, "_LANES", lanes)
-    monkeypatch.setattr(spectral, "_pool", None)
     g = Grid(3, 64)
     st = make_initial("random_band", g, 74, (1.0, 1.0), SOB)
     cfg = SolverConfig(PhysicalParams(0.05, 0.07, 0.3), SOB, 1e-3, 0.002, snapshot_every=10**9)

@@ -456,13 +456,14 @@ def test_irfftn_batch_bit_identical_on_measured_supports(n, dims, norm, monkeypa
                       + [_box_field(g, rng, kb) for kb in (0, 1, kc, 3)]
                       + [np.zeros(g.half_shape, dtype=complex)])
     pruned = []
-    real_pruned = spectral._irfftn_pruned
+    real_run = spectral._run_lanes
 
-    def spy(arr, *args):
+    def spy(body, batch, rank, dims, arr, *rest):
         pruned.append(arr.shape)
-        return real_pruned(arr, *args)
+        assert body is spectral._irfftn_fields
+        return real_run(body, batch, rank, dims, arr, *rest)
 
-    monkeypatch.setattr(spectral, "_irfftn_pruned", spy)
+    monkeypatch.setattr(spectral, "_run_lanes", spy)
     assert np.array_equal(irfftn_batch(inside, n, g.shape), _ref_irfftn(inside, g, norm))
     assert pruned == [inside.shape]
     # a non-contiguous view of the same batch
@@ -525,11 +526,10 @@ def grid64():
 
 @pytest.fixture
 def lanes(monkeypatch):
-    """force(count) sets the lane count, with a pool not yet made."""
+    """force(count) sets the lane count."""
 
     def force(count):
         monkeypatch.setattr(spectral, "_LANES", count)
-        monkeypatch.setattr(spectral, "_pool", None)
 
     return force
 
@@ -580,12 +580,12 @@ def test_one_lane_starts_no_thread(grid64, lanes):
     step(st, SolverConfig(PhysicalParams(0.05, 0.07, 0.3), SOB, 1e-3, 1e-3))
     g2 = Grid(2, 256)
     to_physical(to_spectral(g2, np.ones((12, *g2.shape))))
-    assert threading.active_count() == threads and spectral._pool is None
+    assert threading.active_count() == threads
     # a 64^3 batch with a lane count of 1
     lanes(1)
     cubes = np.ones((12, *grid64.cube_shape), dtype=complex)
     rfftn_batch(irfftn_batch(cubes, 3, grid64.shape), 3, cubes)
-    assert threading.active_count() == threads and spectral._pool is None
+    assert threading.active_count() == threads
 
 
 class _LaneFault(Exception):
@@ -615,14 +615,46 @@ def test_lane_exception_reraised_after_every_lane(grid64, lanes, monkeypatch, ba
     assert sorted(seen) == [i for i in range(6) if i != bad + 3]
 
 
+def _lane_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("hallmhd-lane")]
+
+
+@pytest.mark.parametrize("count", [2, 3])
+def test_lane_threads_joined_before_the_batch_returns(grid64, lanes, monkeypatch, count):
+    # between batches no lane thread runs, also after a lane raised
+    threads = threading.active_count()
+    lanes(count)
+    cubes = np.ones((6, *grid64.cube_shape), dtype=complex)
+    rfftn_batch(irfftn_batch(cubes, 3, grid64.shape), 3, cubes)
+    assert threading.active_count() == threads and not _lane_threads()
+    vals = np.ones((6, *grid64.shape))
+
+    def in_threads_raise(copy):
+        def faulty(a, b):
+            if threading.current_thread().name.startswith("hallmhd-lane"):
+                raise _LaneFault(threading.current_thread().name)
+            return copy(a, b)
+
+        return faulty
+
+    # every lane but the caller's raises, at its first field
+    monkeypatch.setattr(spectral, "scatter_cube", in_threads_raise(spectral.scatter_cube))
+    monkeypatch.setattr(spectral, "gather_cube", in_threads_raise(spectral.gather_cube))
+    with pytest.raises(_LaneFault):
+        irfftn_batch(cubes, 3, grid64.shape)
+    assert threading.active_count() == threads and not _lane_threads()
+    with pytest.raises(_LaneFault):
+        rfftn_batch(vals, 3, cubes)
+    assert threading.active_count() == threads and not _lane_threads()
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_forked_child_takes_lanes_on_a_pool_of_its_own(grid64, lanes):
-    # a child forked after the parent's pool ran has none of its threads; a
-    # batch handed to that pool would wait for ever
+def test_forked_child_takes_lanes(grid64, lanes):
+    # a child forked after a lane batch ran in the parent gets no thread of
+    # the parent's; a batch handed to such a thread would wait for ever
     lanes(2)
     cubes = np.ones((4, *grid64.cube_shape), dtype=complex)
     expected = irfftn_batch(cubes, 3, grid64.shape)
-    assert spectral._pool is not None
     pid = os.fork()
     if pid == 0:
         code = 1
