@@ -18,12 +18,15 @@ commutator_ratios forms the bound ratios of the four commutators of fixed
 fields at every shell of a sweep, with their q-independent pieces (sup norms,
 L2 norms, curls and whole-field products) formed once; each ratio is == to
 its single-shell function.  It runs on the dealias cube as well, so it
-refuses the same fields: the curl-type products of all shells go through one
-dealiased_product, and each commutator is expanded before its norm.
+refuses the same fields, and it holds little memory: every inverse batch
+takes one three-component cube, each field is transformed once, each
+commutator is expanded before its norm, and the half spectra of u, v and h
+are let go once their cubes and norms exist.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -39,6 +42,7 @@ from .spectral import (
     _on_cube,
     _sampled_norm,
     _support,
+    _transport,
     advect,
     cross,
     cross_into,
@@ -227,14 +231,6 @@ def trilinear_bound_ratio(
     return abs(inner_product(commutator_curl_cross(F, G, q), curl(H))) / denom
 
 
-def _two_transports(phys: np.ndarray) -> np.ndarray:
-    """(a . grad) b and (a . grad) c at the grid points, from the stacked
-    samples of a, grad b and grad c: two transport_product outputs."""
-    m3 = (len(phys) - 3) // 2
-    return np.concatenate([transport_product(phys[: 3 + m3]),
-                           transport_product(np.concatenate([phys[:3], phys[3 + m3:]]))])
-
-
 def commutator_ratios(u: SpectralField, v: SpectralField, h: SpectralField, qs) -> dict:
     """{q: {"transport", "cross_curl", "curl_cross", "trilinear"}} for every q in qs.
 
@@ -244,10 +240,12 @@ def commutator_ratios(u: SpectralField, v: SpectralField, h: SpectralField, qs) 
     where that raises.  u, v and h must be finite and zero outside the dealias
     cube, as for bony_split.  The sweep runs on the cubes of u, v, h, k, |k|
     and the shell multipliers, with gradient's _gradient_of, curl's _curl_of
-    and the arithmetic of project_shell and low_pass: the sup-norm
-    denominators from one inverse batch each, the curl-type products of every
-    shell from one dealiased_product, and the transport products of a shell
-    from one more.
+    and the arithmetic of project_shell and low_pass, three components at a
+    time: the sup-norm denominators from one cube of three derivatives at a
+    time (_sampled_norm takes them in order), the transports of a shell from
+    the samples of u_low and one component of v_q or Delta_q v_q at a time,
+    and the curl-type products of G = v and of each shell of v from the
+    samples of u, then of curl u, and one G at a time.
     Each commutator is expanded to the half spectrum before its norm, so that
     the Parseval sums run in the single-shell functions' order.
     """
@@ -260,52 +258,79 @@ def commutator_ratios(u: SpectralField, v: SpectralField, h: SpectralField, qs) 
     for q in qs:
         if q < -1 or q > Q:
             raise ValueError(f"shell index {q} outside [-1, {Q}]")
+    v_norm, h_norm = lp_norm(v, 2), lp_norm(h, 2)
+    # the half spectra are not used past their cubes and norms; a caller that
+    # holds no other reference frees them here
+    del u, v, h
     k, kmag, mult = _cube_multipliers(g)
 
-    def sup(cube):
-        return _sampled_norm(g, irfftn_batch(cube, g.n, g.shape), sup=True)
+    def sup(c, order=1):
+        """The sampled sup norm of the order-th gradient tensor of the cube c,
+        in _sup_gradient's component order, from one three-component cube at
+        a time: js runs over the derivatives d_j, the one taken last first."""
+
+        def samples():
+            for js in itertools.product(range(3), repeat=order):
+                cube = c
+                for j in reversed(js):
+                    cube = _gradient_of(k[j : j + 1], cube)
+                yield irfftn_batch(cube, g.n, g.shape)
+
+        return _sampled_norm(g, samples, sup=True)
 
     def norm(cube):
         return lp_norm(_expanded(g, cube), 2)
 
-    v_norm = lp_norm(v, 2)
-    grad_u = _gradient_of(k, cu)
-    gradient_denom = _nonzero(sup(grad_u) * v_norm)
-    hessian_denom = _nonzero(sup(_gradient_of(k, grad_u)) * v_norm * lp_norm(h, 2))
-    curl_h = _expanded(g, _curl_of(k, ch))
+    def product(spec, other, form):
+        """The cube of form(other, samples of spec) for a three-component cube spec."""
+        return dealiased_product(g, spec, lambda phys: form(other, phys))
 
-    # F = u, G in (v, Delta_q v for q in qs): the products F x curl G and
-    # curl F x G, stacked as u, curl u, then curl G and G for each G
-    shells = [cv * mult[q + 1] for q in qs]
-    spec = np.concatenate([cu, _curl_of(k, cu)] + [x for G in [cv] + shells for x in (_curl_of(k, G), G)])
+    def crossed(a, b):
+        return cross_into(np.empty_like(b), a, b, np.empty(g.shape))
 
-    def curl_type(phys):
-        """u x curl G and curl u x G for each G in turn: output j (per 3
-        components) crosses u or curl u, by the parity of j, with input j + 2."""
-        out, tmp = np.empty((len(phys) - 6, *g.shape)), np.empty(g.shape)
-        for j in range(0, len(out), 3):
-            cross_into(out[j : j + 3], phys[j % 6 : j % 6 + 3], phys[6 + j : 9 + j], tmp)
-        return out
+    gradient_denom = _nonzero(sup(cu) * v_norm)
+    hessian_denom = _nonzero(sup(cu, order=2) * v_norm * h_norm)
 
-    prods = dealiased_product(g, spec, curl_type)
-    u_cross_curl_v, curl_u_cross_v = prods[0:3], prods[3:6]
+    def transport_ratio(q):
+        """transport_bound_ratio(u, v, q, q), or None where that raises: the
+        transports of b = v_q and Delta_q v_q, one component of b at a time,
+        against the samples of u_low."""
+        u_low, v_p = _cube_low(cu, kmag, q - 2), cv * mult[q + 1]
+        denom = u_low is not None and u_low.any() and sup(u_low) * norm(v_p)
+        if denom == 0.0:
+            return None
+        low = irfftn_batch(u_low, g.n, g.shape)
+        adv = [np.concatenate([product(_gradient_of(k, b[c : c + 1]), low, _transport) for c in range(3)])
+               for b in (v_p, v_p * mult[q + 1])]
+        return norm(adv[0] * mult[q + 1] - adv[1]) / denom
 
-    ratios = {}
-    for i, (q, v_p) in enumerate(zip(qs, shells)):
-        transport = None
-        u_low = _cube_low(cu, kmag, q - 2)
-        # transport_bound_ratio's denominator; where it is zero that raises
-        denom = u_low is not None and u_low.any() and sup(_gradient_of(k, u_low)) * norm(v_p)
-        if denom != 0.0:
-            spec = np.concatenate([u_low, _gradient_of(k, v_p), _gradient_of(k, v_p * mult[q + 1])])
-            adv = dealiased_product(g, spec, _two_transports)
-            transport = norm(adv[:3] * mult[q + 1] - adv[3:]) / denom
-        at = 6 + 6 * i
-        curl_cross = _expanded(g, curl_u_cross_v * mult[q + 1] - prods[at + 3 : at + 6])
-        ratios[q] = {
-            "transport": transport,
-            "cross_curl": norm(u_cross_curl_v * mult[q + 1] - prods[at : at + 3]) / gradient_denom,
-            "curl_cross": lp_norm(curl_cross, 2) / gradient_denom,
-            "trilinear": abs(inner_product(curl_cross, curl_h)) / hessian_denom,
-        }
-    return ratios
+    # the transport ratios first, while no curl-type product is held
+    transports = [transport_ratio(q) for q in qs]
+
+    def commutators(factor, spectrum):
+        """factor x spectrum(v) * phi_q - factor x spectrum(Delta_q v), the
+        cube of one curl-type commutator of F = u, for each q in qs in turn;
+        factor is transformed once, and each product is formed once."""
+        phys = irfftn_batch(factor, g.n, g.shape)
+        whole = product(spectrum(cv), phys, crossed)
+        for q in qs:
+            shell = product(spectrum(cv * mult[q + 1]), phys, crossed)
+            yield np.subtract(whole * mult[q + 1], shell, out=shell)
+
+    def curl_cross_ratios(c):
+        """The curl_cross and trilinear ratios of the commutator cube c."""
+        commutator = _expanded(g, c)
+        return (lp_norm(commutator, 2) / gradient_denom,
+                abs(inner_product(commutator, _expanded(g, curl_h))) / hessian_denom)
+
+    # u x curl G, then curl u x G, for G = v and each Delta_q v; the
+    # commutators of curl u x are all formed, and the samples of curl u let
+    # go, before their expanded forms meet curl h
+    cross_curl = [norm(c) / gradient_denom for c in commutators(cu, lambda G: _curl_of(k, G))]
+    cubes = list(commutators(_curl_of(k, cu), lambda G: G))
+    curl_h = _curl_of(k, ch)
+    curl_cross = [curl_cross_ratios(c) for c in cubes]
+    return {
+        q: {"transport": t, "cross_curl": cc, "curl_cross": cx, "trilinear": tri}
+        for q, t, cc, (cx, tri) in zip(qs, transports, cross_curl, curl_cross)
+    }

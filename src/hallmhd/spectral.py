@@ -44,7 +44,7 @@ import functools
 import itertools
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -137,19 +137,66 @@ _DIVIDE_BY_N, _UNSCALED = 2, 0  # pocketfft's codes for norm="forward"
 # Field lanes.  From _LANES_FROM points per axis on a 3D grid, the fields of
 # a batch are split into L = min(_LANES, fields) lanes: the caller takes
 # fields 0, L, 2L, ... and L - 1 threads, started by the batch and joined
-# before it returns, take fields j, j + L, ... for j = 1 .. L - 1; between
-# batches no lane thread runs, so a forked child loses none.  pocketfft
-# releases the GIL in each pass, so the lanes run on separate cores; a
-# field's passes are the same in every lane, so the result is bit-identical
-# to one lane's.  Lanes split fields, never passes:
+# before it returns (_in_threads, which gives each lane a core of its own),
+# take fields j, j + L, ... for j = 1 .. L - 1; between batches no lane
+# thread runs, so a forked child loses none.
+# pocketfft releases the GIL in each pass, so the lanes run on separate
+# cores; a field's passes are the same in every lane, so the result is
+# bit-identical to one lane's.  Lanes split fields, never passes:
 # pocketfft's own threads on each pass were slower at 64^3.  Below 64^3 and
-# in 2D one lane runs: at 2D 64^2 two lanes took twice as long, and at 32^3
-# and 2D 256^2 their batch gain is not yet measured end to end
-# (BENCH_31.json).
+# in 2D one lane runs: at 2D 64^2 two lanes took twice as long
+# (BENCH_31.json), and at 32^3 they lost end to end, 20-step runs going
+# from 399 to 425 ms (3 of 12 pairs won) and from 404 to 475 ms (1 of 16).
+# Product-level lanes inside the verification sweeps lost 0 of 8 pairs.
+# Where a batch runs one lane, verification.run_verification runs its
+# checks in two lanes instead (_field_lanes tells which).
 # _LANES is the number of cores this process may use (taskset -c 0 makes
 # it 1); no variable or option sets it.
 _LANES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 _LANES_FROM = 64
+
+
+def _field_lanes(n: int, dims: int) -> int:
+    """The lanes a batch of at least _LANES fields takes on the grid (n, dims)."""
+    return _LANES if n == 3 and dims >= _LANES_FROM else 1
+
+
+def _in_threads(tasks) -> list:
+    """Call tasks[0] here and each later task in a thread of its own, started
+    before it and joined after it; return the results in task order.  Once
+    every thread has joined, the exception of the first task that raised is
+    re-raised instead.  One task starts no thread.
+
+    Where the calling thread's affinity mask holds a core per task, task i
+    runs on the i-th of them, the caller's mask being narrowed for the call
+    and restored after it.  Left to the scheduler, a lane thread stayed on
+    its creator's core for whole runs on a 2-vCPU guest, the two lanes taking
+    turns: a fresh-process hmhd verify took 0.60-0.65 s so and 0.39-0.46 s
+    with a core per lane (BENCH_33.json)."""
+    results, errors = [None] * len(tasks), [None] * len(tasks)
+    cores = sorted(os.sched_getaffinity(0)) if len(tasks) > 1 and hasattr(os, "sched_setaffinity") else []
+    pin = len(cores) >= len(tasks)
+
+    def call(i):
+        try:
+            if pin:
+                os.sched_setaffinity(0, {cores[i]})
+            results[i] = tasks[i]()
+        except BaseException as exc:
+            errors[i] = exc
+
+    threads = [threading.Thread(target=call, args=(i,), name=f"hallmhd-lane-{i}") for i in range(1, len(tasks))]
+    for t in threads:
+        t.start()
+    call(0)
+    for t in threads:
+        t.join()
+    if pin:
+        os.sched_setaffinity(0, cores)
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return results
 
 
 def _run_lanes(body, batch: tuple, n: int, dims: int, *args) -> None:
@@ -157,17 +204,13 @@ def _run_lanes(body, batch: tuple, n: int, dims: int, *args) -> None:
     an iterable of them, in lanes as above.  One lane runs body on all of
     them in order, here, and starts no thread.  Otherwise the batch starts
     its L - 1 lane threads and joins them before it returns or re-raises a
-    lane's exception."""
-    lanes = min(_LANES, math.prod(batch)) if n == 3 and dims >= _LANES_FROM else 1
+    lane's exception, the first lane's first."""
+    lanes = min(_field_lanes(n, dims), math.prod(batch))
     if lanes <= 1:
         body(*args, np.ndindex(batch))
         return
     fields = list(np.ndindex(batch))
-    with ThreadPoolExecutor(lanes - 1, thread_name_prefix="hallmhd-lane") as pool:
-        futures = [pool.submit(body, *args, fields[j::lanes]) for j in range(1, lanes)]
-        body(*args, fields[::lanes])
-    for f in futures:
-        f.result()
+    _in_threads([functools.partial(body, *args, fields[j::lanes]) for j in range(lanes)])
 
 
 def _irfftn_fields(arr: np.ndarray, n: int, shape: tuple, support: np.ndarray, out: np.ndarray, fields) -> None:
@@ -344,9 +387,13 @@ class Grid:
         return (2.0 * np.pi / self.dims) ** self.n
 
     def _cached(self, key, builder):
-        if key not in self._cache:
-            self._cache[key] = builder()
-        return self._cache[key]
+        """The cached entry key, built by builder() the first time.  Two
+        threads may both build it; the first stored is kept and returned to
+        both, so callers of one grid share one array."""
+        found = self._cache.get(key)
+        if found is None:
+            found = self._cache.setdefault(key, builder())
+        return found
 
     @property
     def k(self) -> np.ndarray:
@@ -531,8 +578,10 @@ def _expanded(grid: Grid, comp: np.ndarray) -> SpectralField:
 def _gradient_of(k: np.ndarray, c: np.ndarray) -> np.ndarray:
     """ik (x) c of the stacked m-component spectra c, given k on the same
     layout (half spectrum or dealias cube): 3m components ordered (j, m),
-    component j*m + c being d_j c_c."""
-    return ((1j * k)[:, None] * c).reshape((3 * len(c),) + c.shape[1:])
+    component j*m + c being d_j c_c.  Given the rows k[j0:j1] of k, it
+    forms the derivatives d_j of j0 <= j < j1 alone, the same components of
+    the whole tensor."""
+    return ((1j * k)[:, None] * c).reshape((len(k) * len(c),) + c.shape[1:])
 
 
 def _curl_of(k: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -549,7 +598,9 @@ def gradient(f: SpectralField) -> SpectralField:
 
 def power(coeffs: np.ndarray) -> np.ndarray:
     """|f_k|^2 summed over the components (the leading axis) of coeffs."""
-    return (coeffs.real**2 + coeffs.imag**2).sum(axis=0)
+    sq = coeffs.real**2
+    sq += coeffs.imag**2
+    return sq.sum(axis=0)
 
 
 def divergence(v: SpectralField) -> SpectralField:
@@ -611,8 +662,15 @@ def transport_product(phys: np.ndarray) -> np.ndarray:
     """sum_j u_j d_j v_c at the grid points: the product callback of a
     dealiased_product whose input stacks u's 3 components and the 3m of
     grad v in gradient's (j, m) order."""
-    m = (len(phys) - 3) // 3
-    return np.einsum("j...,jm...->m...", phys[:3], phys[3:].reshape((3, m) + phys.shape[1:]))
+    return _transport(phys[:3], phys[3:])
+
+
+def _transport(u: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """transport_product of the samples of u and, apart from them, of the 3m
+    components of grad v; any m of v's components give the same values as
+    in the whole product."""
+    m = len(grad) // 3
+    return np.einsum("j...,jm...->m...", u, grad.reshape((3, m) + grad.shape[1:]))
 
 
 def advect(u: SpectralField, v: SpectralField) -> SpectralField:
@@ -636,29 +694,43 @@ def parseval(grid: Grid, spectrum: np.ndarray) -> float:
 def inner_product(f: SpectralField, g: SpectralField) -> float:
     """L2 inner product over the torus via Parseval."""
     _check_compat(f, g)
-    return parseval(f.grid, (f.coeffs * np.conj(g.coeffs)).real)
+    prod = np.conj(g.coeffs)
+    return parseval(f.grid, np.multiply(f.coeffs, prod, out=prod).real)
 
 
-def _sampled_norm(grid: Grid, phys: np.ndarray, sup: bool) -> float:
+def _sampled_norm(grid: Grid, phys, sup: bool) -> float:
     """Grid quadrature of the pointwise Euclidean magnitude of the stacked
     samples phys: its largest value (sup) or its L^1 integral.  Samples whose
     squares overflow are scaled by a power of two first, so a finite norm is
-    not inf."""
+    not inf.  phys may instead be a function returning the samples as an
+    iterable of stacked chunks, in component order; it is called again only
+    where the squares overflow, and one chunk at a time is held here."""
+    chunks = phys if callable(phys) else lambda: (phys,)
 
-    def quadrature(phys):
+    def quadrature(scale):
         # the components' squares summed in order, one component at a time
-        mag, sq = np.square(phys[0]), np.empty(phys.shape[1:])
-        for c in phys[1:]:
-            mag += np.square(c, out=sq)
+        mag = sq = None
+        for chunk in chunks():
+            for c in chunk:
+                c = np.ldexp(c, scale) if scale else c
+                if mag is None:
+                    mag, sq = np.square(c), np.empty(c.shape)
+                else:
+                    mag += np.square(c, out=sq)
         np.sqrt(mag, out=mag)
         return mag.max() if sup else mag.sum() * grid.cell_volume
 
     with np.errstate(over="ignore"):
-        norm = quadrature(phys)
-        if np.isinf(norm) and np.isfinite(phys).all():
-            # the squares or their sum overflowed: redo on samples scaled below 1
-            e = int(np.frexp(np.abs(phys).max())[1])
-            norm = np.ldexp(quadrature(np.ldexp(phys, -e)), e)
+        norm = quadrature(0)
+        if np.isinf(norm):
+            finite, peak = True, 0.0
+            for chunk in chunks():
+                finite = finite and bool(np.isfinite(chunk).all())
+                peak = max(peak, np.abs(chunk).max())
+            if finite:
+                # the squares or their sum overflowed: redo on samples scaled below 1
+                e = int(np.frexp(peak)[1])
+                norm = np.ldexp(quadrature(-e), e)
     return float(norm)
 
 

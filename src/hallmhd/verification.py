@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import spectral
 from .config import RunConfig
 from .littlewood_paley import (
     bernstein_ratio,
@@ -62,23 +63,32 @@ def check_partition_of_unity(grid: Grid) -> CheckResult:
     )
 
 
-def check_bony_identity(grid: Grid, n_pairs: int, seed0: int) -> CheckResult:
+def _bony_residual(grid: Grid, seed: int, band: float) -> float:
+    """check_bony_identity's worst residual on the pair of fields of seeds
+    seed and seed + 1; nothing of the pair outlives the call."""
     worst = 0.0
+    u = random_band_field(grid, seed, band)
+    v = random_band_field(grid, seed + 1, band)
+    direct_all = advect(u, v)
+    scale = lp_norm(direct_all, 2)
+    for split in bony_splits(u, v):
+        direct = project_shell(direct_all, split.q)
+        res = lp_norm(split.total() - direct, 2)
+        denom = lp_norm(direct, 2)
+        if denom > 1e-8 * scale:
+            worst = max(worst, res / denom)
+        else:
+            # nearly empty shell: compare against the full product scale
+            worst = max(worst, res / scale * 1e2)
+        del split, direct  # not held while the next shell is expanded
+    return worst
+
+
+def check_bony_identity(grid: Grid, n_pairs: int, seed0: int) -> CheckResult:
     band = resolved_band(grid)
+    worst = 0.0
     for i in range(n_pairs):
-        u = random_band_field(grid, seed0 + 2 * i, band)
-        v = random_band_field(grid, seed0 + 2 * i + 1, band)
-        direct_all = advect(u, v)
-        scale = lp_norm(direct_all, 2)
-        for split in bony_splits(u, v):
-            direct = project_shell(direct_all, split.q)
-            res = lp_norm(split.total() - direct, 2)
-            denom = lp_norm(direct, 2)
-            if denom > 1e-8 * scale:
-                worst = max(worst, res / denom)
-            else:
-                # nearly empty shell: compare against the full product scale
-                worst = max(worst, res / scale * 1e2)
+        worst = max(worst, _bony_residual(grid, seed0 + 2 * i, band))
     return CheckResult("bony_exact_sum", worst < 1e-10, f"max relative residual {worst:.3e}")
 
 
@@ -111,10 +121,15 @@ def check_commutator_ratio_sweeps(grid: Grid, n_seeds: int, seed0: int) -> list[
     qs = range(0, max_shell(grid) + 1)
     data = {name: {q: [] for q in qs} for name in ("transport", "cross_curl", "curl_cross", "trilinear")}
     for i in range(n_seeds):
-        u = random_band_field(grid, seed0 + 4 * i, band)
-        v = random_band_field(grid, seed0 + 4 * i + 1, band)
-        h = random_band_field(grid, seed0 + 4 * i + 2, band)
-        for q, ratios in commutator_ratios(u, v, h, qs).items():
+        # unnamed here, so that commutator_ratios frees the fields once it
+        # holds their cubes
+        ratios_by_q = commutator_ratios(
+            random_band_field(grid, seed0 + 4 * i, band),
+            random_band_field(grid, seed0 + 4 * i + 1, band),
+            random_band_field(grid, seed0 + 4 * i + 2, band),
+            qs,
+        )
+        for q, ratios in ratios_by_q.items():
             for name, r in ratios.items():
                 if r is not None:
                     data[name][q].append(r)
@@ -153,6 +168,15 @@ def check_bernstein_sweep(grid: Grid, n_seeds: int, seed0: int) -> CheckResult:
     )
 
 
+def _gradient_contaminated(U: SpectralField, u2: SpectralField) -> SpectralField:
+    """u2 plus a gradient of the same L2 norm whose potential is correlated
+    with |U|^2, so that the transport identity fails at O(1)."""
+    grid = U.grid
+    ehat = to_spectral(grid, (to_physical(U) ** 2).sum(axis=0))
+    bump = gradient(SpectralField(grid, -ehat.coeffs * grid.inv_ksq))
+    return u2 + bump * (lp_norm(u2, 2) / lp_norm(bump, 2))
+
+
 def check_cancellations(grid: Grid, seed: int) -> list[CheckResult]:
     band = resolved_band(grid)
     U = random_band_field(grid, seed, band)
@@ -169,13 +193,9 @@ def check_cancellations(grid: Grid, seed: int) -> list[CheckResult]:
         )
     ]
 
-    # negative control: contaminate u2 with a gradient whose potential is
-    # correlated with |U|^2, so the transport identity fails at O(1)
-    e = (to_physical(U) ** 2).sum(axis=0)
-    ehat = to_spectral(grid, e)
-    pot = SpectralField(grid, -ehat.coeffs * grid.inv_ksq)
-    bump = gradient(pot)
-    contaminated = u2 + bump * (lp_norm(u2, 2) / lp_norm(bump, 2))
+    # negative control, on a contaminated copy of u2; u2 itself is let go
+    contaminated = _gradient_contaminated(U, u2)
+    del u2
     bad = cancellation_check(U, B, contaminated, b1, b2)
     results.append(
         CheckResult(
@@ -195,17 +215,60 @@ def check_shell_reconstruction(grid: Grid, seed: int) -> CheckResult:
     return CheckResult("shell_reconstruction", err < 1e-12, f"relative error {err:.3e}")
 
 
+# Check lanes.  The seven checks are independent, so where a grid's FFT
+# batches run one field lane (spectral._field_lanes) and the process may use
+# two cores, the checks run in two lanes.  The caller first runs the
+# partition of unity and the shell reconstruction, which build the grid's
+# shared caches in its own memory.  Then one thread, started and joined
+# here, takes the commutator ratio sweeps while the caller takes the Bony
+# identity, the cancellations, the Bernstein sweep and the commutators on
+# constants: about equal times at every sweep size.  The thread takes the
+# sweeps, which transform three components at a time, for their small
+# transients: a thread's malloc arena keeps its largest size resident until
+# the process ends, while the main arena's is reused by later allocations.
+# Each check's largest transient is one dealiased product over what it
+# still holds, and no check holds a field or product past its use, so the
+# two lanes together peak below what the whole run did in order before
+# (tests/test_verification.py).  Field lanes and check lanes never stack,
+# and a process bound to one core runs the checks in order with no thread.
+_FIRST, _CALLER_LANE, _THREAD_LANE = (0, 1), (2, 6, 5, 3), (4,)
+
+
 def run_verification(cfg: RunConfig) -> list[CheckResult]:
+    """The results of every check, in order.  Where one raises, the first in
+    that order that raises is re-raised, once every lane has finished."""
     grid = cfg.grid()
     size = cfg["sweep.size"]
     seed = cfg["sweep.seed"]
-    results = [
-        check_partition_of_unity(grid),
-        check_shell_reconstruction(grid, seed),
-        check_bony_identity(grid, min(size, 20), seed + 100),
-        check_commutators_vanish(grid, seed + 200),
+    checks = [
+        lambda: [check_partition_of_unity(grid)],
+        lambda: [check_shell_reconstruction(grid, seed)],
+        lambda: [check_bony_identity(grid, min(size, 20), seed + 100)],
+        lambda: [check_commutators_vanish(grid, seed + 200)],
+        lambda: check_commutator_ratio_sweeps(grid, size, seed + 300),
+        lambda: [check_bernstein_sweep(grid, size, seed + 700)],
+        lambda: check_cancellations(grid, seed + 800),
     ]
-    results.extend(check_commutator_ratio_sweeps(grid, size, seed + 300))
-    results.append(check_bernstein_sweep(grid, size, seed + 700))
-    results.extend(check_cancellations(grid, seed + 800))
+    outcomes = [None] * len(checks)
+
+    def lane(order):
+        for i in order:
+            # as in order: no check after one that raised runs
+            if any(isinstance(o, Exception) for o in outcomes[:i]):
+                continue
+            try:
+                outcomes[i] = checks[i]()
+            except Exception as exc:
+                outcomes[i] = exc
+
+    if spectral._LANES >= 2 and spectral._field_lanes(grid.n, grid.dims) == 1:
+        lane(_FIRST)
+        spectral._in_threads([lambda: lane(_CALLER_LANE), lambda: lane(_THREAD_LANE)])
+    else:
+        lane(range(len(checks)))
+    results = []
+    for outcome in outcomes:
+        if isinstance(outcome, Exception):
+            raise outcome
+        results.extend(outcome)
     return results

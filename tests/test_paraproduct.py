@@ -245,15 +245,18 @@ def test_commutator_sweep_forms_all_curl_type_products_at_once(grid, uv, monkeyp
     ratios = commutator_ratios(u, v, h, qs)
     defined = [q for q in qs if ratios[q]["transport"] is not None]
     assert defined == [2]
-    # one curl-type product of u, curl u and (curl G, G) for G = v and every
-    # Delta_q v; one transport product of u_low, grad v_p, grad Delta_q v_p
-    # per defined shell
-    assert products == [3 * (4 + 2 * len(qs))] + [3 + 9 + 9] * len(defined)
-    # every inverse batch takes dealias cubes: no half-spectrum support scan
-    assert all(shape[1:] == grid.cube_shape for shape in inverse)
-    # sup norms of grad u (9) and its Hessian (27), the curl-type inputs (30),
-    # and per defined shell grad u_low (9) and the transport inputs (21)
-    assert sum(shape[0] for shape in inverse) == 9 + 27 + 30 + 30 * len(defined) == 96
+    # per defined shell, one transport product per component of v_p and of
+    # Delta_q v_p, each of its 3 derivatives against the samples of u_low;
+    # then one curl-type product per G = v and every Delta_q v, of curl G
+    # against the samples of u and of G against those of curl u
+    assert products == [3] * (6 * len(defined) + 2 * (1 + len(qs)))
+    # every inverse batch takes one three-component dealias cube: no
+    # half-spectrum support scan, and three fields transformed at a time
+    assert all(shape == (3, *grid.cube_shape) for shape in inverse)
+    # sup norms of grad u (9) and its Hessian (27), per defined shell grad
+    # u_low (9), u_low (3) and the transport inputs (18), then u, curl u and
+    # the curl-type inputs (3 per G each): each field is transformed once
+    assert sum(shape[0] for shape in inverse) == 9 + 27 + 30 * len(defined) + 6 + 6 * (1 + len(qs)) == 96
 
 
 @pytest.mark.parametrize("n, dims", [(3, 32), (2, 64), (3, 16)])

@@ -669,3 +669,49 @@ def test_forked_child_takes_lanes(grid64, lanes):
         os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
     assert done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0
+
+
+def test_grid_cache_keeps_the_first_entry_built_in_a_race():
+    # two threads miss one key at once and both build it; the first to
+    # finish stores its array, and the other gets that one, not its own
+    g = Grid(3, 16)
+    building, got = threading.Semaphore(0), {}
+    go = [threading.Event(), threading.Event()]
+
+    def lookup(j):
+        def builder():
+            building.release()
+            assert go[j].wait(10)
+            return np.full(3, j)
+
+        got[j] = g._cached("raced", builder)
+
+    threads = [threading.Thread(target=lookup, args=(j,)) for j in range(2)]
+    for t in threads:
+        t.start()
+    # both builders run before either returns
+    assert building.acquire(timeout=10) and building.acquire(timeout=10)
+    for j, t in enumerate(threads):
+        go[j].set()
+        t.join()
+    assert got[0] is got[1] is g._cached("raced", None)
+    assert (got[0] == 0).all()
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs two cores in the affinity mask")
+def test_lanes_take_a_core_each_and_restore_the_callers_mask():
+    mask = os.sched_getaffinity(0)
+    cores = sorted(mask)
+
+    def where():
+        return os.sched_getaffinity(0)
+
+    assert spectral._in_threads([where, where]) == [{cores[0]}, {cores[1]}]
+    assert os.sched_getaffinity(0) == mask
+    # restored also when a lane raises
+    with pytest.raises(_LaneFault):
+        spectral._in_threads([where, lambda: (_ for _ in ()).throw(_LaneFault())])
+    assert os.sched_getaffinity(0) == mask
+    # with more tasks than cores, every task keeps the caller's mask
+    assert spectral._in_threads([where] * (len(mask) + 1)) == [mask] * (len(mask) + 1)
