@@ -321,14 +321,14 @@ def commutator_ratios(u: SpectralField, v: SpectralField, h: SpectralField, qs) 
         """The curl_cross and trilinear ratios of the commutator cube c."""
         commutator = _expanded(g, c)
         return (lp_norm(commutator, 2) / gradient_denom,
-                abs(inner_product(commutator, _expanded(g, curl_h))) / hessian_denom)
+                abs(inner_product(commutator, curl_h)) / hessian_denom)
 
     # u x curl G, then curl u x G, for G = v and each Delta_q v; the
     # commutators of curl u x are all formed, and the samples of curl u let
     # go, before their expanded forms meet curl h
     cross_curl = [norm(c) / gradient_denom for c in commutators(cu, lambda G: _curl_of(k, G))]
     cubes = list(commutators(_curl_of(k, cu), lambda G: G))
-    curl_h = _curl_of(k, ch)
+    curl_h = _expanded(g, _curl_of(k, ch))
     curl_cross = [curl_cross_ratios(c) for c in cubes]
     return {
         q: {"transport": t, "cross_curl": cc, "curl_cross": cx, "trilinear": tri}

@@ -40,6 +40,7 @@ curl and cross products remain well defined at 2D cost.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import math
@@ -169,18 +170,24 @@ def _in_threads(tasks) -> list:
 
     Where the calling thread's affinity mask holds a core per task, task i
     runs on the i-th of them, the caller's mask being narrowed for the call
-    and restored after it.  Left to the scheduler, a lane thread stayed on
-    its creator's core for whole runs on a 2-vCPU guest, the two lanes taking
-    turns: a fresh-process hmhd verify took 0.60-0.65 s so and 0.39-0.46 s
-    with a core per lane (BENCH_33.json)."""
+    and restored after it, also when a join is interrupted.  Left to the
+    scheduler, a lane thread stayed on its creator's core for whole runs on
+    a 2-vCPU guest, the two lanes taking turns: a fresh-process hmhd verify
+    took 0.60-0.65 s unbound and 0.39-0.46 s with a core per lane
+    (BENCH_33.json).  Binding only places the lanes: where the system
+    refuses it, a lane keeps the mask it has and its task still runs."""
     results, errors = [None] * len(tasks), [None] * len(tasks)
     cores = sorted(os.sched_getaffinity(0)) if len(tasks) > 1 and hasattr(os, "sched_setaffinity") else []
     pin = len(cores) >= len(tasks)
 
+    def bind(mask):
+        with contextlib.suppress(OSError):
+            os.sched_setaffinity(0, mask)
+
     def call(i):
         try:
             if pin:
-                os.sched_setaffinity(0, {cores[i]})
+                bind({cores[i]})
             results[i] = tasks[i]()
         except BaseException as exc:
             errors[i] = exc
@@ -188,11 +195,13 @@ def _in_threads(tasks) -> list:
     threads = [threading.Thread(target=call, args=(i,), name=f"hallmhd-lane-{i}") for i in range(1, len(tasks))]
     for t in threads:
         t.start()
-    call(0)
-    for t in threads:
-        t.join()
-    if pin:
-        os.sched_setaffinity(0, cores)
+    try:
+        call(0)
+        for t in threads:
+            t.join()
+    finally:
+        if pin:
+            bind(cores)
     for exc in errors:
         if exc is not None:
             raise exc

@@ -221,17 +221,20 @@ def check_shell_reconstruction(grid: Grid, seed: int) -> CheckResult:
 # partition of unity and the shell reconstruction, which build the grid's
 # shared caches in its own memory.  Then one thread, started and joined
 # here, takes the commutator ratio sweeps while the caller takes the Bony
-# identity, the cancellations, the Bernstein sweep and the commutators on
-# constants: about equal times at every sweep size.  The thread takes the
-# sweeps, which transform three components at a time, for their small
-# transients: a thread's malloc arena keeps its largest size resident until
-# the process ends, while the main arena's is reused by later allocations.
+# identity, the cancellations and the commutators on constants, and the
+# Bernstein sweep goes to whichever lane is done first: in two lanes at 3D
+# 32^3 the caller's own checks took 0.34-0.38 s and the sweeps 0.25-0.27 s
+# at sweep.size 5, and 1.30-1.41 s against 1.44-1.64 s at the default 20, so
+# the Bernstein sweep (0.03 s and 0.14-0.20 s) ran in the thread at 5 and in
+# the caller at 20.  The thread takes only the checks with small transients:
+# a thread's malloc arena keeps its largest size resident until the process
+# ends, while the main arena's is reused by later allocations.
 # Each check's largest transient is one dealiased product over what it
 # still holds, and no check holds a field or product past its use, so the
 # two lanes together peak below what the whole run did in order before
 # (tests/test_verification.py).  Field lanes and check lanes never stack,
 # and a process bound to one core runs the checks in order with no thread.
-_FIRST, _CALLER_LANE, _THREAD_LANE = (0, 1), (2, 6, 5, 3), (4,)
+_FIRST, _CALLER_LANE, _THREAD_LANE, _EITHER_LANE = (0, 1), (2, 6, 3), (4,), (5,)
 
 
 def run_verification(cfg: RunConfig) -> list[CheckResult]:
@@ -251,21 +254,34 @@ def run_verification(cfg: RunConfig) -> list[CheckResult]:
     ]
     outcomes = [None] * len(checks)
 
-    def lane(order):
-        for i in order:
-            # as in order: no check after one that raised runs
-            if any(isinstance(o, Exception) for o in outcomes[:i]):
-                continue
-            try:
-                outcomes[i] = checks[i]()
-            except Exception as exc:
-                outcomes[i] = exc
+    def run(i):
+        # as in order: no check after one that raised runs
+        if any(isinstance(o, Exception) for o in outcomes[:i]):
+            return
+        try:
+            outcomes[i] = checks[i]()
+        except Exception as exc:
+            outcomes[i] = exc
 
     if spectral._LANES >= 2 and spectral._field_lanes(grid.n, grid.dims) == 1:
-        lane(_FIRST)
+        for i in _FIRST:
+            run(i)
+        either = list(_EITHER_LANE)
+
+        def lane(own):
+            for i in own:
+                run(i)
+            while True:
+                try:
+                    i = either.pop(0)  # atomic: each check runs in one lane
+                except IndexError:
+                    return
+                run(i)
+
         spectral._in_threads([lambda: lane(_CALLER_LANE), lambda: lane(_THREAD_LANE)])
     else:
-        lane(range(len(checks)))
+        for i in range(len(checks)):
+            run(i)
     results = []
     for outcome in outcomes:
         if isinstance(outcome, Exception):

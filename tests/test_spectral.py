@@ -715,3 +715,49 @@ def test_lanes_take_a_core_each_and_restore_the_callers_mask():
     assert os.sched_getaffinity(0) == mask
     # with more tasks than cores, every task keeps the caller's mask
     assert spectral._in_threads([where] * (len(mask) + 1)) == [mask] * (len(mask) + 1)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
+def test_lanes_run_where_binding_is_refused(grid64, lanes, monkeypatch):
+    # binding only places the lanes: a system that refuses it leaves each
+    # lane on the mask it has, and the batch still runs in lanes
+    mask = os.sched_getaffinity(0)
+    cubes = np.ones((6, *grid64.cube_shape), dtype=complex)
+    cubes[:, 0, 0, 0] = np.arange(6)
+    lanes(1)
+    expected = irfftn_batch(cubes, 3, grid64.shape)
+
+    def refused(pid, cpus):
+        raise PermissionError(1, "Operation not permitted")
+
+    monkeypatch.setattr(os, "sched_setaffinity", refused)
+    assert spectral._in_threads([lambda: 1, lambda: 2]) == [1, 2]
+    lanes(2)
+    assert np.array_equal(irfftn_batch(cubes, 3, grid64.shape), expected)
+    assert os.sched_getaffinity(0) == mask
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs two cores in the affinity mask")
+def test_callers_mask_restored_when_a_join_is_interrupted(monkeypatch):
+    # an interrupt (Ctrl-C) while the caller waits for a lane must not leave
+    # the caller bound to one core, where every later lane would share it
+    mask, release, started = os.sched_getaffinity(0), threading.Event(), []
+    join = threading.Thread.join
+
+    def interrupted(self, timeout=None):
+        started.append(self)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(threading.Thread, "join", interrupted)
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            spectral._in_threads([lambda: None, release.wait])
+        after = os.sched_getaffinity(0)
+    finally:
+        release.set()
+        for t in started:
+            join(t, 10)
+        os.sched_setaffinity(0, mask)
+    assert after == mask
+    assert started and not any(t.is_alive() for t in started)

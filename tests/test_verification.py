@@ -67,7 +67,7 @@ class _CheckFault(Exception):
     [
         ((2, 4), 2),
         ((4, 6), 4),
-        # the caller's lane runs 6 before 5 and 3
+        # the caller's lane runs 6 before 3
         ((3, 6), 3),
         ((0, 6), 0),
         ((1, 4), 1),
@@ -105,6 +105,32 @@ def test_check_lanes_reraise_the_first_failure_in_order(monkeypatch, thread_star
     assert len(thread_starts) == (1 if lanes == 2 else 0)
     if lanes == 1:
         assert finished == list(range(first + 1))
+
+
+@pytest.mark.parametrize("slow", ["caller", "thread"])
+def test_shared_check_runs_once_in_the_lane_done_first(monkeypatch, slow):
+    # the Bernstein sweep waits for whichever lane finishes its own checks
+    # first, and runs there, once
+    monkeypatch.setattr(spectral, "_LANES", 2)
+    lanes = {"caller": verification._CALLER_LANE, "thread": verification._THREAD_LANE}
+    ran = []
+
+    def fake(i):
+        def check(*args):
+            if i in lanes[slow]:
+                time.sleep(0.2)
+            ran.append((i, threading.current_thread() is threading.main_thread()))
+            result = CheckResult(CHECKS[i], True, "")
+            return [result] if i in (4, 6) else result
+
+        return check
+
+    for i, name in enumerate(CHECKS):
+        monkeypatch.setattr(verification, name, fake(i))
+    assert [r.name for r in run_verification(_config(3, 16))] == list(CHECKS)
+    assert sorted(i for i, _ in ran) == list(range(len(CHECKS)))
+    in_caller = {i for i, main in ran if main}
+    assert set(verification._EITHER_LANE) <= (in_caller if slow == "thread" else set(range(len(CHECKS))) - in_caller)
 
 
 def test_no_check_lanes_where_batches_take_field_lanes(monkeypatch, thread_starts):
@@ -146,9 +172,10 @@ def test_two_check_lanes_hold_about_one_sequential_run(monkeypatch):
     finally:
         tracemalloc.stop()
     first, caller, thread = verification._FIRST, verification._CALLER_LANE, verification._THREAD_LANE
-    assert sorted(first + caller + thread) == list(range(len(CHECKS)))
-    caller_peak = max(peaks[CHECKS[i]] for i in caller)
-    thread_peak = max(peaks[CHECKS[i]] for i in thread)
+    either = verification._EITHER_LANE
+    assert sorted(first + caller + thread + either) == list(range(len(CHECKS)))
+    caller_peak = max(peaks[CHECKS[i]] for i in caller + either)
+    thread_peak = max(peaks[CHECKS[i]] for i in thread + either)
     # the whole sequential run peaked at 22.8 MiB before the checks let go
     # of their stale references; two lanes at once may take 10 % more
     assert caller_peak + thread_peak <= 25.0, peaks
