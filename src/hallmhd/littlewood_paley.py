@@ -4,7 +4,8 @@ The radial cutoff chi equals 1 for |xi| <= 3/4 and 0 for |xi| >= 1, with a
 C-infinity bridge in between; phi(xi) = chi(xi/2) - chi(xi) tiles frequency
 space into octave shells of scale lambda_q = 2^q.  Shell projections are
 Fourier multipliers, exact on the torus; like the fields they act on, the
-multipliers cover the real-FFT half spectrum.
+multipliers cover the real-FFT half spectrum.  _low, the one low-pass cut
+chi(|k| / 2^{Q+1}), serves low_pass, the Bony split and the commutator sweep.
 """
 
 from __future__ import annotations
@@ -118,12 +119,15 @@ def project_shell(f: SpectralField, q: int) -> SpectralField:
     return SpectralField(f.grid, f.coeffs * _shell_multiplier(f.grid, q))
 
 
+def _low(c: np.ndarray, kmag: np.ndarray, Q: int) -> np.ndarray:
+    """The chi(|k| / 2^{Q+1}) cut of the stacked spectra c, given |k| on the
+    same layout (half spectrum or dealias cube): zero below Q = -1."""
+    return c * chi(kmag / lambda_q(Q + 1)) if Q >= -1 else np.zeros_like(c)
+
+
 def low_pass(f: SpectralField, Q: int) -> SpectralField:
     """Low-frequency part: sum of shells up to Q, i.e. the chi(k / 2^{Q+1}) cut."""
-    if Q < -1:
-        return SpectralField(f.grid, np.zeros_like(f.coeffs))
-    mult = chi(f.grid.kmag / lambda_q(Q + 1))
-    return SpectralField(f.grid, f.coeffs * mult)
+    return SpectralField(f.grid, _low(f.coeffs, f.grid.kmag, Q))
 
 
 def decompose(f: SpectralField) -> list[SpectralField]:

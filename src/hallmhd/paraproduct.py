@@ -21,7 +21,9 @@ its single-shell function.  It runs on the dealias cube as well, so it
 refuses the same fields, and it holds little memory: every inverse batch
 takes one three-component cube, each field is transformed once, each
 commutator is expanded before its norm, and the half spectra of u, v and h
-are let go once their cubes and norms exist.
+are let go once their cubes and norms exist.  _sup_gradient_of, the one
+sampled sup norm of a gradient or Hessian tensor, serves the sweep and the
+single-shell ratios (through _sup_gradient).
 """
 
 from __future__ import annotations
@@ -32,10 +34,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .littlewood_paley import _shell_multiplier, chi, lambda_q, low_pass, max_shell, project_shell
+from .littlewood_paley import _low, _shell_multiplier, low_pass, max_shell, project_shell
 from .spectral import (
     Grid,
     SpectralField,
+    _check_compat,
     _curl_of,
     _expanded,
     _gradient_of,
@@ -49,7 +52,7 @@ from .spectral import (
     curl,
     dealias_cutoff,
     dealiased_product,
-    gradient,
+    gradient,  # not called here: tests patch it to check that none is formed
     inner_product,
     irfftn_batch,
     lp_norm,
@@ -88,17 +91,12 @@ def _cube_multipliers(g: Grid) -> tuple:
     return _on_cube(g, g.k), _on_cube(g, g.kmag), mult
 
 
-def _cube_low(c: np.ndarray, kmag: np.ndarray, top: int) -> np.ndarray | None:
-    """low_pass(., top) of the cube c, or None where it is zero (top < -1)."""
-    return c * chi(kmag / lambda_q(top + 1)) if top >= -1 else None
-
-
 def _bony_sums(u: SpectralField, v: SpectralField, qs) -> dict:
     """(low_high, high_low, resonant) dealias-cube sums for every q in qs.
 
     Every piece lies inside the cube, so the sweep runs on the cubes of u, v,
-    k, |k| and the shell multipliers, with the arithmetic of project_shell
-    and low_pass and with gradient's _gradient_of, a near shell summed as
+    k, |k| and the shell multipliers, with project_shell's arithmetic,
+    low_pass's _low and gradient's _gradient_of, a near shell summed as
     shells p, p - 1, p + 1.
     One pass over p forms the three products of the p-th pieces, each once,
     and adds phi_q times each to the sums of the shells q in qs whose window
@@ -107,8 +105,7 @@ def _bony_sums(u: SpectralField, v: SpectralField, qs) -> dict:
     are zero.
     """
     g = u.grid
-    if v.grid != g:
-        raise ValueError("grid mismatch between fields")
+    _check_compat(u, v, same_m=False)
     cu, cv = _checked_cube("u", u), _checked_cube("v", v)
     Q = max_shell(g)
 
@@ -124,7 +121,7 @@ def _bony_sums(u: SpectralField, v: SpectralField, qs) -> dict:
 
     def product(a, b):
         """The cube of (a . grad) b, or None when a or b is zero."""
-        if a is None or b is None or not a.any() or not b.any():
+        if not a.any() or not b.any():
             return None
         return dealiased_product(g, np.concatenate([a, _gradient_of(k, b)]), transport_product)
 
@@ -138,8 +135,8 @@ def _bony_sums(u: SpectralField, v: SpectralField, qs) -> dict:
     for p in range(max(-1, min(qs) - 2), Q + 1):
         window = [q for q in qs if abs(q - p) <= 2]
         if window:
-            add(0, window, product(_cube_low(cu, kmag, p - 2), sv[p + 1]))
-            add(1, window, product(su[p + 1], _cube_low(cv, kmag, p - 2)))
+            add(0, window, product(_low(cu, kmag, p - 2), sv[p + 1]))
+            add(1, window, product(su[p + 1], _low(cv, kmag, p - 2)))
         add(2, [q for q in qs if q <= p + 2], product(near(p), sv[p + 1]))
     return sums
 
@@ -186,14 +183,25 @@ def commutator_curl_cross(F: SpectralField, G: SpectralField, q: int) -> Spectra
     return project_shell(cross(curl_F, G), q) - cross(curl_F, project_shell(G, q))
 
 
-def _sup_gradient(F: SpectralField, order: int = 1) -> float:
-    """Grid-sampled sup norm of the (iterated) gradient tensor of F.
+def _sup_gradient_of(g: Grid, k: np.ndarray, c: np.ndarray, order: int = 1) -> float:
+    """Grid-sampled sup norm of the order-th gradient tensor of the spectra c
+    of grid g, given k on the same layout (half spectrum or dealias cube), in
+    gradient's component order, one derivative's components per inverse
+    batch: js runs over the derivatives d_j, the one taken last first."""
 
-    The 3^order * m derivative components go through one inverse real FFT batch.
-    """
-    for _ in range(order):
-        F = gradient(F)
-    return lp_norm(F, np.inf)
+    def samples():
+        for js in itertools.product(range(3), repeat=order):
+            spec = c
+            for j in reversed(js):
+                spec = _gradient_of(k[j : j + 1], spec)
+            yield irfftn_batch(spec, g.n, g.shape)
+
+    return _sampled_norm(g, samples, sup=True)
+
+
+def _sup_gradient(F: SpectralField, order: int = 1) -> float:
+    """Grid-sampled sup norm of the (iterated) gradient tensor of F."""
+    return _sup_gradient_of(F.grid, F.grid.k, F.coeffs, order)
 
 
 def _nonzero(denom: float) -> float:
@@ -239,10 +247,10 @@ def commutator_ratios(u: SpectralField, v: SpectralField, h: SpectralField, qs) 
     curl-type ratios of F = u, G = v, H = h); "transport" is None exactly
     where that raises.  u, v and h must be finite and zero outside the dealias
     cube, as for bony_split.  The sweep runs on the cubes of u, v, h, k, |k|
-    and the shell multipliers, with gradient's _gradient_of, curl's _curl_of
-    and the arithmetic of project_shell and low_pass, three components at a
-    time: the sup-norm denominators from one cube of three derivatives at a
-    time (_sampled_norm takes them in order), the transports of a shell from
+    and the shell multipliers, with gradient's _gradient_of, curl's _curl_of,
+    low_pass's _low and the arithmetic of project_shell, three components at
+    a time: the sup-norm denominators by _sup_gradient_of, as in the
+    single-shell functions, on the cubes, the transports of a shell from
     the samples of u_low and one component of v_q or Delta_q v_q at a time,
     and the curl-type products of G = v and of each shell of v from the
     samples of u, then of curl u, and one G at a time.
@@ -250,8 +258,8 @@ def commutator_ratios(u: SpectralField, v: SpectralField, h: SpectralField, qs) 
     the Parseval sums run in the single-shell functions' order.
     """
     g = u.grid
-    if v.grid != g or h.grid != g:
-        raise ValueError("grid mismatch between fields")
+    _check_compat(u, v, same_m=False)
+    _check_compat(u, h, same_m=False)
     cu, cv, ch = _checked_cube("u", u), _checked_cube("v", v), _checked_cube("h", h)
     Q = max_shell(g)
     qs = list(qs)
@@ -264,20 +272,6 @@ def commutator_ratios(u: SpectralField, v: SpectralField, h: SpectralField, qs) 
     del u, v, h
     k, kmag, mult = _cube_multipliers(g)
 
-    def sup(c, order=1):
-        """The sampled sup norm of the order-th gradient tensor of the cube c,
-        in _sup_gradient's component order, from one three-component cube at
-        a time: js runs over the derivatives d_j, the one taken last first."""
-
-        def samples():
-            for js in itertools.product(range(3), repeat=order):
-                cube = c
-                for j in reversed(js):
-                    cube = _gradient_of(k[j : j + 1], cube)
-                yield irfftn_batch(cube, g.n, g.shape)
-
-        return _sampled_norm(g, samples, sup=True)
-
     def norm(cube):
         return lp_norm(_expanded(g, cube), 2)
 
@@ -288,15 +282,15 @@ def commutator_ratios(u: SpectralField, v: SpectralField, h: SpectralField, qs) 
     def crossed(a, b):
         return cross_into(np.empty_like(b), a, b, np.empty(g.shape))
 
-    gradient_denom = _nonzero(sup(cu) * v_norm)
-    hessian_denom = _nonzero(sup(cu, order=2) * v_norm * h_norm)
+    gradient_denom = _nonzero(_sup_gradient_of(g, k, cu) * v_norm)
+    hessian_denom = _nonzero(_sup_gradient_of(g, k, cu, order=2) * v_norm * h_norm)
 
     def transport_ratio(q):
         """transport_bound_ratio(u, v, q, q), or None where that raises: the
         transports of b = v_q and Delta_q v_q, one component of b at a time,
         against the samples of u_low."""
-        u_low, v_p = _cube_low(cu, kmag, q - 2), cv * mult[q + 1]
-        denom = u_low is not None and u_low.any() and sup(u_low) * norm(v_p)
+        u_low, v_p = _low(cu, kmag, q - 2), cv * mult[q + 1]
+        denom = u_low.any() and _sup_gradient_of(g, k, u_low) * norm(v_p)
         if denom == 0.0:
             return None
         low = irfftn_batch(u_low, g.n, g.shape)

@@ -18,9 +18,11 @@ normalization and the 2/3 rule, which keeps the cube
 copy that cube to and from a compact array, _on_cube gathers it into a new
 one, _outside_cube measures a field's content outside such a cube, and
 _support is the one exact in-cube test; _sampled_norm is the one grid
-quadrature of the L^1 and sup norms.  The
-k_last = 0 plane holds k and -k, so a real field has f_-k = conj f_k there;
-_hermitian_defect measures how far a half spectrum is from that.  The batched
+quadrature of the L^1 and sup norms, fed chunks of samples by a factory:
+lp_norm, paraproduct's sup of a gradient tensor and uniqueness's L^1
+integrals all go through it.  The k_last = 0 plane holds k and -k, so a
+real field has f_-k = conj f_k there; _hermitian_defect measures how far a
+half spectrum is from that.  The batched
 transforms are forward-normalized (scipy's norm="forward": the forward one
 divides by the number of points, the inverse is unscaled), take either
 layout and are bit-identical to scipy's full ones.  Each direction has one
@@ -210,14 +212,11 @@ def _in_threads(tasks) -> list:
 
 def _run_lanes(body, batch: tuple, n: int, dims: int, *args) -> None:
     """body(*args, fields) over the field indices of the batch shape, fields
-    an iterable of them, in lanes as above.  One lane runs body on all of
-    them in order, here, and starts no thread.  Otherwise the batch starts
-    its L - 1 lane threads and joins them before it returns or re-raises a
-    lane's exception, the first lane's first."""
-    lanes = min(_field_lanes(n, dims), math.prod(batch))
-    if lanes <= 1:
-        body(*args, np.ndindex(batch))
-        return
+    a list of them, in lanes as above, by _in_threads: one lane (an empty
+    batch takes one too) runs body on all of them in order, here, and starts
+    no thread; L lanes start L - 1 lane threads and join them before the
+    batch returns or re-raises a lane's exception, the first lane's first."""
+    lanes = max(1, min(_field_lanes(n, dims), math.prod(batch)))
     fields = list(np.ndindex(batch))
     _in_threads([functools.partial(body, *args, fields[j::lanes]) for j in range(lanes)])
 
@@ -707,14 +706,13 @@ def inner_product(f: SpectralField, g: SpectralField) -> float:
     return parseval(f.grid, np.multiply(f.coeffs, prod, out=prod).real)
 
 
-def _sampled_norm(grid: Grid, phys, sup: bool) -> float:
-    """Grid quadrature of the pointwise Euclidean magnitude of the stacked
-    samples phys: its largest value (sup) or its L^1 integral.  Samples whose
-    squares overflow are scaled by a power of two first, so a finite norm is
-    not inf.  phys may instead be a function returning the samples as an
-    iterable of stacked chunks, in component order; it is called again only
-    where the squares overflow, and one chunk at a time is held here."""
-    chunks = phys if callable(phys) else lambda: (phys,)
+def _sampled_norm(grid: Grid, chunks, sup: bool) -> float:
+    """Grid quadrature of the pointwise Euclidean magnitude of stacked
+    samples: its largest value (sup) or its L^1 integral.  chunks is a
+    function returning the samples as an iterable of stacked chunks, in
+    component order; it is called again only where the squares overflow, and
+    one chunk at a time is held here.  Samples whose squares overflow are
+    scaled by a power of two first, so a finite norm is not inf."""
 
     def quadrature(scale):
         # the components' squares summed in order, one component at a time
@@ -756,4 +754,4 @@ def lp_norm(f: SpectralField, p) -> float:
     sup = p in (np.inf, float("inf"), "inf")
     if not (sup or p == 1):
         raise ValueError(f"unsupported norm order {p!r}; use 1, 2 or inf")
-    return _sampled_norm(g, to_physical(f), sup)
+    return _sampled_norm(g, lambda: (to_physical(f),), sup)

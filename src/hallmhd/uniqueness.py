@@ -19,6 +19,7 @@ from .littlewood_paley import SobolevParams, dyadic_sobolev_norm
 from .solver import State
 from .spectral import (
     SpectralField,
+    _sampled_norm,
     advect,
     cross,
     curl,
@@ -27,10 +28,6 @@ from .spectral import (
     lp_norm,
     to_physical,
 )
-
-
-def _abs_integral(values: np.ndarray, grid) -> float:
-    return float(np.abs(values).sum() * grid.cell_volume)
 
 
 def _dot_phys(f: SpectralField, g: SpectralField) -> np.ndarray:
@@ -48,8 +45,11 @@ def cancellation_check(
     integral of the absolute value of its unsplit integrand."""
     g = U.grid
 
+    def integral(integrand: np.ndarray) -> float:
+        return _sampled_norm(g, lambda: (integrand[None],), sup=False)
+
     def ratio(numer: float, integrand: np.ndarray) -> float:
-        denom = _abs_integral(integrand, g)
+        denom = integral(integrand)
         return abs(numer) / denom if denom > 0 else 0.0
 
     cB = curl(B)
@@ -62,7 +62,7 @@ def cancellation_check(
 
     t4a = advect(b2, B)
     t4b = advect(b2, U)
-    denom4 = _abs_integral(_dot_phys(t4a, U), g) + _abs_integral(_dot_phys(t4b, B), g)
+    denom4 = integral(_dot_phys(t4a, U)) + integral(_dot_phys(t4b, B))
     num4 = inner_product(t4a, U) + inner_product(t4b, B)
     r4 = abs(num4) / denom4 if denom4 > 0 else 0.0
 

@@ -1,5 +1,7 @@
 """Bony split exactness and commutator behavior."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,7 @@ from hallmhd.paraproduct import (
 )
 from hallmhd.random_fields import random_band_field
 from hallmhd.spectral import Grid, SpectralField, advect, cross, curl, dealias_cutoff, lp_norm
+from hallmhd.uniqueness import _dot_phys
 from hallmhd.verification import check_bony_identity
 
 
@@ -384,3 +387,32 @@ def test_bound_ratio_zero_denominator(grid, uv):
     u, v = uv
     with pytest.raises(ValueError, match="^undefined ratio: zero denominator$"):
         commutator_ratios(z, v, u, range(0, max_shell(grid) + 1))
+
+
+def test_trilinear_ratio_holds_three_derivatives_at_a_time():
+    # the fields of criterion 3's first seed triple; the 27 second
+    # derivatives of u, all at once, took 14.42 MiB
+    g = Grid(3, 32)
+    band = resolved_band(g)
+    u, v, h = (random_band_field(g, seed, band) for seed in (6100, 6101, 6102))
+    expected = trilinear_bound_ratio(u, v, h, 1)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert trilinear_bound_ratio(u, v, h, 1) == expected
+        peak = (tracemalloc.get_traced_memory()[1] - base) / 2**20
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9.0
+
+
+def test_sampled_l1_norm_is_the_plain_integral_on_cancellation_integrands(grid, uv):
+    # sqrt(x^2) == |x| for every double whose square neither underflows nor
+    # overflows, so the one quadrature gives uniqueness's L^1 integrals exactly
+    u, v = uv
+    b = random_band_field(grid, 103, resolved_band(grid))
+    cv = curl(v)
+    for t, f in ((advect(u, v), v), (advect(u, b), b), (cross(cv, b), cv), (advect(b, v), u)):
+        x = _dot_phys(t, f)
+        want = np.abs(x).sum() * grid.cell_volume
+        assert spectral._sampled_norm(grid, lambda: (x[None],), sup=False) == want > 0

@@ -305,12 +305,12 @@ def test_lp_norm_of_samples_whose_squares_overflow(grid, p):
 def test_sampled_norm_is_lp_norms_quadrature(grid, p):
     f = random_band_field(grid, 45, 4.0)
     phys = to_physical(f)
-    assert spectral._sampled_norm(grid, phys, sup=p == np.inf) == lp_norm(f, p)
+    assert spectral._sampled_norm(grid, lambda: (phys,), sup=p == np.inf) == lp_norm(f, p)
     # samples of about 1e200: the squares overflow, the norm does not
     big = 1e200 * phys / np.abs(phys).max()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        norm = spectral._sampled_norm(grid, big, sup=p == np.inf)
+        norm = spectral._sampled_norm(grid, lambda: (big,), sup=p == np.inf)
     assert np.isfinite(norm) and norm > 1e200
 
 
