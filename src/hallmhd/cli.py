@@ -8,7 +8,7 @@ import sys
 
 import numpy as np
 
-from .config import RunConfig, load_config
+from .config import load_config
 from .diagnostics import existence_time, scaling_check
 from .snapshots import (
     list_snapshots, snapshot_name, state_records, write_csvs, write_diagnostics, write_snapshot,

@@ -52,11 +52,9 @@ from .spectral import (
     curl,
     dealias_cutoff,
     dealiased_product,
-    gradient,  # not called here: tests patch it to check that none is formed
     inner_product,
     irfftn_batch,
     lp_norm,
-    transport_product,
 )
 
 
@@ -123,7 +121,7 @@ def _bony_sums(u: SpectralField, v: SpectralField, qs) -> dict:
         """The cube of (a . grad) b, or None when a or b is zero."""
         if not a.any() or not b.any():
             return None
-        return dealiased_product(g, np.concatenate([a, _gradient_of(k, b)]), transport_product)
+        return dealiased_product(g, np.concatenate([a, _gradient_of(k, b)]), lambda p: _transport(p[:3], p[3:]))
 
     sums = {q: [np.zeros((v.m, *g.cube_shape), dtype=complex) for _ in range(3)] for q in qs}
 

@@ -11,7 +11,7 @@ operators are exact Fourier multipliers: _gradient_of is the one ik (x) f,
 the gradient tensor of any m-component field, on the half spectrum or the
 dealias cube; cross_into is the one cross-product kernel and curl_into,
 i k x f through it, the one curl, which _curl_of forms in a new array;
-transport_product is the one pointwise (u . grad) v.  Every product goes
+_transport is the one pointwise (u . grad) v.  Every product goes
 through dealiased_product, the one home of the transform pair, its
 normalization and the 2/3 rule, which keeps the cube
 |k_i| <= dealias_cutoff(dims) = dims // 3; gather_cube and scatter_cube
@@ -666,17 +666,11 @@ def cross(u: SpectralField, v: SpectralField) -> SpectralField:
     return _expanded(g, dealiased_product(g, spec, lambda p: cross_into(prod[:3], p[:3], p[3:], prod[3])))
 
 
-def transport_product(phys: np.ndarray) -> np.ndarray:
-    """sum_j u_j d_j v_c at the grid points: the product callback of a
-    dealiased_product whose input stacks u's 3 components and the 3m of
-    grad v in gradient's (j, m) order."""
-    return _transport(phys[:3], phys[3:])
-
-
 def _transport(u: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """transport_product of the samples of u and, apart from them, of the 3m
-    components of grad v; any m of v's components give the same values as
-    in the whole product."""
+    """sum_j u_j d_j v_c at the grid points, from the samples of u's 3
+    components and, apart from them, of the 3m of grad v in gradient's
+    (j, m) order; any m of v's components give the same values as in the
+    whole product."""
     m = len(grad) // 3
     return np.einsum("j...,jm...->m...", u, grad.reshape((3, m) + grad.shape[1:]))
 
@@ -690,7 +684,7 @@ def advect(u: SpectralField, v: SpectralField) -> SpectralField:
     if u.m != 3:
         raise ValueError("advect expects a 3-component advecting field")
     spec = np.concatenate([u.coeffs, gradient(v).coeffs])
-    return _expanded(u.grid, dealiased_product(u.grid, spec, transport_product))
+    return _expanded(u.grid, dealiased_product(u.grid, spec, lambda p: _transport(p[:3], p[3:])))
 
 
 def parseval(grid: Grid, spectrum: np.ndarray) -> float:
@@ -721,9 +715,11 @@ def _sampled_norm(grid: Grid, chunks, sup: bool) -> float:
             for c in chunk:
                 c = np.ldexp(c, scale) if scale else c
                 if mag is None:
-                    mag, sq = np.square(c), np.empty(c.shape)
+                    mag = np.square(c)
                 else:
-                    mag += np.square(c, out=sq)
+                    # out=None allocates the scratch: a one-component chunk takes none
+                    sq = np.square(c, out=sq)
+                    mag += sq
         np.sqrt(mag, out=mag)
         return mag.max() if sup else mag.sum() * grid.cell_volume
 

@@ -1,6 +1,7 @@
-"""The dependency rule, read from the source: the modules of hallmhd import
-only the standard library, NumPy and hallmhd itself, and only spectral.py
-imports SciPy (its pocketfft binding)."""
+"""Import rules, read from the source: the modules of hallmhd import only the
+standard library, NumPy and hallmhd itself, only spectral.py imports SciPy
+(its pocketfft binding), and every name a module imports is used there or
+listed in its __all__."""
 
 import ast
 import pathlib
@@ -36,3 +37,35 @@ def test_imports_reach_only_the_standard_library_numpy_and_hallmhd():
         if extra:
             foreign[path.name] = sorted(extra)
     assert foreign == {}
+
+
+def _unused(source: str) -> list:
+    """The names a module's imports bind that it neither uses nor lists in
+    its __all__; a __future__ import binds none."""
+    tree = ast.parse(source)
+    bound, used = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return sorted(bound - used)
+
+
+def test_every_imported_name_is_used_or_exported():
+    source = (
+        "from __future__ import annotations\nimport os.path\nimport numpy as np\n"
+        "from .spectral import Grid, lp_norm\nfrom .solver import run\n"
+        "__all__ = ['run']\nnp.pi\ndef f(g: Grid): ...\n"
+    )
+    assert _unused(source) == ["lp_norm", "os"]
+    unused = {}
+    for path in sorted(SRC.rglob("*.py")):
+        names = _unused(path.read_text())
+        if names:
+            unused[path.name] = names
+    assert unused == {}

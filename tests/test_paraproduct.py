@@ -370,7 +370,7 @@ def test_transport_ratio_tests_zero_low_pass_first(grid, uv, monkeypatch):
     )
     assert transport_bound_ratio(u, v, 2, 2) == formula
     formed = []
-    for name in ("gradient", "_sup_gradient", "lp_norm"):
+    for name in ("_sup_gradient_of", "_sup_gradient", "lp_norm"):
         monkeypatch.setattr(paraproduct, name, lambda *args, name=name: formed.append(name))
     # u is mean-free, so low_pass(u, p - 2) is zero at p = 0 and 1
     for p in (0, 1):

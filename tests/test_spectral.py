@@ -8,6 +8,7 @@ import os
 import signal
 import threading
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -312,6 +313,24 @@ def test_sampled_norm_is_lp_norms_quadrature(grid, p):
         warnings.simplefilter("error")
         norm = spectral._sampled_norm(grid, lambda: (big,), sup=p == np.inf)
     assert np.isfinite(norm) and norm > 1e200
+
+
+def test_one_component_l1_norm_allocates_no_scratch():
+    # the squares' scratch comes with a second component, so a one-component
+    # L^1 integral, as each of uniqueness's is, holds one grid array
+    g = Grid(3, 32)
+    x = to_physical(random_band_field(g, 46, 4.0))[0]
+    want = np.abs(x).sum() * g.cell_volume
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        norm = spectral._sampled_norm(g, lambda: (x[None],), sup=False)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert norm == want
+    # 2.01 grid arrays while the scratch came with the first component
+    assert peak <= 1.25 * x.nbytes
 
 
 def test_2d_carries_three_components(grid2d):

@@ -67,7 +67,6 @@ class _CheckFault(Exception):
     [
         ((2, 4), 2),
         ((4, 6), 4),
-        # the caller's lane runs 6 before 3
         ((3, 6), 3),
         ((0, 6), 0),
         ((1, 4), 1),
@@ -108,11 +107,12 @@ def test_check_lanes_reraise_the_first_failure_in_order(monkeypatch, thread_star
 
 
 @pytest.mark.parametrize("slow", ["caller", "thread"])
-def test_shared_check_runs_once_in_the_lane_done_first(monkeypatch, slow):
-    # the Bernstein sweep waits for whichever lane finishes its own checks
-    # first, and runs there, once
+def test_lane_thread_takes_the_sweeps_whichever_lane_is_slower(monkeypatch, slow):
+    # the ratio sweeps and the Bernstein sweep run in the lane thread and
+    # every other check in the caller, however long either lane takes
     monkeypatch.setattr(spectral, "_LANES", 2)
-    lanes = {"caller": verification._CALLER_LANE, "thread": verification._THREAD_LANE}
+    sweeps = {CHECKS.index("check_commutator_ratio_sweeps"), CHECKS.index("check_bernstein_sweep")}
+    lanes = {"caller": set(range(len(CHECKS))) - sweeps - set(verification._FIRST), "thread": sweeps}
     ran = []
 
     def fake(i):
@@ -129,8 +129,7 @@ def test_shared_check_runs_once_in_the_lane_done_first(monkeypatch, slow):
         monkeypatch.setattr(verification, name, fake(i))
     assert [r.name for r in run_verification(_config(3, 16))] == list(CHECKS)
     assert sorted(i for i, _ in ran) == list(range(len(CHECKS)))
-    in_caller = {i for i, main in ran if main}
-    assert set(verification._EITHER_LANE) <= (in_caller if slow == "thread" else set(range(len(CHECKS))) - in_caller)
+    assert {i for i, main in ran if not main} == sweeps
 
 
 def test_no_check_lanes_where_batches_take_field_lanes(monkeypatch, thread_starts):
@@ -171,11 +170,11 @@ def test_two_check_lanes_hold_about_one_sequential_run(monkeypatch):
         assert run_verification(cfg) == expected
     finally:
         tracemalloc.stop()
-    first, caller, thread = verification._FIRST, verification._CALLER_LANE, verification._THREAD_LANE
-    either = verification._EITHER_LANE
-    assert sorted(first + caller + thread + either) == list(range(len(CHECKS)))
-    caller_peak = max(peaks[CHECKS[i]] for i in caller + either)
-    thread_peak = max(peaks[CHECKS[i]] for i in thread + either)
+    first, thread = verification._FIRST, verification._THREAD_LANE
+    caller = tuple(i for i in range(len(CHECKS)) if i not in first + thread)
+    assert sorted(first + caller + thread) == list(range(len(CHECKS)))
+    caller_peak = max(peaks[CHECKS[i]] for i in caller)
+    thread_peak = max(peaks[CHECKS[i]] for i in thread)
     # the whole sequential run peaked at 22.8 MiB before the checks let go
     # of their stale references; two lanes at once may take 10 % more
     assert caller_peak + thread_peak <= 25.0, peaks
